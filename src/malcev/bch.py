@@ -80,30 +80,3 @@ def bch_terms(nilpotency_class: int):
         coeff = h[w] / len(w)  # Dynkin projection
         terms.append((w, coeff))
     return tuple(terms)
-
-
-def bch_apply(bracket, x, y, nilpotency_class: int, add, scale):
-    """Evaluate BCH(x, y) given a bracket and vector-space operations.
-
-    ``bracket(a, b)``, ``add(a, b)`` and ``scale(q, a)`` operate on opaque
-    vector values; left-normed bracket values are memoized per prefix so each
-    one is computed once.
-    """
-    letters = (x, y)
-    memo: dict = {}
-
-    def value(word):
-        v = memo.get(word)
-        if v is None:
-            if len(word) == 1:
-                v = letters[word[0]]
-            else:
-                v = bracket(value(word[:-1]), letters[word[-1]])
-            memo[word] = v
-        return v
-
-    total = None
-    for word, coeff in bch_terms(nilpotency_class):
-        term = scale(coeff, value(word))
-        total = term if total is None else add(total, term)
-    return total

@@ -1,13 +1,15 @@
 """Compilation of BCH and automorphism equations to integer monomials.
 
-The hot paths (finite quotient Cayley products, mod-m solution enumeration,
-large tuple boxes) evaluate polynomial maps millions of times; doing that
-with Fraction vectors is too slow.  Here the polynomials are expanded once
-symbolically, denominators are cleared, and evaluation runs on plain ints.
+BCH is expanded once per algebra into polynomials in the 2k coordinates of
+its two arguments, with denominators cleared; this compiled map is the only
+runtime evaluator of the group law.  ``eval_int`` evaluates it on integer
+arguments (lattice points, finite quotients, tuple boxes) and ``eval_rat``
+on rational ones, both in plain int arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import bch, linalg
@@ -64,20 +66,14 @@ def _sym_bracket(alg, x, y):
     return out
 
 
-def _sym_add(x, y):
-    return [poly_add(a, b) for a, b in zip(x, y)]
-
-
-def _sym_scale(q, x):
-    return [poly_scale(q, a) for a in x]
-
-
 class CompiledPolyMap:
-    """A tuple of integer-cleared polynomials evaluated on int arguments."""
+    """A tuple of integer-cleared polynomials, evaluated in int arithmetic."""
 
     def __init__(self, coords):
         # coords: list of (den, ((num, mono), ...)) per output coordinate
         self.coords = coords
+        self.top = max((len(mono) for _, terms in coords for _, mono in terms),
+                       default=0)
 
     def eval_int(self, args):
         out = []
@@ -96,6 +92,28 @@ class CompiledPolyMap:
             out.append(s)
         return tuple(out)
 
+    def eval_rat(self, args):
+        """Exact value at rational arguments (Fractions or ints).
+
+        The arguments become integer numerators over one common denominator
+        D; a degree-d monomial is scaled by D^(top-d), so each coordinate is
+        one int sum over den * D^top, normalized once by ``Fraction``.
+        """
+        D = math.lcm(*(a.denominator for a in args))
+        nums = [a.numerator * (D // a.denominator) for a in args]
+        top = self.top
+        scale = [D ** (top - d) for d in range(top + 1)]
+        out = []
+        for den, terms in self.coords:
+            s = 0
+            for num, mono in terms:
+                v = num * scale[len(mono)]
+                for idx in mono:
+                    v *= nums[idx]
+                s += v
+            out.append(Fraction(s, den * scale[0]))
+        return tuple(out)
+
 
 def compile_polys(polys) -> CompiledPolyMap:
     coords = []
@@ -107,19 +125,39 @@ def compile_polys(polys) -> CompiledPolyMap:
 
 
 def bch_symbolic(alg):
-    """BCH(u, v) as polynomials in variables u_0..u_{k-1}, v_0..v_{k-1}."""
+    """BCH(u, v) as polynomials in variables u_0..u_{k-1}, v_0..v_{k-1}.
+
+    Sums the left-normed bracket terms of ``bch.bch_terms``; the value of
+    each bracket word is memoized per prefix, so each is computed once.
+    """
     k = alg.dim
-    u = [{(i,): Fraction(1)} for i in range(k)]
-    v = [{(k + i,): Fraction(1)} for i in range(k)]
-    out = bch.bch_apply(lambda a, b: _sym_bracket(alg, a, b), u, v,
-                        alg.nilpotency_class, _sym_add, _sym_scale)
-    return out if out is not None else [dict() for _ in range(k)]
+    letters = ([{(i,): Fraction(1)} for i in range(k)],
+               [{(k + i,): Fraction(1)} for i in range(k)])
+    memo: dict = {}
+
+    def value(word):
+        v = memo.get(word)
+        if v is None:
+            if len(word) == 1:
+                v = letters[word[0]]
+            else:
+                v = _sym_bracket(alg, value(word[:-1]), letters[word[-1]])
+            memo[word] = v
+        return v
+
+    out = [dict() for _ in range(k)]
+    for word, coeff in bch.bch_terms(alg.nilpotency_class):
+        for l, p in enumerate(value(word)):
+            if p:
+                out[l] = poly_add(out[l], poly_scale(coeff, p))
+    return out
 
 
 def compile_bch(alg) -> CompiledPolyMap:
-    """bch as an int-evaluable map; args are the 2k concatenated coords.
+    """bch as a compiled map; args are the 2k concatenated coords.
 
-    Integrality of the cleared division is guaranteed only on inputs from a
-    BCH-closed lattice expressed in a basis of that lattice (the use case).
+    ``eval_rat`` is exact on any rational arguments.  ``eval_int`` is
+    guaranteed integral only on inputs from a BCH-closed lattice expressed
+    in a basis of that lattice.
     """
     return compile_polys(bch_symbolic(alg))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .compiled import bch_symbolic, compile_polys
 from .errors import CapExceeded
 from .hull import GenGroup, HullResult, lattice_hull
 from .lattices import Lattice, hnf_lattice, intersect_subspace
@@ -361,19 +362,17 @@ class CentralTupleIso:
         B = endo_matrix(self.psi, images_beta)
         return [linalg.mat_apply(B, im) for im in images_alpha]
 
-    def box_roundtrip(self, bound: int):
-        """forward(backward(t)) == t for every tuple in the box [-b, b]^...
+    def generator_maps(self):
+        """(top, mul_gen, mul_geninv) for the central-tuple box.
 
-        Returns (tuples_checked, injective).  The inner loop uses the
-        compiled BCH map with the generator argument substituted, which is
-        the same exact evaluation specialized once per generator.
+        ``top`` lists the top-layer coordinates; ``mul_gen[i]`` and
+        ``mul_geninv[i]`` are the compiled BCH maps v -> bch(x_i, v) and
+        v -> bch(x_i^-1, v), with the generator substituted once.
         """
-        from .compiled import bch_symbolic, compile_polys
         psi = self.psi
-        alg = psi.algebra
-        k = alg.dim
+        k = psi.algebra.dim
         top = [i for i, w in enumerate(psi.weights) if w == psi.c]
-        sym = bch_symbolic(alg)
+        sym = bch_symbolic(psi.algebra)
 
         def specialize(const_first, polys):
             # substitute u = const_first; leave v symbolic (vars k..2k-1 -> 0..k-1)
@@ -398,33 +397,39 @@ class CentralTupleIso:
                 for i in range(psi.n)]
         mul_gen = [specialize(g, sym) for g in gens]
         mul_geninv = [specialize(tuple(-x for x in g), sym) for g in gens]
+        return top, mul_gen, mul_geninv
 
-        import itertools
+    def box_roundtrip(self, bound: int):
+        """forward(backward(t)) == t for every tuple in the box [-b, b]^(n r).
+
+        Returns (tuples_checked, injective), r being the top-layer rank.  The
+        image of generator i depends only on block i of the tuple, so the
+        round trip and injectivity hold on the whole box exactly when they
+        hold on every block: n (2b+1)^r blocks are evaluated, through the
+        compiled maps of ``generator_maps``, and the count reported is the
+        (2b+1)^(n r) tuples they cover.
+        """
+        top, mul_gen, mul_geninv = self.generator_maps()
+        k = self.psi.algebra.dim
         width = range(-bound, bound + 1)
-        seen = set()
-        count = 0
-        r = len(top)
-        for flat in itertools.product(width, repeat=psi.n * r):
-            images = []
-            for i in range(psi.n):
+        blocks = len(width) ** len(top)
+        injective = True
+        for i in range(self.psi.n):
+            seen = set()
+            for block in itertools.product(width, repeat=len(top)):
                 u = [0] * k
-                for t, z in enumerate(top):
-                    u[z] = flat[i * r + t]
-                images.append(mul_gen[i].eval_int(tuple(u)))
-            recovered = []
-            for i in range(psi.n):
-                rec = mul_geninv[i].eval_int(images[i])
-                for pos, x in enumerate(rec):
-                    if pos in top:
-                        continue
-                    if x != 0:
-                        raise AssertionError("recovered shift is not central")
-                recovered.extend(rec[z] for z in top)
-            if tuple(recovered) != flat:
-                raise AssertionError(f"roundtrip failed at {flat}")
-            seen.add(tuple(im for image in images for im in image))
-            count += 1
-        return count, len(seen) == count
+                for z, x in zip(top, block):
+                    u[z] = x
+                image = mul_gen[i].eval_int(tuple(u))
+                rec = mul_geninv[i].eval_int(image)
+                if any(x for pos, x in enumerate(rec) if pos not in top):
+                    raise AssertionError("recovered shift is not central")
+                if tuple(rec[z] for z in top) != block:
+                    raise AssertionError(
+                        f"roundtrip failed for generator {i} at {block}")
+                seen.add(image)
+            injective = injective and len(seen) == blocks
+        return blocks ** self.psi.n, injective
 
 
 def central_tuple_iso(psi: FreeNilpotent) -> CentralTupleIso:

@@ -9,6 +9,7 @@ hull basis along the lower central series, layer by layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,15 +109,23 @@ def lie_span(alg: NilpotentLieAlgebra, gens):
 
 
 def _closure_candidates(alg, lat):
+    """BCH values of the signed basis pairs, one per value up to sign.
+
+    Since bch(-u,-v) = -bch(v,u), bch(u,-v) = -bch(v,-u) and
+    bch(-u,v) = -bch(-v,u), every signed pair is, up to sign, an ordered
+    pair (u, v) or one of (u, -v), (-u, v) with u before v in the basis:
+    2k^2 - k evaluations span the same lattice as all 4k^2.
+    """
     basis = lat.basis()
-    out = []
-    for u in basis:
-        nu = scale_vec(-1, u)
-        for v in basis:
-            nv = scale_vec(-1, v)
-            for a, b in ((u, v), (u, nv), (nu, v), (nu, nv)):
-                out.append(alg.bch(a, b))
-    return out
+    negs = [scale_vec(-1, u) for u in basis]
+    out = {}
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            pairs = ((u, v),) if j <= i else ((u, v), (u, negs[j]), (negs[i], v))
+            for a, b in pairs:
+                w = alg.bch(a, b)
+                out.setdefault(max(w, scale_vec(-1, w)))
+    return list(out)
 
 
 def lattice_hull(group: GenGroup, max_rounds: int = 64) -> HullResult:
@@ -266,10 +275,7 @@ def congruence_scale(hull: HullResult, m: int, escalation_cap: int = 6) -> int:
     normal subgroup of exp(lat)."""
     if m < 1:
         raise ValueError("level must be >= 1")
-    c = hull.algebra.nilpotency_class
-    P = 1
-    for i in range(2, c + 1):
-        P = P * i // __import__("math").gcd(P, i)
+    P = math.lcm(*range(1, hull.algebra.nilpotency_class + 1))
     s = m
     for _ in range(escalation_cap + 1):
         if _scaled_lattice_closed(hull, s):

@@ -102,6 +102,9 @@ def algebra_from_doc(doc, where: str = "algebra") -> NilpotentLieAlgebra:
         alg = NilpotentLieAlgebra(dim, canonical, cls)
     except ValueError as e:
         raise FormatError(where, str(e)) from None
+    report = alg.validate()
+    if not report["valid"]:
+        raise FormatError(where, f"not a Lie algebra: {report['violations']}")
     return alg
 
 

@@ -2,7 +2,8 @@
 
 Elements are plain tuples of Fractions in the algebra basis.  The group side
 (exponential coordinates of the first kind) lives in :class:`GroupElement`,
-whose multiplication is the BCH formula; powers and roots are scalar
+whose multiplication is the BCH formula, evaluated through the algebra's
+compiled BCH map (:mod:`malcev.compiled`); powers and roots are scalar
 multiplications of the log vector.
 """
 
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bch, linalg
+from . import linalg
+from .compiled import compile_bch
 from .errors import AlgebraMismatch, DimensionMismatch
 
 
@@ -142,17 +144,17 @@ class NilpotentLieAlgebra:
     # -- BCH -----------------------------------------------------------------
 
     def bch(self, x, y):
-        """z with exp(x)exp(y) = exp(z); exact, finite in a nilpotent algebra."""
+        """z with exp(x)exp(y) = exp(z); exact, finite in a nilpotent algebra.
+
+        Evaluated by the compiled BCH map on the rational coordinates.
+        """
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bch operand has wrong length")
-        out = bch.bch_apply(self.bracket, x, y, self.nilpotency_class,
-                            add_vec, scale_vec)
-        return out if out is not None else zero_vec(self.dim)
+        return self.bch_compiled().eval_rat((*x, *y))
 
     def bch_compiled(self):
         """Compiled integer-monomial form of bch in this basis (cached)."""
         if self._compiled_bch is None:
-            from .compiled import compile_bch
             self._compiled_bch = compile_bch(self)
         return self._compiled_bch
 

@@ -84,6 +84,21 @@ def test_bch_log_exp(capsys, tmp_path):
     assert json.loads(out)["matrix"] == [["0", "3"], ["0", "0"]]
 
 
+def test_bch_rejects_algebra_failing_jacobi(capsys, tmp_path):
+    # [e1,e2]=e3, [e1,e3]=e4, [e2,e4]=e5 is antisymmetric and nilpotent of
+    # class 4, but Jacobi fails on (e1, e2, e3)
+    algfile = tmp_path / "nonjacobi.json"
+    algfile.write_text(io.dump({"dim": 5, "class": 4, "brackets": [
+        [1, 2, ["0", "0", "1", "0", "0"]],
+        [1, 3, ["0", "0", "0", "1", "0"]],
+        [2, 4, ["0", "0", "0", "0", "1"]]]}))
+    code, out, err = run(capsys, "--format", "json", "bch",
+                         "--algebra", str(algfile),
+                         "--x", "[1, 0, 0, 0, 0]", "--y", "[0, 1, 0, 0, 0]")
+    assert code == 2 and out == ""
+    assert "input error" in err and "('jacobi', (0, 1, 2))" in err
+
+
 def test_free_commands(capsys):
     code, out, _ = run(capsys, "--format", "json", "free", "algebra",
                        "--n", "2", "--c", "2")

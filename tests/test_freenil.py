@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from malcev.autos import (IAStarEquations, LieAutomorphism, adapted_matrix,
                           enumerate_ia_star, is_ia_star)
+from malcev.compiled import CompiledPolyMap
 from malcev.errors import CapExceeded
 from malcev.freenil import (central_tuple_iso, abelianized_matrix,
                             aut_restriction, center, endo_matrix,
@@ -139,11 +141,66 @@ def test_a_iso_matches_ia_star_enumeration():
     assert all(x % 2 == 0 and y % 2 == 0 for (x, y) in seen)
 
 
+def brute_box_roundtrip(iso, bound):
+    """Test oracle: the round trip over every tuple of the whole box."""
+    top, mul_gen, mul_geninv = iso.generator_maps()
+    n, k, r = iso.psi.n, iso.psi.algebra.dim, len(top)
+    seen = set()
+    count = 0
+    for flat in itertools.product(range(-bound, bound + 1), repeat=n * r):
+        images = []
+        for i in range(n):
+            u = [0] * k
+            for t, z in enumerate(top):
+                u[z] = flat[i * r + t]
+            images.append(mul_gen[i].eval_int(tuple(u)))
+        recovered = []
+        for i in range(n):
+            rec = mul_geninv[i].eval_int(images[i])
+            if any(x for pos, x in enumerate(rec) if pos not in top):
+                raise AssertionError("recovered shift is not central")
+            recovered.extend(rec[z] for z in top)
+        if tuple(recovered) != flat:
+            raise AssertionError(f"roundtrip failed at {flat}")
+        seen.add(tuple(images))
+        count += 1
+    return count, len(seen) == count
+
+
 def test_box_roundtrip_small():
     psi = psi_group(2, 2)
     iso = central_tuple_iso(psi)
     count, injective = iso.box_roundtrip(2)
     assert count == 25 and injective
+
+
+@pytest.mark.parametrize("n,c,bound", [(2, 2, 0), (2, 2, 2), (2, 3, 1),
+                                       (3, 2, 1)])
+def test_box_roundtrip_matches_brute_force(n, c, bound):
+    iso = central_tuple_iso(psi_group(n, c))
+    assert iso.box_roundtrip(bound) == brute_box_roundtrip(iso, bound)
+
+
+def test_box_roundtrip_rejects_tampered_generator_map(monkeypatch):
+    iso = central_tuple_iso(psi_group(2, 3))
+    top, mul_gen, mul_geninv = iso.generator_maps()
+    k = iso.psi.algebra.dim
+    # generator 1 sent to itself whatever the shift: the round trip loses it
+    const = CompiledPolyMap([(1, ((1, ()),) if t == 1 else ())
+                             for t in range(k)])
+    monkeypatch.setattr(iso, "generator_maps",
+                        lambda: (top, [mul_gen[0], const], mul_geninv))
+    with pytest.raises(AssertionError, match="roundtrip failed"):
+        iso.box_roundtrip(1)
+    with pytest.raises(AssertionError, match="roundtrip failed"):
+        brute_box_roundtrip(iso, 1)
+    # generator 0 inverted by the wrong map: the recovered shift is not central
+    monkeypatch.setattr(iso, "generator_maps",
+                        lambda: (top, mul_gen, [mul_gen[0], mul_geninv[1]]))
+    with pytest.raises(AssertionError, match="not central"):
+        iso.box_roundtrip(1)
+    with pytest.raises(AssertionError, match="not central"):
+        brute_box_roundtrip(iso, 1)
 
 
 def test_word_maps_and_restriction():

@@ -3,11 +3,38 @@ from fractions import Fraction as F
 
 import pytest
 
-from malcev import unitriangular as ut
+from malcev import bch, unitriangular as ut
 from malcev.errors import AlgebraMismatch
-from malcev.freenil import psi_group
-from malcev.liealg import (GroupElement, NilpotentLieAlgebra,
-                           validate_structure_constants, vec, zero_vec)
+from malcev.freenil import free_algebra, psi_group
+from malcev.liealg import (GroupElement, NilpotentLieAlgebra, add_vec,
+                           scale_vec, validate_structure_constants, vec,
+                           zero_vec)
+
+
+def reference_bch(alg, x, y):
+    """Slow reference: BCH summed term by term on Fraction vectors.
+
+    Each left-normed bracket of ``bch.bch_terms`` is evaluated with the
+    algebra's bracket, memoized per prefix, independently of the compiled
+    map that ``NilpotentLieAlgebra.bch`` evaluates.
+    """
+    letters = (vec(x), vec(y))
+    memo = {}
+
+    def value(word):
+        v = memo.get(word)
+        if v is None:
+            if len(word) == 1:
+                v = letters[word[0]]
+            else:
+                v = alg.bracket(value(word[:-1]), letters[word[-1]])
+            memo[word] = v
+        return v
+
+    total = zero_vec(alg.dim)
+    for word, coeff in bch.bch_terms(alg.nilpotency_class):
+        total = add_vec(total, scale_vec(coeff, value(word)))
+    return total
 
 
 def heisenberg():
@@ -154,5 +181,44 @@ def test_compiled_bch_matches_generic():
         u = tuple(rng.randint(-3, 3) for _ in range(3))
         v = tuple(rng.randint(-3, 3) for _ in range(3))
         got = comp2.eval_int(u + v)
-        expect = to_new(alg.bch(to_old(vec(u)), to_old(vec(v))))
+        expect = to_new(reference_bch(alg, to_old(vec(u)), to_old(vec(v))))
         assert vec(got) == vec(expect)
+        assert comp2.eval_rat(u + v) == expect
+
+
+def _scaled_adapted(alg):
+    """alg in the basis e_i / (i + 2): non-integer structure constants."""
+    k = alg.dim
+    adapted, _, _ = alg.change_basis(
+        [tuple(F(int(i == t), i + 2) for t in range(k)) for i in range(k)])
+    assert any(x.denominator != 1 for w in adapted.brackets.values() for x in w)
+    return adapted
+
+
+@pytest.mark.parametrize("name", ["tr0(4)", "tr0(5)", "tr0(6)", "free(2,4)",
+                                  "free(3,3)", "adapted free(2,3)"])
+def test_eval_rat_matches_reference(name):
+    alg = {"tr0(4)": lambda: ut.tr0_algebra(4)[0],
+           "tr0(5)": lambda: ut.tr0_algebra(5)[0],
+           "tr0(6)": lambda: ut.tr0_algebra(6)[0],
+           "free(2,4)": lambda: free_algebra(2, 4),
+           "free(3,3)": lambda: free_algebra(3, 3),
+           "adapted free(2,3)": lambda: _scaled_adapted(free_algebra(2, 3))}[name]()
+    k = alg.dim
+    comp = alg.bch_compiled()
+    rng = random.Random(sum(map(ord, name)))
+    zero = zero_vec(k)
+
+    def rand_vec():
+        return tuple(F(rng.randint(-9, 9), rng.randint(1, 30)) for _ in range(k))
+
+    cases = [(zero, zero), (zero, rand_vec()), (rand_vec(), zero)]
+    cases += [(rand_vec(), rand_vec()) for _ in range(6)]
+    # integer and negative lattice points: one common denominator of 1
+    cases += [(tuple(F(rng.randint(-4, 4)) for _ in range(k)),
+               tuple(F(-rng.randint(0, 4)) for _ in range(k)))]
+    for x, y in cases:
+        expect = reference_bch(alg, x, y)
+        assert comp.eval_rat(x + y) == expect
+        assert alg.bch(x, y) == expect
+    assert alg.bch(zero, zero) == zero
