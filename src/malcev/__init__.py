@@ -18,15 +18,15 @@ from .unitriangular import matrix_exp, matrix_log, tr0_algebra
 from .hull import (GenGroup, HullResult, LatticeQuotient, adapted_basis,
                    congruence_scale, congruence_sublattice, derived_lattice_data,
                    finite_quotient, group_index_in_hull, hull_of_lattice,
-                   lattice_hull, lie_span, root)
+                   lattice_hull, lie_span)
 from .autos import (IAStarEquations, LieAutomorphism, aut_star_image,
                     csp_witness, enumerate_ia_star, is_ia_star, is_lie_aut,
                     make_ia_star, stabilizes_lattice, strong_approx_check)
 from .finite import FiniteGroup
-from .fiber import (FiberElement, FiberGroup, HullSide, fiber_product,
-                    fiber_product_finite, find_t, free_abelianization_check,
-                    ia_kernel_enum, level_quotient, lift_automorphism,
-                    lift_from_level_image, reconstruction_check, torsion_subgroup)
+from .fiber import (FiberElement, FiberGroup, HullSide, fiber_product_finite,
+                    find_t, free_abelianization_check, ia_kernel_enum,
+                    level_quotient, lift_automorphism, lift_from_level_image,
+                    reconstruction_check, torsion_subgroup)
 from .freenil import (FreeNilpotent, central_tuple_iso, aut_restriction, center,
                       free_algebra, hall_basis, psi_group, witt_dimension)
 from .verify import SUITES, VerificationReport, run_suite

@@ -21,11 +21,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .compiled import poly_add, poly_scale, poly_sub, _sym_bracket
 from .errors import CapExceeded
+from .finite import closure
 from .hull import HullResult
 from .lattices import Lattice
 from .liealg import NilpotentLieAlgebra, vec
@@ -142,9 +143,10 @@ def is_ia_star(aut: LieAutomorphism, hull: HullResult) -> bool:
                 return False
     k = hull.algebra.dim
     layers = hull.layers
-    assert all(A[i][j] == int(i == j)
+    if not all(A[i][j] == int(i == j)
                for j in range(k) for i in range(k)
-               if layers[i] <= layers[j]), "IA* element not layer-unitriangular"
+               if layers[i] <= layers[j]):
+        raise RuntimeError("IA* element not layer-unitriangular")
     return True
 
 
@@ -236,20 +238,24 @@ class IAStarEquations:
                     if not p:
                         continue
                     depth = layers[r] - layers[i] - layers[j]
-                    assert depth >= 1, "non-vacuous equation above the grading"
-                    den = linalg.lcm_list([c.denominator for c in p.values()])
+                    if depth < 1:
+                        raise RuntimeError(
+                            "non-vacuous equation above the grading")
+                    den = lcm(*(c.denominator for c in p.values()))
                     ip = {m: int(c * den) for m, c in p.items()}
                     lin = [0] * len(stratum_of_depth[depth].vars)
                     rem = {}
                     local = {v: t for t, v in enumerate(stratum_of_depth[depth].vars)}
                     for mono, coeff in ip.items():
                         mono_depth = sum(self.depth_of_var[v] for v in mono)
-                        assert mono_depth <= depth, "grading violation"
+                        if mono_depth > depth:
+                            raise RuntimeError("grading violation")
                         if mono_depth == depth and len(mono) == 1 and \
                                 self.depth_of_var[mono[0]] == depth:
                             lin[local[mono[0]]] += coeff
                         else:
-                            assert all(self.depth_of_var[v] < depth for v in mono)
+                            if any(self.depth_of_var[v] >= depth for v in mono):
+                                raise RuntimeError("grading violation")
                             rem[mono] = rem.get(mono, 0) + coeff
                     stratum_of_depth[depth].rows.append(
                         (tuple(lin), tuple(sorted(rem.items()))))
@@ -496,6 +502,10 @@ def enumerate_ia_star(hull: HullResult, bound: int, cap: int = 10 ** 6,
     return out
 
 
+def _matrix_mul_mod(A, B, m):
+    return tuple(tuple(x % m for x in row) for row in linalg.mat_mul(A, B))
+
+
 def _unitriangular_inverse_mod(A, m, layers):
     """Inverse of I+N mod m via the finite Neumann series sum (-N)^i."""
     k = len(A)
@@ -504,8 +514,7 @@ def _unitriangular_inverse_mod(A, m, layers):
     term = [[int(i == j) for j in range(k)] for i in range(k)]
     sign = -1
     for _ in range(max(layers)):
-        term = [[sum(term[i][t] * N[t][j] for t in range(k)) % m
-                 for j in range(k)] for i in range(k)]
+        term = _matrix_mul_mod(term, N, m)
         if not any(any(row) for row in term):
             break
         for i in range(k):
@@ -547,12 +556,6 @@ def strong_approx_check(hull: HullResult, m: int,
     }
 
 
-def _matrix_mul_mod(A, B, m):
-    k = len(A)
-    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k)) % m
-                       for j in range(k)) for i in range(k))
-
-
 def mod_m_group(hull: HullResult, m: int, eq: IAStarEquations | None = None,
                 point_cap: int = 200_000):
     """The finite group of mod-m points, as a set of adapted matrices."""
@@ -572,16 +575,7 @@ def subgroup_closure_mod(hull: HullResult, gens, m: int):
         start.append(_unitriangular_inverse_mod(Ai, m, layers))
     k = hull.algebra.dim
     ident = tuple(tuple(int(i == j) % m for j in range(k)) for i in range(k))
-    closed = {ident}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in start:
-            y = _matrix_mul_mod(x, g, m)
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
-    return closed
+    return set(closure(ident, start, lambda x, g: _matrix_mul_mod(x, g, m)))
 
 
 def ia_star_abelian_index(hull: HullResult, gens,

@@ -354,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--catalog", choices=("default",), default="default")
     p.add_argument("--m", type=int, default=None,
                    help="strong-approx: check a single level")
     p.add_argument("--subgroup", default=None,

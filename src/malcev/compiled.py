@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import bch, linalg
+from . import bch
 
 # A polynomial is a dict: monomial -> Fraction, where a monomial is a sorted
 # tuple of variable indices (with repetition); () is the constant monomial.
@@ -118,7 +118,7 @@ class CompiledPolyMap:
 def compile_polys(polys) -> CompiledPolyMap:
     coords = []
     for p in polys:
-        den = linalg.lcm_list([c.denominator for c in p.values()] or [1])
+        den = math.lcm(*(c.denominator for c in p.values()))
         terms = tuple((int(c * den), m) for m, c in sorted(p.items()))
         coords.append((den, terms))
     return CompiledPolyMap(coords)

@@ -12,18 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import linalg
 from .autos import LieAutomorphism, is_lie_aut, stabilizes_lattice
 from .errors import CapExceeded
-from .finite import FiniteGroup
+from .finite import FiniteGroup, closure, extend_hom
 from .hull import HullResult, LatticeQuotient, congruence_scale
 from .liealg import scale_vec
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -136,19 +132,6 @@ class FiberGroup:
         return [FiberElement(e, y) for y in self.kernel_pi2()]
 
 
-def fiber_product(side_or_p1, p2: FiniteGroup, pi1, pi2, q: FiniteGroup):
-    """Fiber product; materializes a Cayley table when both factors are finite.
-
-    For a hull-backed P1, pass a HullSide-compatible tuple
-    (hull, level, to_q) as the first argument.
-    """
-    if isinstance(side_or_p1, FiniteGroup):
-        return fiber_product_finite(side_or_p1, p2, pi1, pi2, q)
-    hull, level, to_q = side_or_p1
-    side = HullSide(hull, level, to_q, q)
-    return FiberGroup(side, p2, pi2)
-
-
 def fiber_product_finite(p1: FiniteGroup, p2: FiniteGroup, pi1, pi2,
                          q: FiniteGroup):
     """(group, pairs): the fiber product of two finite groups."""
@@ -233,16 +216,7 @@ class FiberQuotient:
         """Closure of all t-th powers; a normal subgroup, as a key set."""
         gens = {self.power(key, t) for key in self.keys()}
         gens |= {self.inv(g) for g in gens}
-        closed = {self.identity_key()}
-        frontier = [self.identity_key()]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in closed:
-                    closed.add(y)
-                    frontier.append(y)
-        return closed
+        return set(closure(self.identity_key(), tuple(gens), self.mul))
 
 
 class QuotientGroup:
@@ -285,10 +259,8 @@ class QuotientGroup:
 
 def quotient_scale(u: FiberGroup, m: int) -> int:
     """Congruence level for the stand-in of the m-th power quotient."""
-    e2 = 1
-    for y in range(u.p2.order):
-        e2 = _lcm(e2, u.p2.element_order(y))
-    return congruence_scale(u.hull, m * _lcm(e2, u.side.scale))
+    e2 = lcm(*map(u.p2.element_order, range(u.p2.order)))
+    return congruence_scale(u.hull, m * lcm(e2, u.side.scale))
 
 
 def hom_test_scale(u: FiberGroup) -> int:
@@ -297,9 +269,7 @@ def hom_test_scale(u: FiberGroup) -> int:
     Needs exp(P2) * (pi1 level scale) | s: then any such element is the
     exp(P2)-th power of an element of ker(pi1) x {e}.
     """
-    e2 = 1
-    for y in range(u.p2.order):
-        e2 = _lcm(e2, u.p2.element_order(y))
+    e2 = lcm(*map(u.p2.element_order, range(u.p2.order)))
     return congruence_scale(u.hull, e2 * u.side.scale)
 
 
@@ -491,7 +461,8 @@ def free_abelianization_check(u: FiberGroup):
         for g, a in zip(lat_gens, coords):
             w = u.mul(w, u.power(g, a))
         tail = u.mul(u.inverse(w), el)
-        assert not any(tail.x), "normal form must close up to torsion"
+        if any(tail.x):
+            raise RuntimeError("normal form must close up to torsion")
         return list(coords) + _torsion_exponents(u, tail.y, tor_gens)
 
     rows = []
@@ -534,37 +505,6 @@ def free_abelianization_check(u: FiberGroup):
 # the finite kernel K-tilde
 
 
-def _extend_hom_on_quotient(fq: FiberQuotient, gen_keys, gen_images,
-                            target: FiniteGroup):
-    """Extend a generator assignment to a hom FQ -> target, or None.
-
-    Built along a BFS expression DAG and then verified on all pairs, which
-    is complete; FQ must be generated by the given keys.
-    """
-    keys = fq.keys()
-    phi = {fq.identity_key(): 0}
-    frontier = [fq.identity_key()]
-    gen_pairs = list(zip(gen_keys, gen_images))
-    gen_pairs += [(fq.inv(gk), target.inverse[gi]) for gk, gi in gen_pairs]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gk, gi in gen_pairs:
-                y = fq.mul(x, gk)
-                if y not in phi:
-                    phi[y] = target.mul(phi[x], gi)
-                    nxt.append(y)
-        frontier = nxt
-    if len(phi) != len(keys):
-        return None
-    for a in keys:
-        pa = phi[a]
-        for b in keys:
-            if phi[fq.mul(a, b)] != target.mul(pa, phi[b]):
-                return None
-    return phi
-
-
 class TorsionShiftAut:
     """Automorphism x_i -> x_i a_i (a_i in tor): identity on the hull side.
 
@@ -599,18 +539,23 @@ def ia_kernel_enum(u: FiberGroup, gens=None, candidate_cap: int = 4096):
     s = hom_test_scale(u)
     fq = FiberQuotient(u, s)
     gen_keys = [fq.reduce(g) for g in gens]
+    keys = gen_keys + [fq.inv(k) for k in gen_keys]
+
+    def extend(ys):
+        """The hom FQ -> P2 sending the generator keys to ys, or None."""
+        ys = list(ys)
+        ys += [u.p2.inverse[y] for y in ys]
+        return extend_hom(fq.identity_key(), keys, ys, fq.mul, fq.order, u.p2)
+
     # the generators must generate U; verify on the finite quotient
-    probe = _extend_hom_on_quotient(fq, gen_keys,
-                                    [g.y for g in gens], u.p2)
-    if probe is None:
+    if extend(g.y for g in gens) is None:
         raise ValueError("generators do not generate (or are inconsistent)"
                          " on the factoring quotient")
     kernel = u.kernel_pi2()
     accepted = []
     for shifts in itertools.product(torsion, repeat=len(gens)):
         images = [u.mul(g, a) for g, a in zip(gens, shifts)]
-        phi = _extend_hom_on_quotient(fq, gen_keys,
-                                      [im.y for im in images], u.p2)
+        phi = extend(im.y for im in images)
         if phi is None:
             continue
         # pi2(g(u)) must equal pi1(x): holds iff it holds on generators
@@ -660,15 +605,7 @@ def reconstruction_check(u: FiberGroup, m: int):
     hull_fq = LatticeQuotient(u.hull, u.hull.lattice.scale(lq.s))
     hgens = {hull_fq.power(rep, m) for rep in hull_fq.elements()}
     hgens |= {hull_fq.inv(g) for g in hgens}
-    closed = {(0,) * u.hull.algebra.dim}
-    frontier = list(closed)
-    while frontier:
-        x = frontier.pop()
-        for g in hgens:
-            y = hull_fq.mul(x, g)
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
+    closed = closure((0,) * u.hull.algebra.dim, tuple(hgens), hull_fq.mul)
     delta_coset = {}
     delta_reps = []
     for rep in hull_fq.elements():
@@ -691,7 +628,8 @@ def reconstruction_check(u: FiberGroup, m: int):
     # exp(s*lattice) x {e} lies in both ker(pi1) and ker(U -> Q_m)
     seen_pairs = set()
     delta_m_size = len(delta_reps)
-    assert (hull_fq.order * lq.group.order) % delta_m_size == 0
+    if (hull_fq.order * lq.group.order) % delta_m_size:
+        raise RuntimeError("|Delta_m| must divide |Delta_s| * |Q_m|")
     target_size = hull_fq.order * lq.group.order // delta_m_size
     for key in fq.keys():
         rep, _y = key

@@ -1,6 +1,8 @@
 """Finite groups as Cayley tables: validation, homs, automorphisms.
 
-Elements are indices 0..N-1 with identity 0.  Validation uses Light's
+``closure`` and ``extend_hom`` take any hashable elements and a ``mul``, so
+the finite quotients in ``autos`` and ``fiber`` use them too.  Cayley-table
+elements are indices 0..N-1 with identity 0.  Validation uses Light's
 associativity test (a complete check, quadratic instead of cubic) below the
 exhaustive-size threshold and random triple sampling above it.
 """
@@ -134,18 +136,9 @@ class FiniteGroup:
 
     def subgroup_closure(self, elements):
         """The subgroup generated by the given elements, as a set."""
-        closed = {0}
-        frontier = [0]
-        gens = [g for g in elements]
+        gens = list(elements)
         gens += [self.inverse[g] for g in gens]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.cayley[x][g]
-                if y not in closed:
-                    closed.add(y)
-                    frontier.append(y)
-        return closed
+        return set(closure(0, gens, self.mul))
 
     def verbal_power_subgroup(self, t: int):
         """Subgroup generated by all t-th powers (normal by construction)."""
@@ -184,59 +177,13 @@ class FiniteGroup:
 
     # -- homomorphisms -----------------------------------------------------------
 
-    def expression_dag(self, gens):
-        """For each element, one (prior_element, generator) product reaching it.
-
-        Entry for the identity is None.  Raises if gens do not generate.
-        """
-        expr = [None] * self.order
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.cayley[x][g]
-                    if y not in seen:
-                        seen.add(y)
-                        expr[y] = (x, g)
-                        nxt.append(y)
-            frontier = nxt
-        if len(seen) != self.order:
-            raise ValueError("the given elements do not generate the group")
-        return expr
-
     def hom_from_generators(self, gens, images, target: "FiniteGroup"):
         """Total map extending gens -> images, or None if not a homomorphism.
 
-        The candidate map is built along an expression DAG and then verified
-        multiplicatively on all pairs, which is a complete check.
+        Raises ValueError if gens do not generate the group.
         """
-        expr = self.expression_dag(gens)
-        img_of_gen = dict(zip(gens, images))
-        phi = [None] * self.order
-        phi[0] = 0
-        order_index = sorted(range(self.order),
-                             key=lambda e: 0 if expr[e] is None else 1)
-        pending = [e for e in range(self.order) if expr[e] is not None]
-        while pending:
-            rest = []
-            for e in pending:
-                x, g = expr[e]
-                if phi[x] is not None:
-                    phi[e] = target.cayley[phi[x]][img_of_gen[g]]
-                else:
-                    rest.append(e)
-            if len(rest) == len(pending):
-                raise RuntimeError("expression DAG is not topologically sound")
-            pending = rest
-        del order_index
-        for a in range(self.order):
-            pa = phi[a]
-            for b in range(self.order):
-                if target.cayley[pa][phi[b]] != phi[self.cayley[a][b]]:
-                    return None
-        return tuple(phi)
+        phi = extend_hom(0, gens, images, self.mul, self.order, target)
+        return None if phi is None else tuple(phi[a] for a in range(self.order))
 
     def automorphisms(self, cap: int = 10 ** 5):
         """All automorphisms as permutation tuples, deterministically ordered.
@@ -261,6 +208,51 @@ class FiniteGroup:
             if phi is not None and len(set(phi)) == self.order:
                 out.append(phi)
         return out
+
+
+def closure(identity, gens, mul):
+    """Breadth-first closure of ``gens`` under ``mul``, starting at ``identity``.
+
+    Returns a dict in BFS order mapping each reached element y to
+    (parent, generator index) with y == mul(parent, gens[index]); the
+    identity maps to None.  In a finite group this is the subgroup the gens
+    generate.
+    """
+    tree = {identity: None}
+    queue = [identity]
+    for x in queue:
+        for i, g in enumerate(gens):
+            y = mul(x, g)
+            if y not in tree:
+                tree[y] = (x, i)
+                queue.append(y)
+    return tree
+
+
+def extend_hom(identity, gens, images, mul, order: int, target: FiniteGroup):
+    """Extend gens -> images (target indices) to a homomorphism, or None.
+
+    The candidate map is filled along the closure tree of the gens and then
+    verified on all pairs and on the gens themselves, which is a complete
+    check.  Raises ValueError if the gens do not generate all ``order``
+    elements.
+    """
+    tree = closure(identity, gens, mul)
+    if len(tree) != order:
+        raise ValueError("the given elements do not generate the group")
+    phi = {identity: 0}
+    for y, edge in tree.items():
+        if edge is not None:
+            x, i = edge
+            phi[y] = target.cayley[phi[x]][images[i]]
+    if any(phi[g] != im for g, im in zip(gens, images)):
+        return None
+    for a, pa in phi.items():
+        row = target.cayley[pa]
+        for b, pb in phi.items():
+            if row[pb] != phi[mul(a, b)]:
+                return None
+    return phi
 
 
 def hom_is_surjective(phi, target: FiniteGroup) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .compiled import bch_symbolic, compile_polys
@@ -224,15 +225,15 @@ def center(psi: FreeNilpotent):
                 ei = tuple(Fraction(int(i == t)) for t in range(k))
                 row.append(alg.bracket(ei, ej)[l])
             conditions.append(row)
-    den = linalg.lcm_list([x.denominator for row in conditions for x in row] or [1])
+    den = lcm(*(x.denominator for row in conditions for x in row))
     cond_int = [[int(x * den) for x in row] for row in conditions]
     z_rows = [tuple(Fraction(x) for x in r)
               for r in linalg.right_kernel(cond_int, k)]
     top = [i for i, w in enumerate(psi.weights) if w == psi.c]
     top_span = [tuple(Fraction(int(i == t)) for t in range(k)) for i in top]
-    assert len(z_rows) == len(top) and all(
-        linalg.in_span(top_span, z) for z in z_rows), \
-        "free nilpotent center must be the top layer"
+    if len(z_rows) != len(top) or not all(
+            linalg.in_span(top_span, z) for z in z_rows):
+        raise RuntimeError("free nilpotent center must be the top layer")
     hull_center = intersect_subspace(psi.hull.lattice, z_rows)
     group_center = hnf_lattice(top_span, k)
     return tuple(z_rows), hull_center, group_center

@@ -230,7 +230,7 @@ def _layer_basis(upper_lat: Lattice, lower_space_rows):
     for g in gens:
         c = linalg.solve_coords(WE, g)
         proj.append(tuple(c[len(W):]))
-    den = linalg.lcm_list([x.denominator for p in proj for x in p] or [1])
+    den = math.lcm(*(x.denominator for p in proj for x in p))
     int_rows = [[int(x * den) for x in p] for p in proj]
     H, U = linalg.hnf(int_rows, transform=True)
     out = []
@@ -239,7 +239,9 @@ def _layer_basis(upper_lat: Lattice, lower_space_rows):
         out.append(tuple(sum(Fraction(combo[t]) * gens[t][j]
                              for t in range(len(gens)))
                          for j in range(upper_lat.dim)))
-    assert len(out) == s
+    if len(out) != s:
+        raise RuntimeError("complement basis must have one vector per"
+                           " extension generator")
     return out
 
 
@@ -402,11 +404,6 @@ def finite_quotient(hull: HullResult, sub: Lattice, order_cap: int = 10 ** 6,
             table[i][j] = q.index_of(q.mul(a, b))
     group = FiniteGroup(tuple(tuple(r) for r in table))
     return group, q
-
-
-def root(g: GroupElement, m: int) -> GroupElement:
-    """The unique b with b**m == g (radicable hull roots are exact)."""
-    return g.root(m)
 
 
 def group_index_in_hull(group: GenGroup, hull: HullResult) -> int:

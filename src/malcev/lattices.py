@@ -9,7 +9,7 @@ lattices are equal iff their stored data are identical.  All queries
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import DimensionMismatch, SublatticeError
@@ -124,7 +124,7 @@ def hnf_lattice(vectors, dim: int | None = None) -> Lattice:
     if dim is None:
         dim = len(vectors[0])
     vecs = [_as_fraction_vec(v, dim) for v in vectors]
-    den = linalg.lcm_list([x.denominator for v in vecs for x in v] or [1])
+    den = lcm(*(x.denominator for v in vecs for x in v))
     int_rows = [tuple(int(x * den) for x in v) for v in vecs]
     return Lattice.from_den_rows(dim, den, int_rows)
 
@@ -141,7 +141,7 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
         raise DimensionMismatch("lattice intersection of different ambient dimensions")
     if not a.rows or not b.rows:
         return hnf_lattice([], a.dim)
-    den = a.den * b.den // gcd(a.den, b.den)
+    den = lcm(a.den, b.den)
     arows = [[x * (den // a.den) for x in row] for row in a.rows]
     brows = [[x * (den // b.den) for x in row] for row in b.rows]
     stacked = arows + [[-x for x in row] for row in brows]
@@ -206,14 +206,14 @@ def intersect_subspace(lat: Lattice, subspace_rows) -> Lattice:
     S = []
     for row in sub:
         row = [Fraction(x) for x in row]
-        den = linalg.lcm_list([x.denominator for x in row])
+        den = lcm(*(x.denominator for x in row))
         S.append([int(x * den) for x in row])
     cond = linalg.right_kernel(S, lat.dim)
     if not cond:
         return lat
     # evaluate each condition on each lattice basis vector
     M = [[sum(v[j] * c[j] for j in range(lat.dim)) for c in cond] for v in basis]
-    den = linalg.lcm_list([x.denominator for row in M for x in row] or [1])
+    den = lcm(*(x.denominator for row in M for x in row))
     Mi = [[int(x * den) for x in row] for row in M]
     combos = linalg.left_kernel(Mi)
     vecs = [tuple(sum(Fraction(cb[i]) * basis[i][j] for i in range(len(basis)))

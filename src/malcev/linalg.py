@@ -9,7 +9,6 @@ rational routines are plain Gaussian elimination over Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -125,80 +124,8 @@ def saturate_rows(rows, n_cols):
 
 def snf_invariants(rows):
     """Nontrivial invariant factors d1 | d2 | ... of an integer matrix."""
-    A = [list(map(int, r)) for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    res = []
-    t = 0
-    while t < m and t < n:
-        # find a nonzero entry in the remaining block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        A[t], A[i] = A[i], A[t]
-        for row in A:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    a, b = A[t][t], A[i][t]
-                    if b % a == 0:
-                        q = b // a
-                        for j in range(t, n):
-                            A[i][j] -= q * A[t][j]
-                    else:
-                        x, y, g = xgcd(a, b)
-                        ag, bg = a // g, b // g
-                        for j in range(t, n):
-                            u, v = A[t][j], A[i][j]
-                            A[t][j] = x * u + y * v
-                            A[i][j] = ag * v - bg * u
-                        done = False
-            # clear row t
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    a, b = A[t][t], A[t][j]
-                    if b % a == 0:
-                        q = b // a
-                        for i in range(t, m):
-                            A[i][j] -= q * A[i][t]
-                    else:
-                        x, y, g = xgcd(a, b)
-                        ag, bg = a // g, b // g
-                        for i in range(t, m):
-                            u, v = A[i][t], A[i][j]
-                            A[i][t] = x * u + y * v
-                            A[i][j] = ag * v - bg * u
-                        done = False
-            if not done:
-                continue
-            # divisibility: pivot must divide the rest of the block
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            for j in range(t, n):
-                A[t][j] += A[bad][j]
-        res.append(abs(A[t][t]))
-        t += 1
-    # normalize divisibility chain (the loop above already enforces it)
-    return [d for d in res if d != 1]
+    diag, _, _ = snf_with_transforms(rows)
+    return [d for d in diag if d not in (0, 1)]
 
 
 def snf_with_transforms(rows, n_cols=None):
@@ -418,10 +345,3 @@ def det(A):
                 M[i] = [a - f * b for a, b in zip(M[i], M[c])]
     return result * sign
 
-
-def lcm_list(values) -> int:
-    out = 1
-    for v in values:
-        if v:
-            out = out * v // gcd(out, v)
-    return out

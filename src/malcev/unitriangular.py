@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .liealg import NilpotentLieAlgebra
+from .linalg import mat_mul
 
 
 def as_matrix(rows):
@@ -22,12 +23,6 @@ def mat_add(a, b):
 def mat_scale(q, a):
     q = Fraction(q)
     return tuple(tuple(q * x for x in row) for row in a)
-
-
-def mat_mul(a, b):
-    n = len(b)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(len(b[0]))) for i in range(len(a)))
 
 
 def identity(n):

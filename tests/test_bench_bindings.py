@@ -1,0 +1,73 @@
+"""Every library name the benchmark in ``perfbench/`` binds must resolve.
+
+The benchmark is read, never imported for its side effects: ``spans.TRACED``
+is loaded from its file, and the ``malcev`` attributes that ``gate.py`` and
+``workloads.py`` use are collected from their syntax trees.  A deletion in
+``src/`` that would break ``--trace 1`` or the output gate fails here.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_traced():
+    spec = importlib.util.spec_from_file_location("_bench_spans",
+                                                  BENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+def _library_names(path):
+    """(module, attribute) pairs a benchmark file takes from ``malcev``."""
+    tree = ast.parse(path.read_text())
+    alias, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "malcev":
+            for a in node.names:
+                full = f"{node.module}.{a.name}"
+                if _is_module(full):
+                    alias[a.asname or a.name] = full
+                else:
+                    names.add((node.module, a.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in alias:
+            names.add((alias[node.value.id], node.attr))
+    return sorted(names)
+
+
+def _is_module(name):
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("modname,attr,span", _load_traced())
+def test_traced_name_resolves(modname, attr, span):
+    mod = importlib.import_module("malcev." + modname)
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        # the tracer patches the class's own attribute, not an inherited one
+        assert meth in vars(getattr(mod, cls_name)), span
+    else:
+        assert callable(getattr(mod, attr)), span
+
+
+@pytest.mark.parametrize("filename", ["gate.py", "workloads.py"])
+def test_gate_and_workload_names_resolve(filename):
+    names = _library_names(BENCH / filename)
+    # both files reach matrix exp/log through ``unitriangular as ut``
+    assert ("malcev.unitriangular", "matrix_exp") in names
+    missing = [(m, a) for m, a in names
+               if not hasattr(importlib.import_module(m), a)]
+    assert not missing

@@ -154,6 +154,11 @@ def test_verify_hull_suite(capsys):
     assert doc["reports"][0]["passed"] is True
 
 
+def test_verify_catalog_flag_is_gone(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--catalog", "default")
+    assert code == 2 and out == ""
+
+
 def test_verify_text_output(capsys):
     code, out, _ = run(capsys, "verify", "hull", "--seed", "1")
     assert code == 0

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
+from malcev.catalog import build_fiber
 from malcev.errors import CapExceeded
-from malcev.finite import FiniteGroup, compose_perms
+from malcev.fiber import FiberQuotient, hom_test_scale
+from malcev.finite import FiniteGroup, closure, compose_perms, extend_hom
 
 
 def test_cyclic_and_product():
@@ -78,3 +82,101 @@ def test_automorphisms():
             assert compose_perms(a, b) in auts
     with pytest.raises(CapExceeded):
         FiniteGroup.cyclic(97).automorphisms(cap=10)
+
+
+# -- closure and hom extension against brute force ---------------------------
+
+
+def s3():
+    """S3 as permutations of (0, 1, 2) under composition, identity first."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup([[index[tuple(p[q[x]] for x in range(3))] for q in perms]
+                        for p in perms])
+
+
+def small_groups():
+    v4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    return {"Z/2": FiniteGroup.cyclic(2), "Z/4": FiniteGroup.cyclic(4),
+            "Z/2xZ/2": v4, "S3": s3(), "P2 of z2z2z4": build_fiber("z2z2z4").p2}
+
+
+def brute_closure(g, elements):
+    """All products of length <= |G| over S and S^-1."""
+    letters = set(elements) | {g.inverse[a] for a in elements}
+    words = {0}
+    for _ in range(g.order):
+        words |= {g.mul(w, a) for w in words for a in letters}
+    return words
+
+
+def brute_homs(g, t):
+    """Every homomorphism g -> t, by enumerating all |t|^|g| maps."""
+    homs = []
+    for phi in itertools.product(range(t.order), repeat=g.order):
+        if all(phi[g.mul(a, b)] == t.mul(phi[a], phi[b])
+               for a in range(g.order) for b in range(g.order)):
+            homs.append(phi)
+    return homs
+
+
+def test_closure_tree_reaches_each_element_from_its_parent():
+    z12 = FiniteGroup.cyclic(12)
+    tree = closure(0, [8, 3], z12.mul)
+    assert set(tree) == set(range(12)) and tree[0] is None
+    assert list(tree)[:3] == [0, 8, 3]  # breadth-first order
+    for y, edge in tree.items():
+        if edge is not None:
+            x, i = edge
+            assert z12.mul(x, [8, 3][i]) == y
+
+
+def test_subgroup_closure_matches_brute_force():
+    for name, g in small_groups().items():
+        for size in range(3):
+            for elements in itertools.combinations(range(g.order), size):
+                assert g.subgroup_closure(elements) == \
+                    brute_closure(g, elements), (name, elements)
+
+
+def test_hom_from_generators_matches_brute_force():
+    groups = small_groups()
+    for (gname, g), (tname, t) in itertools.product(groups.items(), repeat=2):
+        if t.order ** g.order > 6 ** 6:
+            continue
+        homs = brute_homs(g, t)
+        gens = g.generating_set()
+        # a redundant generator makes the assigned images overdetermined
+        for seq in (gens, gens + [g.mul(gens[0], gens[-1])]):
+            for images in itertools.product(range(t.order), repeat=len(seq)):
+                expect = [phi for phi in homs
+                          if all(phi[a] == b for a, b in zip(seq, images))]
+                assert len(expect) <= 1
+                got = g.hom_from_generators(seq, list(images), t)
+                assert got == (expect[0] if expect else None), \
+                    (gname, tname, seq, images)
+
+
+def test_hom_from_generators_rejects_non_generating_sets():
+    z4 = FiniteGroup.cyclic(4)
+    with pytest.raises(ValueError):
+        z4.hom_from_generators([2], [0], z4)
+    with pytest.raises(ValueError):
+        s3().hom_from_generators([3], [0], FiniteGroup.cyclic(2))
+
+
+def test_extend_hom_on_fiber_quotient():
+    u = build_fiber("z2z4")
+    fq = FiberQuotient(u, hom_test_scale(u))
+    gens = list(u.generators())
+    keys = [fq.reduce(g) for g in gens]
+    # the projection to P2 is a homomorphism: the identity assignment extends
+    phi = extend_hom(fq.identity_key(), keys, [g.y for g in gens], fq.mul,
+                     fq.order, u.p2)
+    assert phi is not None and len(phi) == fq.order
+    assert all(phi[key] == key[1] for key in fq.keys())
+    # sending the order-2 torsion generator to an element of order 4 is not
+    tampered = [g.y for g in gens]
+    tampered[-1] = 1
+    assert extend_hom(fq.identity_key(), keys, tampered, fq.mul, fq.order,
+                      u.p2) is None

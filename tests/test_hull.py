@@ -8,7 +8,7 @@ from malcev.errors import SublatticeError, UnsupportedInputForm
 from malcev.hull import (GenGroup, LatticeQuotient, adapted_basis,
                          congruence_scale, congruence_sublattice, derived_lattice_data,
                          finite_quotient, group_index_in_hull, hull_of_lattice,
-                         lattice_hull, lie_span, root)
+                         lattice_hull, lie_span)
 from malcev.lattices import hnf_lattice, lattice_index
 from malcev.liealg import GroupElement, NilpotentLieAlgebra
 
@@ -143,11 +143,11 @@ def test_root():
     heis = lattice_hull(heis_group())
     alg = heis.algebra
     g = GroupElement.from_log(alg, (1, 0, 0)) * GroupElement.from_log(alg, (0, 1, 0))
-    r = root(g, 2)
+    r = g.root(2)
     assert (r * r).log == g.log
     e = GroupElement.identity(alg)
-    assert root(e, 7).is_identity()
-    assert root(g, 1).log == g.log
+    assert e.root(7).is_identity()
+    assert g.root(1).log == g.log
 
 
 def test_group_index():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 from malcev import linalg
@@ -53,6 +55,44 @@ def test_snf_invariants():
         inv = linalg.snf_invariants(rows)
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
+    # nonsingular square matrices: the invariants multiply to |det|
+    rng = random.Random(5)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        det = linalg.det(rows)
+        if det == 0:
+            continue
+        prod = 1
+        for d in linalg.snf_invariants(rows):
+            prod *= d
+        assert prod == abs(det)
+        checked += 1
+    # any shape: the nonzero diagonal has one entry per unit of rank, and
+    # the invariants are the quotients of the determinantal divisors
+    rng = random.Random(6)
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:  # force a rank drop
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[-1])] if m > 1 \
+                else [0] * n
+        diag, _, _ = linalg.snf_with_transforms(rows, n)
+        _, pivots = linalg.rref(rows)
+        assert len([d for d in diag if d]) == len(pivots)
+        expect = []
+        prev = 1
+        for k in range(1, min(m, n) + 1):
+            minors = [int(linalg.det([[rows[i][j] for j in cs] for i in rs]))
+                      for rs in itertools.combinations(range(m), k)
+                      for cs in itertools.combinations(range(n), k)]
+            g = math.gcd(*minors)
+            if g == 0:
+                break
+            expect.append(g // prev)
+            prev = g
+        assert linalg.snf_invariants(rows) == [d for d in expect if d != 1]
 
 
 def test_snf_transforms():
