@@ -506,24 +506,6 @@ def _matrix_mul_mod(A, B, m):
     return tuple(tuple(x % m for x in row) for row in linalg.mat_mul(A, B))
 
 
-def _unitriangular_inverse_mod(A, m, layers):
-    """Inverse of I+N mod m via the finite Neumann series sum (-N)^i."""
-    k = len(A)
-    N = [[(A[i][j] - int(i == j)) % m for j in range(k)] for i in range(k)]
-    inv = [[int(i == j) for j in range(k)] for i in range(k)]
-    term = [[int(i == j) for j in range(k)] for i in range(k)]
-    sign = -1
-    for _ in range(max(layers)):
-        term = _matrix_mul_mod(term, N, m)
-        if not any(any(row) for row in term):
-            break
-        for i in range(k):
-            for j in range(k):
-                inv[i][j] = (inv[i][j] + sign * term[i][j]) % m
-        sign = -sign
-    return tuple(tuple(row) for row in inv)
-
-
 def strong_approx_check(hull: HullResult, m: int,
                         eq: IAStarEquations | None = None,
                         point_cap: int = 500_000, witness_cap: int = 5):
@@ -565,14 +547,13 @@ def mod_m_group(hull: HullResult, m: int, eq: IAStarEquations | None = None,
 
 
 def subgroup_closure_mod(hull: HullResult, gens, m: int):
-    """Closure of the reduced generators inside the mod-m matrix group."""
-    layers = hull.layers
-    start = []
-    for g in gens:
-        A = adapted_matrix(hull, g)
-        Ai = tuple(tuple(int(x) % m for x in row) for row in A)
-        start.append(Ai)
-        start.append(_unitriangular_inverse_mod(Ai, m, layers))
+    """Closure of the reduced generators inside the mod-m matrix group.
+
+    The group is finite, so products of the generators already contain
+    their inverses.
+    """
+    start = [tuple(tuple(int(x) % m for x in row) for row in adapted_matrix(hull, g))
+             for g in gens]
     k = hull.algebra.dim
     ident = tuple(tuple(int(i == j) % m for j in range(k)) for i in range(k))
     return set(closure(ident, start, lambda x, g: _matrix_mul_mod(x, g, m)))

@@ -17,7 +17,8 @@ from math import lcm
 from . import linalg
 from .autos import LieAutomorphism, is_lie_aut, stabilizes_lattice
 from .errors import CapExceeded
-from .finite import FiniteGroup, closure, extend_hom
+from .finite import (FiniteGroup, check_onto, closure, cosets, extend_hom,
+                     induced_map)
 from .hull import HullResult, LatticeQuotient, congruence_scale
 from .liealg import scale_vec
 
@@ -42,17 +43,13 @@ class HullSide:
         self.q = q
         if len(self.to_q) != self.latq.order:
             raise ValueError("pi1 data must cover every level coset")
-        # pi1 must be a homomorphism onto Q
         reps = list(self.latq.elements())
-        for a in reps:
-            for b in reps:
-                ab = self.latq.mul(a, b)
-                if self.to_q[self.latq.index_of(ab)] != \
-                        q.mul(self.to_q[self.latq.index_of(a)],
-                              self.to_q[self.latq.index_of(b)]):
-                    raise ValueError("pi1 data is not a homomorphism")
-        if set(self.to_q) != set(range(q.order)):
-            raise ValueError("pi1 must be surjective onto Q")
+
+        def mul(a, b):
+            return self.latq.index_of(self.latq.mul(reps[a], reps[b]))
+
+        check_onto(self.to_q, mul, q, "pi1 data is not a homomorphism",
+                   "pi1 must be surjective onto Q")
 
     def pi1(self, x) -> int:
         rep = self.latq.reduce_working(x)
@@ -62,7 +59,7 @@ class HullSide:
 class FiberGroup:
     """U = P1 x_Q P2 with P1 a hull group."""
 
-    def __init__(self, side: HullSide, p2: FiniteGroup, pi2, gens=None):
+    def __init__(self, side: HullSide, p2: FiniteGroup, pi2):
         self.side = side
         self.hull = side.hull
         self.p2 = p2
@@ -70,13 +67,9 @@ class FiberGroup:
         self.pi2 = tuple(pi2)
         if len(self.pi2) != p2.order:
             raise ValueError("pi2 must be defined on all of P2")
-        for a in range(p2.order):
-            for b in range(p2.order):
-                if self.pi2[p2.mul(a, b)] != self.q.mul(self.pi2[a], self.pi2[b]):
-                    raise ValueError("pi2 is not a homomorphism")
-        if set(self.pi2) != set(range(self.q.order)):
-            raise ValueError("pi2 must be surjective onto Q")
-        self._gens = tuple(gens) if gens is not None else None
+        check_onto(self.pi2, p2.mul, self.q, "pi2 is not a homomorphism",
+                   "pi2 must be surjective onto Q")
+        self._gens = None
 
     # -- elements ----------------------------------------------------------
 
@@ -124,7 +117,7 @@ class FiberGroup:
         return [y for y in range(self.p2.order) if self.pi2[y] == 0]
 
     def torsion_generator_indices(self):
-        sub, elems = self.p2.subgroup_as_group(set(self.kernel_pi2()))
+        sub, elems = torsion_subgroup(self)
         return [elems[g] for g in sub.generating_set()]
 
     def torsion_elements(self):
@@ -140,10 +133,8 @@ def fiber_product_finite(p1: FiniteGroup, p2: FiniteGroup, pi1, pi2,
     for pi, grp in ((pi1, p1), (pi2, p2)):
         if len(pi) != grp.order or set(pi) != set(range(q.order)):
             raise ValueError("projections must be surjective homomorphisms")
-        for a in range(grp.order):
-            for b in range(grp.order):
-                if pi[grp.mul(a, b)] != q.mul(pi[a], pi[b]):
-                    raise ValueError("projection is not a homomorphism")
+        check_onto(pi, grp.mul, q, "projection is not a homomorphism",
+                   "projections must be surjective homomorphisms")
     pairs = [(a, b) for a in range(p1.order) for b in range(p2.order)
              if pi1[a] == pi2[b]]
     index = {p: i for i, p in enumerate(pairs)}
@@ -158,8 +149,7 @@ def torsion_subgroup(u: FiberGroup):
     Returns (group, p2_indices): group is ker(pi2) as a FiniteGroup and
     p2_indices[i] the P2 label of its i-th element.
     """
-    sub, elems = u.p2.subgroup_as_group(set(u.kernel_pi2()))
-    return sub, elems
+    return u.p2.subgroup_as_group(set(u.kernel_pi2()))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +205,6 @@ class FiberQuotient:
     def verbal_power_subgroup(self, t: int):
         """Closure of all t-th powers; a normal subgroup, as a key set."""
         gens = {self.power(key, t) for key in self.keys()}
-        gens |= {self.inv(g) for g in gens}
         return set(closure(self.identity_key(), tuple(gens), self.mul))
 
 
@@ -225,20 +214,10 @@ class QuotientGroup:
     def __init__(self, fq: FiberQuotient, normal_keys):
         self.fq = fq
         self.normal = frozenset(normal_keys)
-        coset_of = {}
-        reps = []
-        for key in fq.keys():
-            if key in coset_of:
-                continue
-            cid = len(reps)
-            reps.append(key)
-            for v in self.normal:
-                coset_of[fq.mul(key, v)] = cid
-        if coset_of[fq.identity_key()] != 0:
+        self.reps, self.coset_of = cosets(fq.keys(), self.normal, fq.mul)
+        if self.coset_of[fq.identity_key()] != 0:
             raise AssertionError("identity coset must be first")
-        self.reps = reps
-        self.coset_of = coset_of
-        self.order = len(reps)
+        self.order = len(self.reps)
 
     def class_of_key(self, key) -> int:
         return self.coset_of[key]
@@ -249,18 +228,14 @@ class QuotientGroup:
     def mul(self, i: int, j: int) -> int:
         return self.coset_of[self.fq.mul(self.reps[i], self.reps[j])]
 
-    def to_finite_group(self, cap: int = 4096) -> FiniteGroup:
-        if self.order > cap:
-            raise CapExceeded(f"quotient order {self.order} over table cap")
-        table = [[self.mul(i, j) for j in range(self.order)]
-                 for i in range(self.order)]
-        return FiniteGroup(table, check=False)
+
+def _p2_exponent(u: FiberGroup) -> int:
+    return lcm(*map(u.p2.element_order, range(u.p2.order)))
 
 
 def quotient_scale(u: FiberGroup, m: int) -> int:
     """Congruence level for the stand-in of the m-th power quotient."""
-    e2 = lcm(*map(u.p2.element_order, range(u.p2.order)))
-    return congruence_scale(u.hull, m * lcm(e2, u.side.scale))
+    return congruence_scale(u.hull, m * lcm(_p2_exponent(u), u.side.scale))
 
 
 def hom_test_scale(u: FiberGroup) -> int:
@@ -269,8 +244,7 @@ def hom_test_scale(u: FiberGroup) -> int:
     Needs exp(P2) * (pi1 level scale) | s: then any such element is the
     exp(P2)-th power of an element of ker(pi1) x {e}.
     """
-    e2 = lcm(*map(u.p2.element_order, range(u.p2.order)))
-    return congruence_scale(u.hull, e2 * u.side.scale)
+    return congruence_scale(u.hull, _p2_exponent(u) * u.side.scale)
 
 
 @dataclass
@@ -333,32 +307,17 @@ class ProductAut:
         return ProductAut(self.u, self.sigma1.inverse(), inv2)
 
 
-def _induced_on_q_from_p2(u: FiberGroup, sigma2):
-    qmap = [None] * u.q.order
-    for y in range(u.p2.order):
-        src, dst = u.pi2[y], u.pi2[sigma2[y]]
-        if qmap[src] is None:
-            qmap[src] = dst
-        elif qmap[src] != dst:
-            return None, src
-    return tuple(qmap), None
-
-
 def _induced_on_q_from_hull(u: FiberGroup, sigma1):
+    """induced_map of sigma1 on Q; a coset sent off the lattice fails."""
     side = u.side
-    qmap = [None] * u.q.order
-    for rep in side.latq.elements():
-        x = u.hull.to_working(tuple(Fraction(t) for t in rep))
-        src = side.to_q[side.latq.index_of(rep)]
-        image = sigma1.apply(x)
-        if not u.hull.lattice.member(image):
-            return None, src
-        dst = side.pi1(image)
-        if qmap[src] is None:
-            qmap[src] = dst
-        elif qmap[src] != dst:
-            return None, src
-    return tuple(qmap), None
+
+    def pairs():
+        for rep in side.latq.elements():
+            image = sigma1.apply(u.hull.to_working(tuple(Fraction(t) for t in rep)))
+            yield (side.to_q[side.latq.index_of(rep)],
+                   side.pi1(image) if u.hull.lattice.member(image) else None)
+
+    return induced_map(pairs(), u.q.order)
 
 
 def lift_automorphism(u: FiberGroup, sigma1: LieAutomorphism, sigma2):
@@ -383,7 +342,8 @@ def lift_automorphism(u: FiberGroup, sigma1: LieAutomorphism, sigma2):
     if q1 is None:
         raise ValueError(f"sigma1 does not preserve the pi1 fibration"
                          f" (witness Q-class {w1})")
-    q2, w2 = _induced_on_q_from_p2(u, sigma2)
+    q2, w2 = induced_map(((u.pi2[y], u.pi2[sigma2[y]]) for y in range(u.p2.order)),
+                         u.q.order)
     if q2 is None:
         raise ValueError(f"sigma2 does not induce a map on Q (witness {w2})")
     if q1 != q2:
@@ -409,14 +369,11 @@ def lift_automorphism_finite(p1: FiniteGroup, p2: FiniteGroup, q: FiniteGroup,
     """
     maps = []
     for pi, sigma, grp in ((pi1, sigma1, p1), (pi2, sigma2, p2)):
-        qmap = [None] * q.order
-        for a in range(grp.order):
-            src, dst = pi[a], pi[sigma[a]]
-            if qmap[src] is None:
-                qmap[src] = dst
-            elif qmap[src] != dst:
-                raise ValueError(f"no induced map on Q (witness {src})")
-        maps.append(tuple(qmap))
+        qmap, witness = induced_map(((pi[a], pi[sigma[a]]) for a in range(grp.order)),
+                                    q.order)
+        if qmap is None:
+            raise ValueError(f"no induced map on Q (witness {witness})")
+        maps.append(qmap)
     if maps[0] != maps[1]:
         witness = next(i for i in range(q.order) if maps[0][i] != maps[1][i])
         raise ValueError(f"induced maps on Q disagree (witness Q-class {witness})")
@@ -444,14 +401,17 @@ def free_abelianization_check(u: FiberGroup):
     """Free abelianized rank via the Smith form of the relation matrix, plus
     the mutually inverse canonical maps with the hull side.
 
-    Returns (d, report).
+    ``maps_identity`` holds when every relation row has zero first-layer
+    coordinates: then U -> Delta -> Delta* (the first-layer adapted
+    coordinates) factors through U^ab, and with ``rank_matches`` the induced
+    map U* -> Delta* is an isomorphism.  Returns (d, report).
     """
     hull = u.hull
     k = hull.algebra.dim
-    lat_gens = [FiberElement(b, u._compatible_y(b)) for b in hull.basis]
-    tor_gens = u.torsion_generator_indices()
+    gens = list(u.generators())
+    lat_gens = gens[:k]
+    tor_gens = [g.y for g in gens[k:]]
     r = len(tor_gens)
-    gens = lat_gens + [FiberElement(u.identity().x, y) for y in tor_gens]
 
     def normal_form(el: FiberElement):
         coords = hull.to_adapted_int(el.x)
@@ -476,27 +436,13 @@ def free_abelianization_check(u: FiberGroup):
     diag, _, _ = linalg.snf_with_transforms(rows, k + r)
     free_rank = (k + r) - len([x for x in diag if x])
     invariants = [x for x in diag if x not in (0, 1)]
-
-    # canonical maps on generators: U -> Delta drops y; first-layer adapted
-    # coordinates realize both free abelianizations
     d = hull.d
-
-    def star_coords(el: FiberElement):
-        c = hull.to_adapted(el.x)
-        return tuple(c[:d])
-
-    maps_identity = True
-    for i in range(d):
-        delta_image = lat_gens[i].x  # image in Delta = the hull group
-        back = FiberElement(delta_image, u._compatible_y(delta_image))
-        if star_coords(back) != star_coords(lat_gens[i]):
-            maps_identity = False
     report = {
         "free_rank": free_rank,
         "d": d,
         "invariants": invariants,
         "rank_matches": free_rank == d,
-        "maps_identity": maps_identity,
+        "maps_identity": not any(any(row[:d]) for row in rows),
     }
     return d, report
 
@@ -539,13 +485,11 @@ def ia_kernel_enum(u: FiberGroup, gens=None, candidate_cap: int = 4096):
     s = hom_test_scale(u)
     fq = FiberQuotient(u, s)
     gen_keys = [fq.reduce(g) for g in gens]
-    keys = gen_keys + [fq.inv(k) for k in gen_keys]
 
     def extend(ys):
         """The hom FQ -> P2 sending the generator keys to ys, or None."""
-        ys = list(ys)
-        ys += [u.p2.inverse[y] for y in ys]
-        return extend_hom(fq.identity_key(), keys, ys, fq.mul, fq.order, u.p2)
+        return extend_hom(fq.identity_key(), gen_keys, list(ys), fq.mul,
+                          fq.order, u.p2)
 
     # the generators must generate U; verify on the finite quotient
     if extend(g.y for g in gens) is None:
@@ -602,19 +546,10 @@ def reconstruction_check(u: FiberGroup, m: int):
         if key != fq.identity_key() and key in lq.verbal:
             injective = False
     # hull-side level-m quotient Delta_m = (lattice/s) / (m-th powers)
-    hull_fq = LatticeQuotient(u.hull, u.hull.lattice.scale(lq.s))
+    hull_fq = fq.latq
     hgens = {hull_fq.power(rep, m) for rep in hull_fq.elements()}
-    hgens |= {hull_fq.inv(g) for g in hgens}
     closed = closure((0,) * u.hull.algebra.dim, tuple(hgens), hull_fq.mul)
-    delta_coset = {}
-    delta_reps = []
-    for rep in hull_fq.elements():
-        if rep in delta_coset:
-            continue
-        cid = len(delta_reps)
-        delta_reps.append(rep)
-        for v in closed:
-            delta_coset[hull_fq.mul(rep, v)] = cid
+    delta_reps, delta_coset = cosets(hull_fq.elements(), closed, hull_fq.mul)
     # legs of the target fiber product
     def leg_delta(rep):
         return delta_coset[rep]

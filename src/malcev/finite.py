@@ -1,10 +1,14 @@
 """Finite groups as Cayley tables: validation, homs, automorphisms.
 
-``closure`` and ``extend_hom`` take any hashable elements and a ``mul``, so
-the finite quotients in ``autos`` and ``fiber`` use them too.  Cayley-table
-elements are indices 0..N-1 with identity 0.  Validation uses Light's
-associativity test (a complete check, quadratic instead of cubic) below the
-exhaustive-size threshold and random triple sampling above it.
+The module-level helpers take any hashable elements and a ``mul``, so the
+finite quotients in ``autos`` and ``fiber`` use them too:
+``closure`` (the subgroup generated, as a BFS tree), ``extend_hom`` (a
+generator assignment extended to a homomorphism), ``cosets`` (the coset
+table of a normal subgroup), ``check_onto`` (a map onto a quotient Q is a
+homomorphism) and ``induced_map`` (the map a permutation induces on Q).
+Cayley-table elements are indices 0..N-1 with identity 0.  Validation uses
+Light's associativity test (a complete check, quadratic instead of cubic) up
+to EXHAUSTIVE_BELOW elements and seeded random triple sampling above it.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ import itertools
 import random
 
 from .errors import CapExceeded
+
+EXHAUSTIVE_BELOW = 512
+SAMPLE_TRIPLES = 10 ** 4
 
 
 class FiniteGroup:
@@ -80,8 +87,7 @@ class FiniteGroup:
             n += 1
         return n
 
-    def validate(self, sample_triples: int = 10 ** 4, exhaustive_below: int = 512,
-                 seed: int = 0):
+    def validate(self):
         """Group-law check; returns a list of violation descriptions.
 
         Identity/inverse laws are always checked in full.  Associativity is
@@ -98,7 +104,7 @@ class FiniteGroup:
                 problems.append(f"no two-sided inverse for {a}")
         if problems:
             return problems
-        if n <= exhaustive_below:
+        if n <= EXHAUSTIVE_BELOW:
             gens = self.generating_set()
             for g in gens:
                 for a in range(n):
@@ -112,8 +118,8 @@ class FiniteGroup:
                                 f"associativity fails at ({a},{g},{c})")
                             return problems
         else:
-            rng = random.Random(seed)
-            for _ in range(sample_triples):
+            rng = random.Random(0)
+            for _ in range(SAMPLE_TRIPLES):
                 a, b, c = (rng.randrange(n) for _ in range(3))
                 if self.cayley[self.cayley[a][b]][c] != \
                         self.cayley[a][self.cayley[b][c]]:
@@ -136,9 +142,7 @@ class FiniteGroup:
 
     def subgroup_closure(self, elements):
         """The subgroup generated by the given elements, as a set."""
-        gens = list(elements)
-        gens += [self.inverse[g] for g in gens]
-        return set(closure(0, gens, self.mul))
+        return set(closure(0, list(elements), self.mul))
 
     def verbal_power_subgroup(self, t: int):
         """Subgroup generated by all t-th powers (normal by construction)."""
@@ -150,17 +154,8 @@ class FiniteGroup:
 
     def quotient(self, normal_set):
         """(quotient group, projection list).  normal_set must be normal."""
-        reps = []
-        coset_of = [None] * self.order
-        for a in range(self.order):
-            if coset_of[a] is not None:
-                continue
-            idx = len(reps)
-            reps.append(a)
-            for h in normal_set:
-                coset_of[self.cayley[a][h]] = idx
-        if reps and reps[0] != 0:
-            raise ValueError("identity coset must come first")
+        reps, index = cosets(range(self.order), normal_set, self.mul)
+        coset_of = [index[a] for a in range(self.order)]
         m = len(reps)
         table = [[coset_of[self.cayley[reps[i]][reps[j]]] for j in range(m)]
                  for i in range(m)]
@@ -255,8 +250,56 @@ def extend_hom(identity, gens, images, mul, order: int, target: FiniteGroup):
     return phi
 
 
-def hom_is_surjective(phi, target: FiniteGroup) -> bool:
-    return len(set(phi)) == target.order
+def cosets(elements, normal, mul):
+    """Coset table of a normal subgroup: (reps, coset_of).
+
+    reps[i] is the first element met of the i-th coset aN, in the order of
+    ``elements``, and coset_of maps every element of each such coset to i.
+    """
+    reps = []
+    coset_of = {}
+    for a in elements:
+        if a not in coset_of:
+            idx = len(reps)
+            reps.append(a)
+            for h in normal:
+                coset_of[mul(a, h)] = idx
+    return reps, coset_of
+
+
+def check_onto(pi, mul, q: FiniteGroup, not_hom: str, not_onto: str):
+    """Raise ValueError unless pi is a homomorphism onto q.
+
+    pi lists the Q index of each element 0..len(pi)-1 of a group whose
+    product of indices is ``mul``.  A value outside Q fails first, then a
+    product (with message not_hom), then surjectivity (not_onto).
+    """
+    for i, v in enumerate(pi):
+        if not 0 <= v < q.order:
+            raise ValueError(f"value {v} at position {i} is not an element"
+                             f" of Q (order {q.order})")
+    n = len(pi)
+    for a in range(n):
+        row = q.cayley[pi[a]]
+        for b in range(n):
+            if pi[mul(a, b)] != row[pi[b]]:
+                raise ValueError(not_hom)
+    if len(set(pi)) != q.order:
+        raise ValueError(not_onto)
+
+
+def induced_map(pairs, size: int):
+    """The map src -> dst read off (src, dst) pairs on 0..size-1.
+
+    Returns (map tuple, None), or (None, src) at the first src that is given
+    two different images or the image None.
+    """
+    out = [None] * size
+    for src, dst in pairs:
+        if dst is None or out[src] not in (None, dst):
+            return None, src
+        out[src] = dst
+    return tuple(out), None
 
 
 def compose_perms(outer, inner):

@@ -251,45 +251,28 @@ def derived_lattice_data(group: GenGroup, hull: HullResult):
     return hull.d, intersect_subspace(hull.lattice, derived)
 
 
-def _scaled_lattice_closed(hull: HullResult, s: int) -> bool:
-    alg = hull.adapted_algebra
-    k = alg.dim
-    ebasis = [tuple(Fraction(s * int(i == t)) for t in range(k)) for i in range(k)]
-    for i in range(k):
-        for j in range(k):
-            for sign in (1, -1):
-                w = alg.bch(ebasis[i], scale_vec(sign, ebasis[j]))
-                if any(x.denominator != 1 or x.numerator % s for x in w):
-                    return False
-    # normality under conjugation by lattice basis exponentials
-    for i in range(k):
-        u = tuple(Fraction(int(i == t)) for t in range(k))
-        nu = scale_vec(-1, u)
-        for j in range(k):
-            w = alg.bch(u, alg.bch(ebasis[j], nu))
-            if any(x.denominator != 1 or x.numerator % s for x in w):
-                return False
-    return True
+ESCALATION_CAP = 6
 
 
-def congruence_scale(hull: HullResult, m: int, escalation_cap: int = 6) -> int:
-    """Smallest s = m * lcm(1..c)^e (e <= cap) with exp(s*lat) a verified
-    normal subgroup of exp(lat)."""
+def congruence_scale(hull: HullResult, m: int) -> int:
+    """Smallest s = m * lcm(1..c)^e (e <= ESCALATION_CAP) with exp(s*lat) a
+    verified normal subgroup of exp(lat)."""
     if m < 1:
         raise ValueError("level must be >= 1")
     P = math.lcm(*range(1, hull.algebra.nilpotency_class + 1))
     s = m
-    for _ in range(escalation_cap + 1):
-        if _scaled_lattice_closed(hull, s):
+    for _ in range(ESCALATION_CAP + 1):
+        try:
+            LatticeQuotient(hull, hull.lattice.scale(s))
             return s
-        s *= P
+        except SublatticeError:
+            s *= P
     raise CapExceeded("no BCH-closed scaled lattice within the escalation cap")
 
 
-def congruence_sublattice(hull: HullResult, m: int, escalation_cap: int = 6) -> Lattice:
+def congruence_sublattice(hull: HullResult, m: int) -> Lattice:
     """The automorphism-stable congruence sublattice s * lat at level m."""
-    s = congruence_scale(hull, m, escalation_cap)
-    return hull.lattice.scale(s)
+    return hull.lattice.scale(congruence_scale(hull, m))
 
 
 class LatticeQuotient:
@@ -299,7 +282,7 @@ class LatticeQuotient:
     coordinates (the mixed-radix box cut out by the HNF of sub).
     """
 
-    def __init__(self, hull: HullResult, sub: Lattice, verify: bool = True):
+    def __init__(self, hull: HullResult, sub: Lattice):
         self.hull = hull
         k = hull.adapted_algebra.dim
         rows = []
@@ -321,23 +304,27 @@ class LatticeQuotient:
         for i in range(k - 2, -1, -1):
             self._weights[i] = self._weights[i + 1] * self.diag[i + 1]
         self._bch = hull.adapted_algebra.bch_compiled()
-        if verify:
-            self._verify_normal()
+        self._verify_normal()
+
+    def _in_sub(self, w) -> bool:
+        return all(x.denominator == 1 for x in w) and \
+            not any(self.reduce(tuple(int(x) for x in w)))
 
     def _verify_normal(self):
+        """exp(sub) is a normal subgroup: products of signed basis pairs and
+        conjugates by the lattice basis stay in sub."""
         alg = self.hull.adapted_algebra
         k = alg.dim
         basis = [vec(row) for row in self.sub_hnf]
         for i in range(k):
             for j in range(k):
-                w = alg.bch(basis[i], basis[j])
-                if self.reduce(tuple(int(x) for x in w)) != (0,) * k:
-                    raise SublatticeError("sublattice is not BCH-closed")
+                for sign in (1, -1):
+                    if not self._in_sub(alg.bch(basis[i], scale_vec(sign, basis[j]))):
+                        raise SublatticeError("sublattice is not BCH-closed")
             u = tuple(Fraction(int(i == t)) for t in range(k))
+            nu = scale_vec(-1, u)
             for j in range(k):
-                w = alg.bch(u, alg.bch(basis[j], scale_vec(-1, u)))
-                if any(x.denominator != 1 for x in w) or \
-                        self.reduce(tuple(int(x) for x in w)) != (0,) * k:
+                if not self._in_sub(alg.bch(u, alg.bch(basis[j], nu))):
                     raise SublatticeError("sublattice is not normal in the hull")
 
     def reduce(self, v):

@@ -87,7 +87,7 @@ def hnf(rows, transform: bool = False):
     return result
 
 
-def left_kernel(rows, n_cols=None):
+def left_kernel(rows):
     """Basis of {x in Z^m : x * rows == 0} (combinations of rows vanishing).
 
     The returned basis is saturated (it spans the full rational kernel and
@@ -103,7 +103,7 @@ def left_kernel(rows, n_cols=None):
 def right_kernel(rows, n_cols):
     """Basis of {v in Z^n : rows * v == 0}."""
     t = [[rows[i][j] for i in range(len(rows))] for j in range(n_cols)]
-    return left_kernel(t, len(rows))
+    return left_kernel(t)
 
 
 def saturate_rows(rows, n_cols):
@@ -119,7 +119,7 @@ def saturate_rows(rows, n_cols):
         return [list(r) for r in hnf([[int(i == j) for j in range(n_cols)]
                                       for i in range(n_cols)])]
     t = [[ker[i][j] for i in range(len(ker))] for j in range(n_cols)]
-    return [list(r) for r in hnf(left_kernel(t, len(ker)))]
+    return [list(r) for r in hnf(left_kernel(t))]
 
 
 def snf_invariants(rows):

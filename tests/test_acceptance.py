@@ -5,10 +5,12 @@ and surjectivity criteria are pinned to their stated values.  Suites are
 computed once per session and shared across the criteria they support.
 """
 
+import json
 import time
+from pathlib import Path
 
-from malcev.verify import (suite_basis, suite_bch_oracle, suite_csp,
-                           suite_fiber, suite_free_iso, suite_hull,
+from malcev.verify import (SUITE_FUNCS, suite_basis, suite_bch_oracle,
+                           suite_csp, suite_fiber, suite_free_iso, suite_hull,
                            suite_ia_structure, suite_strong_approx)
 
 _CACHE = {}
@@ -111,3 +113,17 @@ def test_criteria_complete_and_kernel_examples():
     """The torsion-shift kernel enumerations ride with the fiber suite."""
     rep, dt = _suite("fiber", suite_fiber)
     _report("K", rep, ["torsion-shift kernel"], dt)
+
+
+def test_reports_match_the_pinned_seed0_run():
+    """Every suite's report, less its timings, as `malcev verify all` gave it
+    when tests/data/verify_all_seed0.json was recorded."""
+    pinned = json.loads((Path(__file__).parent / "data"
+                         / "verify_all_seed0.json").read_text())
+    assert [doc["suite"] for doc in pinned] == list(SUITE_FUNCS)
+    for want in pinned:
+        rep, _ = _suite(want["suite"], SUITE_FUNCS[want["suite"]])
+        got = json.loads(json.dumps(rep.to_doc()))
+        for check in got["checks"]:
+            del check["seconds"]
+        assert got == want

@@ -3,12 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from malcev import unitriangular as ut
-from malcev.autos import (IAStarEquations, LieAutomorphism, aut_star_image,
-                          csp_witness, enumerate_ia_star, ia_star_positions,
-                          is_ia_star, is_lie_aut, make_ia_star,
-                          matrix_from_adapted, mod_m_group,
-                          stabilizes_lattice, strong_approx_check)
+from malcev import linalg, unitriangular as ut
+from malcev.autos import (IAStarEquations, LieAutomorphism, adapted_matrix,
+                          aut_star_image, csp_witness, enumerate_ia_star,
+                          ia_star_positions, is_ia_star, is_lie_aut,
+                          make_ia_star, matrix_from_adapted, mod_m_group,
+                          stabilizes_lattice, strong_approx_check,
+                          subgroup_closure_mod)
+from malcev.catalog import CSP_SUBGROUPS
 from malcev.hull import GenGroup, lattice_hull
 
 
@@ -258,3 +260,20 @@ def test_mod_m_counts_multiplicative_over_coprime_levels():
     eq23 = IAStarEquations(psi.hull)
     assert len(eq23.solutions_mod(6)) == \
         len(eq23.solutions_mod(2)) * len(eq23.solutions_mod(3))
+
+
+def test_subgroup_closure_mod_is_closed_under_inverses():
+    h = heis_hull()
+
+    def reduced(A, m):
+        return tuple(tuple(int(x) % m for x in row) for row in A)
+
+    for entry, desc, gen_entries, _ in CSP_SUBGROUPS:
+        if entry != "heisenberg":
+            continue
+        gens = [make_ia_star(h, e) for e in gen_entries]
+        for m in range(2, 7):
+            image = subgroup_closure_mod(h, gens, m)
+            assert all(reduced(adapted_matrix(h, g), m) in image for g in gens)
+            for A in image:
+                assert reduced(linalg.mat_inv(A), m) in image, (desc, m, A)

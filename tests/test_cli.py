@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,16 @@ def test_fiber_commands(capsys, tmp_path):
                        "--entry", "z2z4", "--sigma1", str(sig),
                        "--sigma2", "[0, 2, 1, 3]")
     assert code == 1
+
+
+@pytest.mark.parametrize("name", ["fiber_z2z4_bad_pi1.json",
+                                  "fiber_z2z4_bad_pi2.json"])
+def test_fiber_values_outside_q_are_input_errors(capsys, name):
+    path = Path(__file__).parent / "data" / name
+    code, out, err = run(capsys, "fiber", "build", "--fiber", str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err and "is not an element of Q" in err
+    assert "Traceback" not in err
 
 
 def test_verify_hull_suite(capsys):

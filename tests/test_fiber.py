@@ -170,6 +170,15 @@ def test_free_abelianization_examples():
     assert dg == 1 and repg["rank_matches"] and repg["invariants"] == []
 
 
+def test_maps_identity_rejects_a_wrong_first_layer():
+    u = build_fiber("heis3")
+    # with d = 3 the central basis vector counts as first layer, and the
+    # commutator of the two generators has a nonzero coordinate there
+    u.hull.d = 3
+    _, rep = free_abelianization_check(u)
+    assert rep["maps_identity"] is False and rep["rank_matches"] is False
+
+
 def test_ia_kernel_enum_examples():
     u = z2z4()
     gens = [FiberElement((F(1),), 1), FiberElement((F(0),), 2)]

@@ -5,7 +5,8 @@ import pytest
 from malcev.catalog import build_fiber
 from malcev.errors import CapExceeded
 from malcev.fiber import FiberQuotient, hom_test_scale
-from malcev.finite import FiniteGroup, closure, compose_perms, extend_hom
+from malcev.finite import (FiniteGroup, check_onto, closure, compose_perms,
+                           cosets, extend_hom, induced_map)
 
 
 def test_cyclic_and_product():
@@ -180,3 +181,48 @@ def test_extend_hom_on_fiber_quotient():
     tampered[-1] = 1
     assert extend_hom(fq.identity_key(), keys, tampered, fq.mul, fq.order,
                       u.p2) is None
+
+
+# -- coset tables, onto-Q checks and induced maps -----------------------------
+
+
+def test_cosets_match_the_brute_partition():
+    for name, g in small_groups().items():
+        subgroups = {frozenset(g.subgroup_closure(elements))
+                     for size in range(3)
+                     for elements in itertools.combinations(range(g.order), size)}
+        for normal in (n for n in subgroups if g.is_normal(n)):
+            reps, coset_of = cosets(range(g.order), normal, g.mul)
+            brute = []  # the cosets aN, in order of their first element
+            for a in range(g.order):
+                coset = frozenset(g.mul(a, h) for h in normal)
+                if coset not in brute:
+                    brute.append(coset)
+            assert reps == [min(c) for c in brute], (name, normal)
+            assert set(coset_of) == set(range(g.order))
+            for i, coset in enumerate(brute):
+                assert {b for b, c in coset_of.items() if c == i} == coset
+            quo, proj = g.quotient(normal)
+            assert quo.order == len(brute) and quo.validate() == []
+            assert all(proj[g.mul(a, b)] == quo.mul(proj[a], proj[b])
+                       for a in range(g.order) for b in range(g.order))
+
+
+def test_check_onto():
+    z4, z2 = FiniteGroup.cyclic(4), FiniteGroup.cyclic(2)
+    check_onto((0, 1, 0, 1), z4.mul, z2, "not a hom", "not onto")
+    with pytest.raises(ValueError, match="not a hom"):
+        check_onto((0, 1, 1, 0), z4.mul, z2, "not a hom", "not onto")
+    with pytest.raises(ValueError, match="not onto"):
+        check_onto((0, 0, 0, 0), z4.mul, z2, "not a hom", "not onto")
+    with pytest.raises(ValueError, match="value 2 at position 3"):
+        check_onto((0, 1, 0, 2), z4.mul, z2, "not a hom", "not onto")
+    with pytest.raises(ValueError, match="value -1 at position 1"):
+        check_onto((0, -1, 0, 1), z4.mul, z2, "not a hom", "not onto")
+
+
+def test_induced_map_witness():
+    assert induced_map([(0, 0), (1, 1), (0, 0)], 2) == ((0, 1), None)
+    # source 1 is sent to 0 and then to 1: the witness is 1
+    assert induced_map([(0, 1), (1, 0), (0, 1), (1, 1), (0, 0)], 2) == (None, 1)
+    assert induced_map(iter([(0, 0), (1, None)]), 2) == (None, 1)

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from malcev import unitriangular as ut
+from malcev.catalog import CATALOG, build_hull
 from malcev.errors import SublatticeError, UnsupportedInputForm
-from malcev.hull import (GenGroup, LatticeQuotient, adapted_basis,
-                         congruence_scale, congruence_sublattice, derived_lattice_data,
-                         finite_quotient, group_index_in_hull, hull_of_lattice,
-                         lattice_hull, lie_span)
+from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
+                         adapted_basis, congruence_scale, congruence_sublattice,
+                         derived_lattice_data, finite_quotient, group_index_in_hull,
+                         hull_of_lattice, lattice_hull, lie_span)
 from malcev.lattices import hnf_lattice, lattice_index
 from malcev.liealg import GroupElement, NilpotentLieAlgebra
 
@@ -107,6 +108,23 @@ def test_congruence_sublattice():
     from malcev.autos import enumerate_ia_star
     for aut in enumerate_ia_star(heis, 2):
         assert all(sub.member(aut.apply(b)) for b in sub.basis())
+
+
+def test_congruence_scale_catalog_values():
+    # recorded before the scaled-lattice check moved into LatticeQuotient:
+    # every catalog hull is BCH-closed in adapted coordinates, so s = m
+    for entry in CATALOG:
+        h = build_hull(entry)
+        assert [congruence_scale(h, m) for m in range(1, 7)] == \
+            [1, 2, 3, 4, 5, 6], entry.name
+    # Z^3 in the Heisenberg algebra is not BCH-closed (bch(x, y) has z/2),
+    # so odd levels escalate once, by lcm(1, 2)
+    alg, _ = ut.tr0_algebra(3)
+    lat = hnf_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    basis, layers = adapted_basis(lat, alg)
+    h = HullResult(alg, lat, basis, layers, layers.count(1))
+    _attach_adapted(h)
+    assert [congruence_scale(h, m) for m in range(1, 7)] == [2, 2, 6, 4, 10, 6]
 
 
 def test_finite_quotient_orders_and_axioms():
