@@ -16,7 +16,7 @@ from .liealg import (GroupElement, NilpotentLieAlgebra,
                      validate_structure_constants)
 from .unitriangular import matrix_exp, matrix_log, tr0_algebra
 from .hull import (GenGroup, HullResult, LatticeQuotient, adapted_basis,
-                   congruence_scale, congruence_sublattice, derived_lattice_data,
+                   congruence_quotient, congruence_scale, derived_lattice_data,
                    finite_quotient, group_index_in_hull, hull_of_lattice,
                    lattice_hull, lie_span)
 from .autos import (IAStarEquations, LieAutomorphism, aut_star_image,

@@ -12,13 +12,12 @@ import sys
 
 from . import interchange as io
 from .autos import IAStarEquations, enumerate_ia_star, LieAutomorphism
-from .catalog import CATALOG, build_fiber, build_group, entry_by_name
+from .catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
+                      entry_by_name)
 from .errors import CapExceeded, UnsupportedInputForm
 from .fiber import find_t, ia_kernel_enum, lift_automorphism, torsion_subgroup
 from .freenil import central_tuple_iso, center, free_algebra, psi_group
-from .hull import (GenGroup, congruence_sublattice, finite_quotient,
-                   lattice_hull)
-from .lattices import lattice_index
+from .hull import GenGroup, congruence_quotient, finite_quotient, lattice_hull
 from .unitriangular import matrix_exp, matrix_log
 from .verify import SUITES, run_suite
 
@@ -69,7 +68,7 @@ def _parse_matrix_doc(doc, where: str):
         rows = doc["matrix"]
     except (KeyError, TypeError, ValueError) as e:
         raise io.FormatError(where, str(e)) from None
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if not io.is_square(rows, n):
         raise io.FormatError(where, "matrix must be n x n")
     return tuple(tuple(io.parse_rat(x, where) for x in row) for row in rows)
 
@@ -132,20 +131,19 @@ def cmd_basis(args) -> int:
 
 def cmd_quotient(args) -> int:
     group = _load_group(args)
-    hull = lattice_hull(group)
-    sub = congruence_sublattice(hull, args.m)
-    grp, _ = finite_quotient(hull, sub, order_cap=args.cap_order,
-                             table_cap=args.cap_order)
+    hull = lattice_hull(group, max_rounds=args.cap_rounds)
+    _, q = congruence_quotient(hull, args.m)
+    grp = finite_quotient(q, cap=args.cap_order)
     doc = io.finite_group_to_doc(grp)
     doc["level"] = args.m
-    doc["index"] = lattice_index(hull.lattice, sub)
+    doc["index"] = q.order
     _emit(doc, args.format, [f"order {grp.order} at level {args.m}"])
     return EXIT_OK
 
 
 def cmd_ia_enumerate(args) -> int:
     group = _load_group(args)
-    hull = lattice_hull(group)
+    hull = lattice_hull(group, max_rounds=args.cap_rounds)
     eq = IAStarEquations(hull)
     lst = enumerate_ia_star(hull, args.bound, cap=args.cap_candidates, eq=eq)
     doc = {"bound": args.bound, "count": len(lst),
@@ -164,7 +162,8 @@ def _verify_single_level(args) -> int:
         build_group(entry_by_name("heisenberg"))
     hull = lattice_hull(group)
     r = strong_approx_check(hull, args.m,
-                            point_cap=args.cap_points or 500_000)
+                            point_cap=500_000 if args.cap_points is None
+                            else args.cap_points)
     lines = [f"m={args.m}: {r['solution_count']} points, "
              f"{r['lifted']} lifted, surjective: {r['surjective']}"]
     _emit(r, args.format, lines)
@@ -174,17 +173,26 @@ def _verify_single_level(args) -> int:
 def _verify_subgroup(args) -> int:
     """verify csp --subgroup FILE: one subgroup certificate."""
     from .autos import csp_witness, LieAutomorphism
-    doc = _read_doc(args.subgroup)
+    doc = io.expect_object(_read_doc(args.subgroup), args.subgroup)
     if "entry" in doc:
-        group = build_group(entry_by_name(doc["entry"]))
+        try:
+            group = build_group(entry_by_name(doc["entry"]))
+        except KeyError as e:
+            raise io.FormatError(args.subgroup, str(e)) from None
     else:
         group = io.group_from_doc(doc.get("group", {}), args.subgroup)
     hull = lattice_hull(group)
+    gens = doc.get("generators", [])
+    if not isinstance(gens, list):
+        raise io.FormatError(args.subgroup, "generators must be a list")
     gens = [LieAutomorphism(hull.algebra, io.automorphism_from_doc(g, args.subgroup))
-            for g in doc.get("generators", [])]
+            for g in gens]
     index = doc.get("index")
+    if index is not None and (type(index) is not int or index < 1):
+        raise io.FormatError(args.subgroup, "index must be a positive integer")
     rep = csp_witness(hull, gens, index=index,
-                      level_cap=args.cap_level or 16, seed=args.seed)
+                      level_cap=16 if args.cap_level is None else args.cap_level,
+                      seed=args.seed)
     _emit(rep, args.format, [f"status {rep['status']}, m={rep.get('m')}"])
     if rep["status"] == "certified":
         return EXIT_OK
@@ -197,23 +205,24 @@ def cmd_verify(args) -> int:
     if args.suite == "csp" and args.subgroup is not None:
         return _verify_subgroup(args)
     caps = {}
-    if args.suite == "strong-approx" and args.cap_points:
+    if args.suite == "strong-approx" and args.cap_points is not None:
         caps["point_cap"] = args.cap_points
-    if args.suite == "csp" and args.cap_level:
+    if args.suite == "csp" and args.cap_level is not None:
         caps["level_cap"] = args.cap_level
-    if args.suite == "free-iso" and args.cap_box:
+    if args.suite == "free-iso" and args.cap_box is not None:
         caps["box"] = args.cap_box
     reports = run_suite(args.suite, seed=args.seed, **caps)
     lines = []
     worst = EXIT_OK
     for rep in reports:
-        lines.append(f"suite {rep.suite}: "
-                     f"{'pass' if rep.passed else 'FAIL'}")
+        failed = any(c["status"] == "fail" for c in rep.checks)
+        verdict = "FAIL" if failed else "pass" if rep.passed else "inconclusive"
+        lines.append(f"suite {rep.suite}: {verdict}")
         for c in rep.checks:
             mark = {"pass": "ok  ", "fail": "FAIL", "inconclusive": "inc "}
             lines.append(f"  {mark[c['status']]} {c['name']}"
                          f" [{c['seconds']}s] {c['detail']}")
-        if not rep.passed:
+        if failed:
             worst = EXIT_FAIL
         elif rep.inconclusive and worst == EXIT_OK:
             worst = EXIT_INCONCLUSIVE
@@ -378,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fiber_cmd", choices=("build", "tor", "find-t", "lift",
                                          "k-tilde"))
     p.add_argument("--fiber", help="fiber interchange file")
-    p.add_argument("--entry", help="named torsion catalog entry")
+    p.add_argument("--entry", help="named torsion catalog entry",
+                   choices=TORSION_NAMES)
     p.add_argument("--sigma1", help="hull-side automorphism file (lift)")
     p.add_argument("--sigma2", help="P2 permutation as a JSON list (lift)")
     p.add_argument("--cap-t", type=int, default=24)

@@ -19,7 +19,7 @@ from .autos import LieAutomorphism, is_lie_aut, stabilizes_lattice
 from .errors import CapExceeded
 from .finite import (FiniteGroup, check_onto, closure, cosets, extend_hom,
                      induced_map)
-from .hull import HullResult, LatticeQuotient, congruence_scale
+from .hull import HullResult, congruence_quotient
 from .liealg import scale_vec
 
 
@@ -37,8 +37,7 @@ class HullSide:
     def __init__(self, hull: HullResult, level: int, to_q, q: FiniteGroup):
         self.hull = hull
         self.level = level
-        self.scale = congruence_scale(hull, level)
-        self.latq = LatticeQuotient(hull, hull.lattice.scale(self.scale))
+        self.scale, self.latq = congruence_quotient(hull, level)
         self.to_q = tuple(to_q)
         self.q = q
         if len(self.to_q) != self.latq.order:
@@ -157,14 +156,14 @@ def torsion_subgroup(u: FiberGroup):
 
 
 class FiberQuotient:
-    """U / (exp(s * lattice) x {e}) as explicit (lattice rep, y) keys."""
+    """U / (exp(s * lattice) x {e}) as explicit (lattice rep, y) keys, with
+    s the congruence scale of the requested level."""
 
-    def __init__(self, u: FiberGroup, s: int):
-        if s % u.side.scale:
+    def __init__(self, u: FiberGroup, level: int):
+        if level % u.side.scale:
             raise ValueError("quotient level must refine the pi1 level")
         self.u = u
-        self.s = s
-        self.latq = LatticeQuotient(u.hull, u.hull.lattice.scale(s))
+        self.s, self.latq = congruence_quotient(u.hull, level)
         self._keys = None
 
     @property
@@ -215,8 +214,6 @@ class QuotientGroup:
         self.fq = fq
         self.normal = frozenset(normal_keys)
         self.reps, self.coset_of = cosets(fq.keys(), self.normal, fq.mul)
-        if self.coset_of[fq.identity_key()] != 0:
-            raise AssertionError("identity coset must be first")
         self.order = len(self.reps)
 
     def class_of_key(self, key) -> int:
@@ -233,36 +230,27 @@ def _p2_exponent(u: FiberGroup) -> int:
     return lcm(*map(u.p2.element_order, range(u.p2.order)))
 
 
-def quotient_scale(u: FiberGroup, m: int) -> int:
-    """Congruence level for the stand-in of the m-th power quotient."""
-    return congruence_scale(u.hull, m * lcm(_p2_exponent(u), u.side.scale))
-
-
 def hom_test_scale(u: FiberGroup) -> int:
     """A level s such that every hom U -> P2 kills exp(s*lattice) x {e}.
 
     Needs exp(P2) * (pi1 level scale) | s: then any such element is the
-    exp(P2)-th power of an element of ker(pi1) x {e}.
+    exp(P2)-th power of an element of ker(pi1) x {e}.  Every multiple of s
+    qualifies too, so the scale FiberQuotient escalates s to does.
     """
-    return congruence_scale(u.hull, _p2_exponent(u) * u.side.scale)
+    return _p2_exponent(u) * u.side.scale
 
 
-@dataclass
-class LevelQuotient:
+def level_quotient(u: FiberGroup, m: int) -> QuotientGroup:
     """Finite stand-in for the level-m quotient: F_s / (m-th powers)."""
-
-    m: int
-    s: int
-    fq: FiberQuotient
-    verbal: frozenset
-    group: QuotientGroup
+    fq = FiberQuotient(u, m * lcm(_p2_exponent(u), u.side.scale))
+    return QuotientGroup(fq, fq.verbal_power_subgroup(m))
 
 
-def level_quotient(u: FiberGroup, m: int) -> LevelQuotient:
-    s = quotient_scale(u, m)
-    fq = FiberQuotient(u, s)
-    verbal = frozenset(fq.verbal_power_subgroup(m))
-    return LevelQuotient(m, s, fq, verbal, QuotientGroup(fq, verbal))
+def _separates_torsion(lq: QuotientGroup) -> bool:
+    """No non-identity element of tor(U) lies in the verbal subgroup."""
+    fq = lq.fq
+    return all(key == fq.identity_key() or key not in lq.normal
+               for key in map(fq.reduce, fq.u.torsion_elements()))
 
 
 def find_t(u: FiberGroup, cap: int = 24):
@@ -271,16 +259,8 @@ def find_t(u: FiberGroup, cap: int = 24):
     Sufficient for tor(U) & U^t = {e} (tor embeds in the quotient); not
     always minimal over U itself.
     """
-    torsion = u.torsion_elements()
     for t in range(1, cap + 1):
-        lq = level_quotient(u, t)
-        ok = True
-        for tau in torsion:
-            key = lq.fq.reduce(tau)
-            if key != lq.fq.identity_key() and key in lq.verbal:
-                ok = False
-                break
-        if ok:
+        if _separates_torsion(level_quotient(u, t)):
             return t
     raise CapExceeded(f"no separating exponent t <= {cap}")
 
@@ -482,8 +462,7 @@ def ia_kernel_enum(u: FiberGroup, gens=None, candidate_cap: int = 4096):
     if len(torsion) ** len(gens) > candidate_cap:
         raise CapExceeded(f"{len(torsion) ** len(gens)} candidate maps exceed"
                           f" the cap {candidate_cap}")
-    s = hom_test_scale(u)
-    fq = FiberQuotient(u, s)
+    fq = FiberQuotient(u, hom_test_scale(u))
     gen_keys = [fq.reduce(g) for g in gens]
 
     def extend(ys):
@@ -540,11 +519,7 @@ def reconstruction_check(u: FiberGroup, m: int):
     lq = level_quotient(u, m)
     fq = lq.fq
     # injectivity: ker(rho) = tor & ker(U -> Q_m)
-    injective = True
-    for tau in u.torsion_elements():
-        key = fq.reduce(tau)
-        if key != fq.identity_key() and key in lq.verbal:
-            injective = False
+    injective = _separates_torsion(lq)
     # hull-side level-m quotient Delta_m = (lattice/s) / (m-th powers)
     hull_fq = fq.latq
     hgens = {hull_fq.power(rep, m) for rep in hull_fq.elements()}
@@ -555,7 +530,7 @@ def reconstruction_check(u: FiberGroup, m: int):
         return delta_coset[rep]
 
     def leg_qm_to_delta(cid):
-        rep, _y = lq.group.reps[cid]
+        rep, _y = lq.reps[cid]
         return delta_coset[rep]
 
     # the shadow of Delta is the full congruence quotient at the same level;
@@ -563,19 +538,19 @@ def reconstruction_check(u: FiberGroup, m: int):
     # exp(s*lattice) x {e} lies in both ker(pi1) and ker(U -> Q_m)
     seen_pairs = set()
     delta_m_size = len(delta_reps)
-    if (hull_fq.order * lq.group.order) % delta_m_size:
+    if (hull_fq.order * lq.order) % delta_m_size:
         raise RuntimeError("|Delta_m| must divide |Delta_s| * |Q_m|")
-    target_size = hull_fq.order * lq.group.order // delta_m_size
+    target_size = hull_fq.order * lq.order // delta_m_size
     for key in fq.keys():
         rep, _y = key
-        seen_pairs.add((rep, lq.group.class_of_key(key)))
+        seen_pairs.add((rep, lq.class_of_key(key)))
     surjective = len(seen_pairs) == target_size
     # sanity: every pair seen is compatible over Delta_m
     compatible = all(leg_delta(rep) == leg_qm_to_delta(c)
                      for (rep, c) in seen_pairs)
     return {
         "m": m,
-        "level": lq.s,
+        "level": fq.s,
         "injective": injective,
         "surjective": surjective,
         "compatible": compatible,
@@ -584,17 +559,17 @@ def reconstruction_check(u: FiberGroup, m: int):
     }
 
 
-def induced_on_level_quotient(lq: LevelQuotient, aut):
+def induced_on_level_quotient(lq: QuotientGroup, aut):
     """The permutation induced on Q_m by an automorphism with .apply().
 
     Verified to be well defined on every element of the finite quotient.
     """
     fq = lq.fq
-    perm = [None] * lq.group.order
+    perm = [None] * lq.order
     for key in fq.keys():
         el = fq.element_from_key(key)
-        src = lq.group.class_of_key(key)
-        dst = lq.group.class_of_element(aut.apply(el))
+        src = lq.class_of_key(key)
+        dst = lq.class_of_element(aut.apply(el))
         if perm[src] is None:
             perm[src] = dst
         elif perm[src] != dst:
@@ -631,12 +606,12 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
             if not u.member(el):
                 raise ValueError("element outside the fiber group")
             x_new = beta.apply(el.x)
-            target_class = alpha_m[lq.group.class_of_element(el)]
+            target_class = alpha_m[lq.class_of_element(el)]
             candidates = []
             for y in range(u.p2.order):
                 cand = FiberElement(x_new, y)
                 if u.member(cand) and \
-                        lq.group.class_of_element(cand) == target_class:
+                        lq.class_of_element(cand) == target_class:
                     candidates.append(cand)
             if len(candidates) != 1:
                 raise ValueError("alpha_m is not realizable over the supplied"
@@ -647,8 +622,8 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
     # verify the reduction of alpha is alpha_m on the whole finite quotient
     for key in fq.keys():
         el = fq.element_from_key(key)
-        got = lq.group.class_of_element(alpha.apply(el))
-        if got != alpha_m[lq.group.class_of_key(key)]:
+        got = lq.class_of_element(alpha.apply(el))
+        if got != alpha_m[lq.class_of_key(key)]:
             raise AssertionError("transported map does not reduce to alpha_m")
     # IA*-ness, literally: the free abelianization reads off the first-layer
     # adapted coordinates of the hull part, and alpha must fix them

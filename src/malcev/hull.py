@@ -254,25 +254,24 @@ def derived_lattice_data(group: GenGroup, hull: HullResult):
 ESCALATION_CAP = 6
 
 
-def congruence_scale(hull: HullResult, m: int) -> int:
-    """Smallest s = m * lcm(1..c)^e (e <= ESCALATION_CAP) with exp(s*lat) a
-    verified normal subgroup of exp(lat)."""
+def congruence_quotient(hull: HullResult, m: int):
+    """(s, exp(lat)/exp(s*lat)) for the smallest s = m * lcm(1..c)^e
+    (e <= ESCALATION_CAP) with exp(s*lat) a verified normal subgroup."""
     if m < 1:
         raise ValueError("level must be >= 1")
     P = math.lcm(*range(1, hull.algebra.nilpotency_class + 1))
     s = m
     for _ in range(ESCALATION_CAP + 1):
         try:
-            LatticeQuotient(hull, hull.lattice.scale(s))
-            return s
+            return s, LatticeQuotient(hull, hull.lattice.scale(s))
         except SublatticeError:
             s *= P
     raise CapExceeded("no BCH-closed scaled lattice within the escalation cap")
 
 
-def congruence_sublattice(hull: HullResult, m: int) -> Lattice:
-    """The automorphism-stable congruence sublattice s * lat at level m."""
-    return hull.lattice.scale(congruence_scale(hull, m))
+def congruence_scale(hull: HullResult, m: int) -> int:
+    """The scale s of ``congruence_quotient(hull, m)``."""
+    return congruence_quotient(hull, m)[0]
 
 
 class LatticeQuotient:
@@ -371,26 +370,13 @@ class LatticeQuotient:
         return self.reduce(u)
 
 
-def finite_quotient(hull: HullResult, sub: Lattice, order_cap: int = 10 ** 6,
-                    table_cap: int = 4096):
-    """Cayley-table group exp(lat)/exp(sub) on canonical coset reps.
-
-    Returns (group, quotient) where quotient is the LatticeQuotient carrying
-    the representative arithmetic.  Identity has index 0.
-    """
-    q = LatticeQuotient(hull, sub)
-    if q.order > order_cap:
-        raise CapExceeded(f"quotient order {q.order} exceeds cap {order_cap}")
-    if q.order > table_cap:
-        raise CapExceeded(f"quotient order {q.order} exceeds the Cayley table cap"
-                          f" {table_cap}; use LatticeQuotient directly")
+def finite_quotient(q: LatticeQuotient, cap: int = 4096) -> FiniteGroup:
+    """Cayley-table group of q on its canonical reps; identity has index 0."""
+    if q.order > cap:
+        raise CapExceeded(f"quotient order {q.order} exceeds cap {cap}")
     reps = list(q.elements())
-    table = [[0] * q.order for _ in range(q.order)]
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i][j] = q.index_of(q.mul(a, b))
-    group = FiniteGroup(tuple(tuple(r) for r in table))
-    return group, q
+    return FiniteGroup(tuple(tuple(q.index_of(q.mul(a, b)) for b in reps)
+                             for a in reps))
 
 
 def group_index_in_hull(group: GenGroup, hull: HullResult) -> int:

@@ -30,6 +30,19 @@ def format_rat(x) -> str:
         else str(x.numerator)
 
 
+def expect_object(doc, where: str):
+    """doc itself, if it is a JSON object."""
+    if not isinstance(doc, dict):
+        raise FormatError(where, "expected a JSON object")
+    return doc
+
+
+def is_square(rows, n: int) -> bool:
+    """rows is a list of n lists of length n."""
+    return isinstance(rows, list) and len(rows) == n and \
+        all(isinstance(r, list) and len(r) == n for r in rows)
+
+
 def parse_rat(s, where: str = "rational") -> Fraction:
     try:
         if isinstance(s, str):
@@ -82,6 +95,8 @@ def algebra_from_doc(doc, where: str = "algebra") -> NilpotentLieAlgebra:
         entries = doc["brackets"]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(where, str(e)) from None
+    if not isinstance(entries, list):
+        raise FormatError(where, "brackets must be a list")
     raw = {}
     for idx, item in enumerate(entries):
         loc = f"{where}.brackets[{idx}]"
@@ -92,7 +107,7 @@ def algebra_from_doc(doc, where: str = "algebra") -> NilpotentLieAlgebra:
             raise FormatError(loc, str(e)) from None
         if not (0 <= i < dim and 0 <= j < dim):
             raise FormatError(loc, "index out of range")
-        if len(value) != dim:
+        if not isinstance(value, list) or len(value) != dim:
             raise FormatError(loc, "bracket vector has wrong length")
         raw[(i, j)] = tuple(parse_rat(x, loc) for x in value)
     report, canonical = validate_structure_constants(dim, raw)
@@ -117,13 +132,14 @@ def group_to_doc(group: GenGroup) -> dict:
 
 
 def group_from_doc(doc, where: str = "group") -> GenGroup:
-    alg = algebra_from_doc(doc.get("algebra", {}), where + ".algebra")
+    alg = algebra_from_doc(expect_object(doc, where).get("algebra", {}),
+                           where + ".algebra")
     gens = doc.get("generators")
-    if not gens:
+    if not gens or not isinstance(gens, list):
         raise FormatError(where, "nonempty generators required")
     logs = []
     for idx, g in enumerate(gens):
-        if len(g) != alg.dim:
+        if not isinstance(g, list) or len(g) != alg.dim:
             raise FormatError(f"{where}.generators[{idx}]", "wrong length")
         logs.append(tuple(parse_rat(x, f"{where}.generators[{idx}]") for x in g))
     return GenGroup(alg, tuple(logs), bool(doc.get("filtered", False)))
@@ -142,7 +158,7 @@ def automorphism_from_doc(doc, where: str = "automorphism"):
         rows = doc["matrix"]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(where, str(e)) from None
-    if len(rows) != k or any(len(r) != k for r in rows):
+    if not is_square(rows, k):
         raise FormatError(where, "matrix must be k x k")
     return tuple(tuple(parse_rat(x, where) for x in row) for row in rows)
 
@@ -186,7 +202,8 @@ def fiber_to_doc(u) -> dict:
 def fiber_from_doc(doc, where: str = "fiber"):
     from .fiber import FiberGroup, HullSide
     from .hull import lattice_hull
-    group = group_from_doc(doc.get("hull_group", {}), where + ".hull_group")
+    group = group_from_doc(expect_object(doc, where).get("hull_group", {}),
+                           where + ".hull_group")
     hull = lattice_hull(group)
     try:
         level = int(doc["level"])

@@ -146,6 +146,36 @@ def test_fiber_commands(capsys, tmp_path):
                        "--entry", "z2z4", "--sigma1", str(sig),
                        "--sigma2", "[0, 2, 1, 3]")
     assert code == 1
+    code, out, _ = run(capsys, "fiber", "tor", "--entry", "no-such-entry")
+    assert code == 2 and out == ""
+
+
+_HEIS_ALGEBRA = io.algebra_to_doc(tr0_algebra(3)[0])
+_SUBGROUP_ARGS = ("verify", "csp", "--subgroup")
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (("bch", "--x", "[1]", "--y", "[1]", "--algebra"),
+     {"dim": 1, "class": 1, "brackets": 7}),
+    (("bch", "--x", "[1, 0]", "--y", "[0, 1]", "--algebra"),
+     {"dim": 2, "class": 2, "brackets": [[1, 2, 5]]}),
+    (("hull", "--group"), {"algebra": _HEIS_ALGEBRA, "generators": [5]}),
+    (("hull", "--group"), {"algebra": _HEIS_ALGEBRA, "generators": 5}),
+    (("log", "--matrix"), {"n": 2, "matrix": 5}),
+    (("exp", "--matrix"), {"n": 2, "matrix": [5, 6]}),
+    (("hull", "--group"), [1, 2]),
+    (("fiber", "build", "--fiber"), [1, 2]),
+    (_SUBGROUP_ARGS, [1, 2]),
+    (_SUBGROUP_ARGS, {"entry": "no-such-entry"}),
+    (_SUBGROUP_ARGS, {"entry": "heisenberg", "generators": 5}),
+    (_SUBGROUP_ARGS, {"entry": "heisenberg", "index": "2"}),
+])
+def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["fiber_z2z4_bad_pi1.json",
@@ -204,6 +234,27 @@ def test_verify_csp_subgroup_file(capsys, tmp_path):
     code, out, _ = run(capsys, "--format", "json", "verify", "csp",
                        "--subgroup", str(sub), "--cap-level", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--entry", "heisenberg", "--m", "2", "--cap-rounds", "0"],
+    ["ia-enumerate", "--entry", "heisenberg", "--bound", "1",
+     "--cap-rounds", "0"],
+    ["verify", "strong-approx", "--m", "2", "--cap-points", "0"],
+    ["verify", "strong-approx", "--cap-points", "0"],
+    ["verify", "csp", "--cap-level", "0"],
+])
+def test_zero_caps_are_honoured_and_inconclusive(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3, (out, err)
+    assert "FAIL" not in out
+
+
+def test_verify_passes_the_box_cap_through(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "free-iso",
+                       "--cap-box", "0")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["caps"]["box"] == 0
 
 
 def test_reports_deterministic_under_seed():

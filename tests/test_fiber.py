@@ -112,7 +112,7 @@ def test_find_t_examples():
     lq = level_quotient(u, 2)
     for tau in u.torsion_elements():
         key = lq.fq.reduce(tau)
-        assert key == lq.fq.identity_key() or key not in lq.verbal
+        assert key == lq.fq.identity_key() or key not in lq.normal
 
 
 def test_lift_automorphism_examples():
@@ -211,7 +211,7 @@ def test_level_lift_identity_and_kernel():
     u = z2z4()
     beta_id = LieAutomorphism(u.hull.algebra, ((F(1),),))
     lq = level_quotient(u, 4)
-    ident_perm = tuple(range(lq.group.order))
+    ident_perm = tuple(range(lq.order))
     alpha = lift_from_level_image(u, 4, ident_perm, beta_id)
     for g in u.generators():
         assert alpha.apply(g) == g
@@ -252,8 +252,8 @@ def test_level_lift_unrealizable_image():
     beta_id = LieAutomorphism(u.hull.algebra, ((F(1),),))
     lq = level_quotient(u, 4)
     # swap the identity coset with a coset having a different hull part
-    target = next(i for i, key in enumerate(lq.group.reps) if any(key[0]))
-    perm = list(range(lq.group.order))
+    target = next(i for i, key in enumerate(lq.reps) if any(key[0]))
+    perm = list(range(lq.order))
     perm[0], perm[target] = perm[target], perm[0]
     with pytest.raises((ValueError, AssertionError)):
         lift_from_level_image(u, 4, tuple(perm), beta_id)

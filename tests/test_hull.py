@@ -5,9 +5,9 @@ import pytest
 
 from malcev import unitriangular as ut
 from malcev.catalog import CATALOG, build_hull
-from malcev.errors import SublatticeError, UnsupportedInputForm
+from malcev.errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
-                         adapted_basis, congruence_scale, congruence_sublattice,
+                         adapted_basis, congruence_quotient, congruence_scale,
                          derived_lattice_data, finite_quotient, group_index_in_hull,
                          hull_of_lattice, lattice_hull, lie_span)
 from malcev.lattices import hnf_lattice, lattice_index
@@ -98,7 +98,7 @@ def test_congruence_sublattice():
     assert congruence_scale(h, 3) == 3
     heis = lattice_hull(heis_group())
     assert congruence_scale(heis, 2) == 2
-    sub = congruence_sublattice(heis, 2)
+    sub = heis.lattice.scale(congruence_scale(heis, 2))
     assert sub == heis.lattice.scale(2)
     from malcev.freenil import psi_group
     psi23 = psi_group(2, 3)
@@ -110,13 +110,21 @@ def test_congruence_sublattice():
         assert all(sub.member(aut.apply(b)) for b in sub.basis())
 
 
+def _check_congruence_quotients(h, scales, name):
+    """congruence_quotient returns the pinned scale and a quotient whose
+    order is the lattice index, an independent determinant."""
+    for m, want in enumerate(scales, 1):
+        s, q = congruence_quotient(h, m)
+        assert s == want == congruence_scale(h, m), name
+        assert q.order == lattice_index(h.lattice, h.lattice.scale(s)), name
+
+
 def test_congruence_scale_catalog_values():
     # recorded before the scaled-lattice check moved into LatticeQuotient:
     # every catalog hull is BCH-closed in adapted coordinates, so s = m
     for entry in CATALOG:
-        h = build_hull(entry)
-        assert [congruence_scale(h, m) for m in range(1, 7)] == \
-            [1, 2, 3, 4, 5, 6], entry.name
+        _check_congruence_quotients(build_hull(entry), [1, 2, 3, 4, 5, 6],
+                                    entry.name)
     # Z^3 in the Heisenberg algebra is not BCH-closed (bch(x, y) has z/2),
     # so odd levels escalate once, by lcm(1, 2)
     alg, _ = ut.tr0_algebra(3)
@@ -124,20 +132,23 @@ def test_congruence_scale_catalog_values():
     basis, layers = adapted_basis(lat, alg)
     h = HullResult(alg, lat, basis, layers, layers.count(1))
     _attach_adapted(h)
-    assert [congruence_scale(h, m) for m in range(1, 7)] == [2, 2, 6, 4, 10, 6]
+    _check_congruence_quotients(h, [2, 2, 6, 4, 10, 6], "Z^3")
 
 
 def test_finite_quotient_orders_and_axioms():
     ab = NilpotentLieAlgebra.abelian(2)
     h = lattice_hull(GenGroup.from_elements(ab, [(1, 0), (0, 1)]))
-    klein, _ = finite_quotient(h, h.lattice.scale(2))
+    klein = finite_quotient(LatticeQuotient(h, h.lattice.scale(2)))
     assert klein.order == 4
     assert all(klein.mul(a, a) == 0 for a in range(4))  # Klein four-group
     heis = lattice_hull(heis_group())
-    grp, quo = finite_quotient(heis, congruence_sublattice(heis, 2))
+    _, quo = congruence_quotient(heis, 2)
+    grp = finite_quotient(quo, cap=8)
     assert grp.order == 8
     assert grp.validate() == []
-    trivial, _ = finite_quotient(heis, heis.lattice)
+    with pytest.raises(CapExceeded, match="quotient order 8 exceeds cap 7"):
+        finite_quotient(quo, cap=7)
+    trivial = finite_quotient(LatticeQuotient(heis, heis.lattice))
     assert trivial.order == 1
     # BCH-closure failures are rejected (center too sparse for the halves)
     with pytest.raises(SublatticeError):
@@ -147,7 +158,7 @@ def test_finite_quotient_orders_and_axioms():
 
 def test_quotient_reduce_roundtrip():
     heis = lattice_hull(heis_group())
-    quo = LatticeQuotient(heis, congruence_sublattice(heis, 3))
+    _, quo = congruence_quotient(heis, 3)
     rng = random.Random(0)
     for _ in range(50):
         v = tuple(rng.randint(-9, 9) for _ in range(3))
