@@ -267,6 +267,7 @@ class IAStarEquations:
             s.snf = linalg.snf_with_transforms(C, len(s.vars)) if s.rows \
                 else ([], [], [tuple(int(i == j) for j in range(len(s.vars)))
                               for i in range(len(s.vars))])
+        self._lift_memo = (None, {})   # (modulus, prefix values -> partial lift)
 
     def _saturate_stratum(self, s):
         monos = sorted({m for _, rem in s.rows for m, _ in rem})
@@ -369,9 +370,35 @@ class IAStarEquations:
 
         Straight-line Hensel: each stratum is solved exactly over Z with the
         congruence constraint; free coordinates of the correction are zero.
+        A stratum's solution depends only on the strata before it, so the
+        partial lift of every stratum but the last is memoized on its mod-m
+        values (None when that prefix does not lift).  The memo holds one
+        modulus at a time.
         """
-        exact = [None] * self.nvars
-        for s in self.strata:
+        if not self.strata:
+            return ()
+        *head, last = self.strata
+        key = tuple(assignment[v] % m for s in head for v in s.vars)
+        if self._lift_memo[0] != m:
+            self._lift_memo = (m, {})
+        memo = self._lift_memo[1]
+        if key in memo:
+            prefix = memo[key]
+        else:
+            exact = [None] * self.nvars
+            ok = self._lift_strata(head, assignment, m, exact)
+            prefix = memo[key] = tuple(exact) if ok else None
+        if prefix is None:
+            return None
+        exact = list(prefix)
+        if not self._lift_strata((last,), assignment, m, exact):
+            return None
+        return tuple(exact)
+
+    def _lift_strata(self, strata, assignment, m, exact) -> bool:
+        """Solve the given strata in order into ``exact``; False if one of
+        them has no exact solution over the values already in ``exact``."""
+        for s in strata:
             u = len(s.vars)
             xbar = [assignment[v] % m for v in s.vars]
             if not s.rows:
@@ -383,14 +410,14 @@ class IAStarEquations:
                 t = self._rem_value(rem, exact) + \
                     sum(c * x for c, x in zip(lin, xbar))
                 if t % m:
-                    return None
+                    return False
                 resid.append(-(t // m))
             diag, U, V = s.snf
             c = [sum(U[i][j] * resid[j] for j in range(len(resid)))
                  for i in range(len(resid))]
             rank = len(diag)
             if any(c[i] for i in range(rank, len(c))):
-                return None
+                return False
             w = [0] * u
             feasible = True
             for i in range(rank):
@@ -399,11 +426,11 @@ class IAStarEquations:
                     break
                 w[i] = c[i] // diag[i]
             if not feasible:
-                return None
+                return False
             z = [sum(V[t][j] * w[j] for j in range(u)) for t in range(u)]
             for t, v in enumerate(s.vars):
                 exact[v] = xbar[t] + m * z[t]
-        return tuple(exact)
+        return True
 
     def enumerate_integral(self, bound: int, cap: int = 10 ** 6):
         """All exact integer solutions with every variable in [-bound, bound]."""
@@ -497,7 +524,7 @@ def enumerate_ia_star(hull: HullResult, bound: int, cap: int = 10 ** 6,
     for values in sols:
         aut = eq.automorphism(values)
         if not is_ia_star(aut, hull):
-            raise AssertionError("equation solution failed is_ia_star validation")
+            raise RuntimeError("equation solution failed is_ia_star validation")
         out.append(aut)
     return out
 
@@ -527,7 +554,7 @@ def strong_approx_check(hull: HullResult, m: int,
                 break
             continue
         if any((e - v) % m for e, v in zip(exact, a)):
-            raise AssertionError("lift does not reduce to its point")
+            raise RuntimeError("lift does not reduce to its point")
         lifted += 1
     return {
         "m": m,
@@ -614,7 +641,7 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
             if reduced != ident:
                 continue
             if reduced not in image:
-                raise AssertionError("kernel element escapes the image")
+                raise RuntimeError("kernel element escapes the image")
             kernel_checked += 1
         return {"m": m, "index": index, "universe": len(universe),
                 "image": len(image), "kernel_samples": kernel_checked,

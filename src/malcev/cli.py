@@ -18,7 +18,8 @@ from .errors import CapExceeded, UnsupportedInputForm
 from .fiber import find_t, ia_kernel_enum, lift_automorphism, torsion_subgroup
 from .freenil import central_tuple_iso, center, free_algebra, psi_group
 from .hull import GenGroup, congruence_quotient, finite_quotient, lattice_hull
-from .unitriangular import matrix_exp, matrix_log
+from .unitriangular import (is_strictly_upper, is_unitriangular, matrix_exp,
+                            matrix_log)
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -103,12 +104,17 @@ def cmd_bch(args) -> int:
 
 def cmd_log(args) -> int:
     m = _parse_matrix_doc(_read_doc(args.matrix), args.matrix)
+    if not is_unitriangular(m):
+        raise io.FormatError(args.matrix, "log needs a unitriangular matrix")
     _emit(_matrix_doc(matrix_log(m)), args.format)
     return EXIT_OK
 
 
 def cmd_exp(args) -> int:
     m = _parse_matrix_doc(_read_doc(args.matrix), args.matrix)
+    if not is_strictly_upper(m):
+        raise io.FormatError(args.matrix,
+                             "exp needs a strictly upper triangular matrix")
     _emit(_matrix_doc(matrix_exp(m)), args.format)
     return EXIT_OK
 
@@ -215,16 +221,16 @@ def cmd_verify(args) -> int:
     lines = []
     worst = EXIT_OK
     for rep in reports:
-        failed = any(c["status"] == "fail" for c in rep.checks)
-        verdict = "FAIL" if failed else "pass" if rep.passed else "inconclusive"
-        lines.append(f"suite {rep.suite}: {verdict}")
+        verdict = rep.verdict
+        lines.append(f"suite {rep.suite}: "
+                     f"{'FAIL' if verdict == 'fail' else verdict}")
         for c in rep.checks:
             mark = {"pass": "ok  ", "fail": "FAIL", "inconclusive": "inc "}
             lines.append(f"  {mark[c['status']]} {c['name']}"
                          f" [{c['seconds']}s] {c['detail']}")
-        if failed:
+        if verdict == "fail":
             worst = EXIT_FAIL
-        elif rep.inconclusive and worst == EXIT_OK:
+        elif verdict == "inconclusive" and worst == EXIT_OK:
             worst = EXIT_INCONCLUSIVE
     _emit({"reports": [r.to_doc() for r in reports]}, args.format, lines)
     return worst

@@ -56,9 +56,18 @@ class VerificationReport:
     def inconclusive(self) -> bool:
         return any(c["status"] == "inconclusive" for c in self.checks)
 
+    @property
+    def verdict(self) -> str:
+        """One word for the suite: a failed check makes it "fail"; otherwise
+        an inconclusive check makes it "inconclusive"; else "pass"."""
+        if any(c["status"] == "fail" for c in self.checks):
+            return "fail"
+        return "inconclusive" if self.inconclusive else "pass"
+
     def to_doc(self) -> dict:
         return {"suite": self.suite, "seed": self.seed, "caps": self.caps,
-                "passed": self.passed, "checks": self.checks}
+                "passed": self.passed, "verdict": self.verdict,
+                "checks": self.checks}
 
 
 def _timer():

@@ -12,6 +12,7 @@ from malcev.autos import (IAStarEquations, LieAutomorphism, adapted_matrix,
                           subgroup_closure_mod)
 from malcev.catalog import CSP_SUBGROUPS
 from malcev.hull import GenGroup, lattice_hull
+from malcev.liealg import NilpotentLieAlgebra
 
 
 def heis_hull():
@@ -277,3 +278,144 @@ def test_subgroup_closure_mod_is_closed_under_inverses():
             assert all(reduced(adapted_matrix(h, g), m) in image for g in gens)
             for A in image:
                 assert reduced(linalg.mat_inv(A), m) in image, (desc, m, A)
+
+
+# -- the prefix-memoized lift against the per-point lift -----------------------
+
+
+def reference_lift(eq, assignment, m):
+    """The memo-free lift: every stratum is solved again for every point."""
+    exact = [None] * eq.nvars
+    for s in eq.strata:
+        u = len(s.vars)
+        xbar = [assignment[v] % m for v in s.vars]
+        if not s.rows:
+            for v, val in zip(s.vars, xbar):
+                exact[v] = val
+            continue
+        resid = []
+        for lin, rem in s.rows:
+            t = eq._rem_value(rem, exact) + sum(c * x for c, x in zip(lin, xbar))
+            if t % m:
+                return None
+            resid.append(-(t // m))
+        diag, U, V = s.snf
+        c = [sum(U[i][j] * resid[j] for j in range(len(resid)))
+             for i in range(len(resid))]
+        rank = len(diag)
+        if any(c[i] for i in range(rank, len(c))):
+            return None
+        w = [0] * u
+        for i in range(rank):
+            if c[i] % diag[i]:
+                return None
+            w[i] = c[i] // diag[i]
+        z = [sum(V[t][j] * w[j] for j in range(u)) for t in range(u)]
+        for t, v in enumerate(s.vars):
+            exact[v] = xbar[t] + m * z[t]
+    return tuple(exact)
+
+
+def filiform_hull():
+    """A non-graded class-4 algebra: [e1,ei] = e(i+1) for i = 2..4 and
+    [e2,e3] = e5.  The bracket [e2,e3] skips a layer, so its middle IA*
+    stratum has a remainder term in a depth-1 unknown."""
+    def e(i):
+        return tuple(int(i == j) for j in range(5))
+
+    alg = NilpotentLieAlgebra(5, {(0, 1): e(2), (0, 2): e(3), (0, 3): e(4),
+                                  (1, 2): e(4)})
+    return lattice_hull(GenGroup.from_elements(alg, [e(0), e(1)]))
+
+
+def _oracle_equations(name):
+    """A fresh equations object, its levels, and two levels to alternate."""
+    from malcev.freenil import psi_group
+    if name == "psi23":
+        return IAStarEquations(psi_group(2, 3).hull), (2, 3, 4, 5), (4, 5)
+    if name == "psi24":
+        return IAStarEquations(psi_group(2, 4).hull), (2,), None
+    if name == "psi23-raw":
+        return (IAStarEquations(psi_group(2, 3).hull, saturate=False), (2,),
+                None)
+    if name == "filiform":
+        return IAStarEquations(filiform_hull()), (2, 3, 4), (3, 4)
+    return (IAStarEquations(filiform_hull(), saturate=False), (2, 3),
+            (2, 3))
+
+
+def _assert_lifts_match(eq, points, m):
+    found = 0
+    for a in points:
+        want = reference_lift(eq, a, m)
+        assert eq.lift(a, m) == want, (m, a)
+        found += want is not None
+    return found
+
+
+ORACLE_CASES = ["psi23", "psi24", "psi23-raw", "filiform", "filiform-raw"]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_memoized_lift_matches_reference_in_enumeration_order(name):
+    eq, levels, _ = _oracle_equations(name)
+    for m in levels:
+        _assert_lifts_match(eq, eq.solutions_mod(m), m)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_memoized_lift_matches_reference_in_shuffled_order(name):
+    eq, levels, _ = _oracle_equations(name)
+    rng = random.Random(5)
+    for m in levels:
+        points = eq.solutions_mod(m)
+        rng.shuffle(points)
+        _assert_lifts_match(eq, points, m)
+
+
+@pytest.mark.parametrize("name", ["psi23", "filiform", "filiform-raw"])
+def test_memoized_lift_matches_reference_across_alternating_moduli(name):
+    eq, _, (m1, m2) = _oracle_equations(name)
+    points = {m: eq.solutions_mod(m) for m in (m1, m2)}
+    for m in (m1, m2, m1):
+        _assert_lifts_match(eq, points[m], m)
+    # point by point, the modulus changes on every call
+    for a1, a2 in zip(points[m1], points[m2]):
+        _assert_lifts_match(eq, [a1], m1)
+        _assert_lifts_match(eq, [a2], m2)
+
+
+def test_failing_prefixes_are_remembered_as_failures():
+    """Raw psi(2,3) equations at m = 2: 256 points of which 64 lift; the
+    other 192 share prefixes that have no exact lift."""
+    eq, _, _ = _oracle_equations("psi23-raw")
+    points = eq.solutions_mod(2)
+    assert len(points) == 256
+    assert _assert_lifts_match(eq, points, 2) == 64
+    assert _assert_lifts_match(eq, points, 2) == 64
+    r = strong_approx_check(eq.hull, 2, eq=eq, witness_cap=300)
+    assert (r["solution_count"], r["lifted"]) == (256, 64)
+    assert len(r["failure_witnesses"]) == 192
+
+
+def test_lift_with_no_strata():
+    ab = lattice_hull(GenGroup.from_elements(NilpotentLieAlgebra.abelian(2),
+                                             [(1, 0), (0, 1)]))
+    eq = IAStarEquations(ab)
+    assert eq.strata == [] and eq.lift((), 3) == ()
+    for m in (1, 2, 5):
+        assert strong_approx_check(ab, m, eq=eq) == {
+            "m": m, "solution_count": 1, "lifted": 1, "surjective": True,
+            "failure_witnesses": []}
+
+
+def test_invariant_failures_raise_runtime_error(monkeypatch):
+    """Library invariants raise RuntimeError, which survives ``python -O``."""
+    h = heis_hull()
+    eq = IAStarEquations(h)
+    monkeypatch.setattr(eq, "lift", lambda a, m: tuple(v + 1 for v in a))
+    with pytest.raises(RuntimeError, match="lift does not reduce to its point"):
+        strong_approx_check(h, 2, eq=eq)
+    monkeypatch.setattr("malcev.autos.is_ia_star", lambda aut, hull: False)
+    with pytest.raises(RuntimeError, match="failed is_ia_star validation"):
+        enumerate_ia_star(h, 0)

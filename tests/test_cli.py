@@ -169,6 +169,8 @@ _SUBGROUP_ARGS = ("verify", "csp", "--subgroup")
     (_SUBGROUP_ARGS, {"entry": "no-such-entry"}),
     (_SUBGROUP_ARGS, {"entry": "heisenberg", "generators": 5}),
     (_SUBGROUP_ARGS, {"entry": "heisenberg", "index": "2"}),
+    (("exp", "--matrix"), {"n": 2, "matrix": [["1", "1"], ["0", "1"]]}),
+    (("log", "--matrix"), {"n": 2, "matrix": [["1", "1"], ["0", "2"]]}),
 ])
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
@@ -248,6 +250,24 @@ def test_zero_caps_are_honoured_and_inconclusive(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3, (out, err)
     assert "FAIL" not in out
+
+
+def test_json_reports_carry_a_verdict(capsys):
+    """"inconclusive" is told apart from "fail" without scanning checks."""
+    from malcev.verify import VerificationReport
+
+    code, out, _ = run(capsys, "--format", "json", "verify", "csp",
+                       "--cap-level", "0")
+    assert code == 3
+    doc = json.loads(out)["reports"][0]
+    assert doc["passed"] is False and doc["verdict"] == "inconclusive"
+    rep = VerificationReport("toy", 0)
+    verdicts = [rep.verdict]
+    for status in ("pass", "inconclusive", "pass", "fail", "inconclusive"):
+        rep.add(status, status)
+        verdicts.append(rep.to_doc()["verdict"])
+    assert verdicts == ["pass", "pass", "inconclusive", "inconclusive",
+                        "fail", "fail"]
 
 
 def test_verify_passes_the_box_cap_through(capsys):
