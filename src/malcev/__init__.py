@@ -18,7 +18,7 @@ from .unitriangular import matrix_exp, matrix_log, tr0_algebra
 from .hull import (GenGroup, HullResult, LatticeQuotient, adapted_basis,
                    congruence_quotient, congruence_scale, derived_lattice_data,
                    finite_quotient, group_index_in_hull, hull_of_lattice,
-                   lattice_hull, lie_span)
+                   lattice_hull)
 from .autos import (IAStarEquations, LieAutomorphism, aut_star_image,
                     csp_witness, enumerate_ia_star, is_ia_star, is_lie_aut,
                     make_ia_star, stabilizes_lattice, strong_approx_check)

@@ -318,6 +318,19 @@ def cmd_fiber(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(minimum):
+    """argparse type: an integer >= minimum; anything else is exit 2."""
+    def parse(text):
+        if not text.strip().lstrip("+-").isdigit() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"input error: {text!r} is not an integer >= {minimum}")
+        return int(text)
+    return parse
+
+
+_COUNT, _POSITIVE = _int_at_least(0), _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="malcev",
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", help="group interchange file")
         p.add_argument("--entry", help="named catalog entry",
                        choices=[e.name for e in CATALOG])
-        p.add_argument("--cap-rounds", type=int, default=64)
+        p.add_argument("--cap-rounds", type=_COUNT, default=64)
 
     p = sub.add_parser("bch", help="BCH product in an algebra")
     p.add_argument("--algebra", required=True)
@@ -356,37 +369,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quotient", help="finite congruence quotient")
     add_group_opts(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cap-order", type=int, default=4096)
+    p.add_argument("--m", type=_POSITIVE, required=True)
+    p.add_argument("--cap-order", type=_COUNT, default=4096)
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("ia-enumerate", help="IA* elements within a bound")
     add_group_opts(p)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--cap-candidates", type=int, default=10 ** 6)
+    p.add_argument("--bound", type=_COUNT, required=True)
+    p.add_argument("--cap-candidates", type=_COUNT, default=10 ** 6)
     p.set_defaults(func=cmd_ia_enumerate)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=_POSITIVE, default=None,
                    help="strong-approx: check a single level")
     p.add_argument("--subgroup", default=None,
                    help="csp: certify one subgroup file")
     p.add_argument("--group", help="group file for --m")
     p.add_argument("--entry", help="catalog entry for --m",
                    choices=[e.name for e in CATALOG])
-    p.add_argument("--cap-points", type=int, default=None)
-    p.add_argument("--cap-level", type=int, default=None)
-    p.add_argument("--cap-box", type=int, default=None)
+    p.add_argument("--cap-points", type=_COUNT, default=None)
+    p.add_argument("--cap-level", type=_COUNT, default=None)
+    p.add_argument("--cap-box", type=_COUNT, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("free", help="free nilpotent groups")
     p.add_argument("free_cmd", choices=("algebra", "psi", "center", "a-iso"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--box", type=int, default=2)
-    p.add_argument("--cap-dim", type=int, default=200)
+    p.add_argument("--n", type=_POSITIVE, required=True)
+    p.add_argument("--c", type=_POSITIVE, required=True)
+    p.add_argument("--box", type=_COUNT, default=2)
+    p.add_argument("--cap-dim", type=_COUNT, default=200)
     p.set_defaults(func=cmd_free)
 
     p = sub.add_parser("fiber", help="fiber products with torsion")
@@ -397,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=TORSION_NAMES)
     p.add_argument("--sigma1", help="hull-side automorphism file (lift)")
     p.add_argument("--sigma2", help="P2 permutation as a JSON list (lift)")
-    p.add_argument("--cap-t", type=int, default=24)
+    p.add_argument("--cap-t", type=_COUNT, default=24)
     p.set_defaults(func=cmd_fiber)
 
     return parser

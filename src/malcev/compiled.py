@@ -9,6 +9,7 @@ on rational ones, both in plain int arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -124,15 +125,19 @@ def compile_polys(polys) -> CompiledPolyMap:
     return CompiledPolyMap(coords)
 
 
-def bch_symbolic(alg):
-    """BCH(u, v) as polynomials in variables u_0..u_{k-1}, v_0..v_{k-1}.
+def bch_symbolic(alg, basis=None):
+    """BCH(u, v) as polynomials in variables x_0..x_{r-1}, y_0..y_{r-1}.
 
+    u = sum x_i basis[i], v = sum y_i basis[i] (default: the algebra's basis).
     Sums the left-normed bracket terms of ``bch.bch_terms``; the value of
     each bracket word is memoized per prefix, so each is computed once.
     """
     k = alg.dim
-    letters = ([{(i,): Fraction(1)} for i in range(k)],
-               [{(k + i,): Fraction(1)} for i in range(k)])
+    if basis is None:
+        basis = [[int(i == t) for t in range(k)] for i in range(k)]
+    r = len(basis)
+    letters = tuple([{(s + i,): Fraction(row[l]) for i, row in enumerate(basis)
+                      if row[l]} for l in range(k)] for s in (0, r))
     memo: dict = {}
 
     def value(word):
@@ -151,6 +156,31 @@ def bch_symbolic(alg):
             if p:
                 out[l] = poly_add(out[l], poly_scale(coeff, p))
     return out
+
+
+def _surjections(e, j):
+    """S(e, j) j!, the number of surjections of e things onto j things."""
+    return sum((-1) ** (j - i) * math.comb(j, i) * i ** e for i in range(j + 1))
+
+
+def binomial_vectors(polys):
+    """Coefficient vectors of a polynomial map in the basis prod C(x_v, j_v).
+
+    Powers expand as x^e = sum_j S(e, j) j! C(x, j), S the Stirling numbers
+    of the second kind.  Each vector is a finite difference of values at
+    integer points, so the map sends Z^n into a lattice exactly when every
+    vector lies in it (Polya).
+    """
+    out: dict = {}
+    for l, p in enumerate(polys):
+        for mono, coeff in p.items():
+            powers = [(v, len(list(g))) for v, g in itertools.groupby(mono)]
+            for js in itertools.product(*(range(1, e + 1) for _, e in powers)):
+                key = tuple(zip((v for v, _ in powers), js))
+                row = out.setdefault(key, [0] * len(polys))
+                row[l] += coeff * math.prod(_surjections(e, j)
+                                            for (_, e), j in zip(powers, js))
+    return [tuple(v) for v in out.values() if any(v)]
 
 
 def compile_bch(alg) -> CompiledPolyMap:

@@ -1,10 +1,12 @@
 """Lattice hulls, adapted bases, congruence sublattices, finite quotients.
 
 The hull of a generated group is the minimal BCH-closed lattice containing
-the generator logs, computed by iterated closure; the ascending chain lives
-inside the (existing) hull lattice, so it stabilizes and the round cap only
-turns a bug into an error instead of a hang.  The adapted basis refines the
-hull basis along the lower central series, layer by layer.
+the generator logs.  Each closure round adds the coefficient vectors of BCH,
+written in a basis of the current lattice, in the binomial basis: finite
+differences of BCH values on the lattice, so every round stays inside the
+hull, and the round cap only turns a bug into an error instead of a hang.
+A lattice holding all of them is BCH-closed (Polya), so the fixed point is
+the hull.  The adapted basis refines it along the lower central series.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
+from . import compiled, linalg
 from .errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from .finite import FiniteGroup
 from .lattices import (Lattice, hnf_lattice, intersect_subspace,
@@ -93,58 +95,20 @@ class HullResult:
         return tuple(int(x) for x in u)
 
 
-def lie_span(alg: NilpotentLieAlgebra, gens):
-    """Echelon basis of the smallest bracket-closed subspace containing gens."""
-    basis = list(linalg.span_basis([vec(g) for g in gens]))
-    while True:
-        new = []
-        for u in basis:
-            for v in basis:
-                w = alg.bracket(u, v)
-                if any(w) and not linalg.in_span(basis, w):
-                    new.append(w)
-        if not new:
-            return tuple(basis)
-        basis = list(linalg.span_basis(basis + new))
-
-
 def _closure_candidates(alg, lat):
-    """BCH values of the signed basis pairs, one per value up to sign.
-
-    Since bch(-u,-v) = -bch(v,u), bch(u,-v) = -bch(v,-u) and
-    bch(-u,v) = -bch(-v,u), every signed pair is, up to sign, an ordered
-    pair (u, v) or one of (u, -v), (-u, v) with u before v in the basis:
-    2k^2 - k evaluations span the same lattice as all 4k^2.
-    """
-    basis = lat.basis()
-    negs = [scale_vec(-1, u) for u in basis]
-    out = {}
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            pairs = ((u, v),) if j <= i else ((u, v), (u, negs[j]), (negs[i], v))
-            for a, b in pairs:
-                w = alg.bch(a, b)
-                out.setdefault(max(w, scale_vec(-1, w)))
-    return list(out)
+    """Binomial-basis coefficient vectors of BCH written in the basis of lat:
+    exp(lat) is closed under products exactly when all of them lie in lat."""
+    return compiled.binomial_vectors(compiled.bch_symbolic(alg, lat.basis()))
 
 
 def lattice_hull(group: GenGroup, max_rounds: int = 64) -> HullResult:
     """Minimal BCH-closed lattice containing the generator logs.
 
     If the generators do not span the algebra as a Lie algebra, the algebra
-    is first restricted to their Lie span.
+    is then restricted to the span of the hull, which is their Lie span.
     """
     alg = group.algebra
-    logs = [vec(g) for g in group.gen_logs]
-    span = lie_span(alg, logs)
-    embedding = None
-    if len(span) < alg.dim:
-        sub, embed = alg.restrict(span)
-        embedding = tuple(embed(tuple(int(i == t) for t in range(len(span))))
-                          for i in range(len(span)))
-        logs = [linalg.solve_coords(span, g) for g in logs]
-        alg = sub
-    lat = hnf_lattice(logs, alg.dim)
+    lat = hnf_lattice([vec(g) for g in group.gen_logs], alg.dim)
     for _ in range(max_rounds):
         grown = lattice_sum(lat, hnf_lattice(_closure_candidates(alg, lat), alg.dim))
         if grown == lat:
@@ -152,6 +116,12 @@ def lattice_hull(group: GenGroup, max_rounds: int = 64) -> HullResult:
         lat = grown
     else:
         raise CapExceeded(f"hull closure did not stabilize in {max_rounds} rounds")
+    embedding = None
+    if lat.rank < alg.dim:
+        embedding = tuple(linalg.span_basis(lat.basis()))
+        alg = alg.restrict(embedding)
+        lat = hnf_lattice([linalg.solve_coords(embedding, b)
+                           for b in lat.basis()], alg.dim)
     basis, layers = adapted_basis(lat, alg)
     hull = HullResult(algebra=alg, lattice=lat, basis=tuple(basis),
                       layers=tuple(layers), d=layers.count(1),
@@ -166,16 +136,11 @@ def hull_of_lattice(alg: NilpotentLieAlgebra, lat: Lattice) -> HullResult:
 
 
 def closure_certificate(hull: HullResult) -> bool:
-    """Exact certificate that the hull is BCH-closed for ALL lattice pairs.
-
-    The closure iteration checks (signed) basis pairs; this goes further:
-    if every coordinate of the compiled BCH map in adapted coordinates has
-    integer coefficients, then BCH maps Z^k x Z^k into Z^k as a polynomial
-    identity, i.e. exp(lattice) is closed under every product.  Sufficient,
-    not necessary; it holds on the whole shipped catalog.
-    """
-    comp = hull.adapted_algebra.bch_compiled()
-    return all(den == 1 for den, _ in comp.coords)
+    """Exact test that exp(hull.lattice) is closed under every product:
+    true if and only if each binomial coefficient vector of BCH, written in
+    the lattice basis, lies in the lattice (Polya; Cahen-Chabert 1997)."""
+    return all(hull.lattice.member(c)
+               for c in _closure_candidates(hull.algebra, hull.lattice))
 
 
 def _attach_adapted(hull: HullResult) -> None:
@@ -310,16 +275,15 @@ class LatticeQuotient:
             not any(self.reduce(tuple(int(x) for x in w)))
 
     def _verify_normal(self):
-        """exp(sub) is a normal subgroup: products of signed basis pairs and
-        conjugates by the lattice basis stay in sub."""
+        """exp(sub) is a normal subgroup: the binomial coefficient vectors of
+        BCH in its basis and its conjugates by the lattice basis stay in sub."""
         alg = self.hull.adapted_algebra
         k = alg.dim
         basis = [vec(row) for row in self.sub_hnf]
+        if not all(self._in_sub(c) for c in compiled.binomial_vectors(
+                compiled.bch_symbolic(alg, basis))):
+            raise SublatticeError("sublattice is not BCH-closed")
         for i in range(k):
-            for j in range(k):
-                for sign in (1, -1):
-                    if not self._in_sub(alg.bch(basis[i], scale_vec(sign, basis[j]))):
-                        raise SublatticeError("sublattice is not BCH-closed")
             u = tuple(Fraction(int(i == t)) for t in range(k))
             nu = scale_vec(-1, u)
             for j in range(k):

@@ -191,11 +191,8 @@ class NilpotentLieAlgebra:
         return alg, to_new, to_old
 
     def restrict(self, span_rows):
-        """Subalgebra on the given (bracket-closed) span.
-
-        Returns (subalgebra, embed) with embed mapping subalgebra coordinate
-        vectors back into the ambient coordinates.
-        """
+        """Subalgebra on the echelon basis ``linalg.span_basis(span_rows)``
+        of a bracket-closed span."""
         S = linalg.span_basis(span_rows)
         r = len(S)
         table = {}
@@ -207,13 +204,7 @@ class NilpotentLieAlgebra:
                     raise ValueError("span is not closed under the bracket")
                 if any(c):
                     table[(i, j)] = c
-        sub = NilpotentLieAlgebra(r, table)
-
-        def embed(u):
-            return tuple(sum(Fraction(u[i]) * S[i][j] for i in range(r))
-                         for j in range(self.dim))
-
-        return sub, embed
+        return NilpotentLieAlgebra(r, table)
 
     def __repr__(self):
         return (f"NilpotentLieAlgebra(dim={self.dim}, "

@@ -171,11 +171,26 @@ _SUBGROUP_ARGS = ("verify", "csp", "--subgroup")
     (_SUBGROUP_ARGS, {"entry": "heisenberg", "index": "2"}),
     (("exp", "--matrix"), {"n": 2, "matrix": [["1", "1"], ["0", "1"]]}),
     (("log", "--matrix"), {"n": 2, "matrix": [["1", "1"], ["0", "2"]]}),
+    # out-of-range integer flags, with no document
+    (("quotient", "--entry", "heisenberg", "--m", "0"), None),
+    (("quotient", "--entry", "heisenberg", "--m", "2", "--cap-rounds", "-1"),
+     None),
+    (("quotient", "--entry", "heisenberg", "--m", "2", "--cap-order", "-1"),
+     None),
+    (("ia-enumerate", "--entry", "heisenberg", "--bound", "-1"), None),
+    (("verify", "csp", "--cap-level", "-1"), None),
+    (("verify", "strong-approx", "--m", "0"), None),
+    (("free", "psi", "--n", "0", "--c", "2"), None),
+    (("free", "algebra", "--n", "2", "--c", "0"), None),
+    (("free", "a-iso", "--n", "2", "--c", "2", "--box", "-1"), None),
+    (("free", "a-iso", "--n", "2", "--c", "2", "--box", "x"), None),
 ])
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, *argv, str(path))
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv += (str(path),)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "input error" in err and "Traceback" not in err
 

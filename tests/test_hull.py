@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -6,11 +7,12 @@ import pytest
 from malcev import unitriangular as ut
 from malcev.catalog import CATALOG, build_hull
 from malcev.errors import CapExceeded, SublatticeError, UnsupportedInputForm
+from malcev.freenil import free_algebra, psi_group
 from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
-                         adapted_basis, congruence_quotient, congruence_scale,
-                         derived_lattice_data, finite_quotient, group_index_in_hull,
-                         hull_of_lattice, lattice_hull, lie_span)
-from malcev.lattices import hnf_lattice, lattice_index
+                         adapted_basis, closure_certificate, congruence_quotient,
+                         congruence_scale, derived_lattice_data, finite_quotient,
+                         group_index_in_hull, hull_of_lattice, lattice_hull)
+from malcev.lattices import Lattice, hnf_lattice, lattice_index
 from malcev.liealg import GroupElement, NilpotentLieAlgebra
 
 
@@ -23,14 +25,14 @@ HEIS_HULL = hnf_lattice([(1, 0, 0), (0, 1, 0), (0, 0, F(1, 2))])
 
 
 def test_lie_span_examples():
+    """A hull spans the Lie span of its generators."""
     ab = NilpotentLieAlgebra.abelian(2)
-    assert len(lie_span(ab, [(1, 0)])) == 1
+    assert len(lattice_hull(GenGroup(ab, ((1, 0),))).basis) == 1
     alg, _ = ut.tr0_algebra(3)
-    assert len(lie_span(alg, [(1, 0, 0), (0, 1, 0)])) == 3
-    from malcev.freenil import free_algebra
+    assert len(lattice_hull(GenGroup(alg, ((1, 0, 0), (0, 1, 0)))).basis) == 3
     f = free_algebra(2, 3)
-    gens = [tuple(int(i == t) for t in range(5)) for i in range(2)]
-    assert len(lie_span(f, gens)) == 5
+    gens = tuple(tuple(int(i == t) for t in range(5)) for i in range(2))
+    assert len(lattice_hull(GenGroup(f, gens)).basis) == 5
 
 
 def test_hull_abelian():
@@ -128,10 +130,7 @@ def test_congruence_scale_catalog_values():
     # Z^3 in the Heisenberg algebra is not BCH-closed (bch(x, y) has z/2),
     # so odd levels escalate once, by lcm(1, 2)
     alg, _ = ut.tr0_algebra(3)
-    lat = hnf_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    basis, layers = adapted_basis(lat, alg)
-    h = HullResult(alg, lat, basis, layers, layers.count(1))
-    _attach_adapted(h)
+    h = _hull_on(alg, hnf_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
     _check_congruence_quotients(h, [2, 2, 6, 4, 10, 6], "Z^3")
 
 
@@ -197,8 +196,150 @@ def test_degenerate_trivial_algebra():
 
 
 def test_closure_certificate():
-    from malcev.hull import closure_certificate
     h = lattice_hull(heis_group())
     assert closure_certificate(h)
-    from malcev.freenil import psi_group
     assert closure_certificate(psi_group(2, 3).hull)
+    # Z^3 misses bch(x, y) = x + y + z/2
+    assert not closure_certificate(_hull_on(ut.tr0_algebra(3)[0], hnf_lattice(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)))
+
+
+def _hull_on(alg, lat):
+    """A HullResult on a given full-rank lattice, closed or not."""
+    basis, layers = adapted_basis(lat, alg)
+    h = HullResult(alg, lat, basis, layers, layers.count(1))
+    _attach_adapted(h)
+    return h
+
+
+def _unit(k, i):
+    return tuple(F(int(i == t)) for t in range(k))
+
+
+def _nielsen(alg, gens, rng, moves=2):
+    """Random moves g_i -> g_i * g_j^(+-1), then a shuffle: same group."""
+    gens = list(gens)
+    for _ in range(moves):
+        i, j = rng.sample(range(len(gens)), 2)
+        sign = rng.choice((1, -1))
+        gens[i] = alg.bch(gens[i], tuple(sign * x for x in gens[j]))
+    rng.shuffle(gens)
+    return tuple(gens)
+
+
+# name -> (algebra builder, number of generators, matrix size for UT(n))
+SHAPES = {"Psi(2,3)": (lambda: free_algebra(2, 3), 2, None),
+          "Psi(3,2)": (lambda: free_algebra(3, 2), 3, None),
+          "Psi(2,4)": (lambda: free_algebra(2, 4), 2, None),
+          "Psi(3,3)": (lambda: free_algebra(3, 3), 3, None),
+          "Psi(2,5)": (lambda: free_algebra(2, 5), 2, None),
+          "UT(4)": (lambda: ut.tr0_algebra(4)[0], 3, 4),
+          "UT(5)": (lambda: ut.tr0_algebra(5)[0], 4, 5)}
+
+
+def _moved_generators(name, rng, moves=2):
+    """Nielsen-moved unit generators: Hall generators of Psi(n, c), or the
+    superdiagonal elementary matrices of UT(n)."""
+    build, ngens, ut_n = SHAPES[name]
+    alg = build()
+    gens = _nielsen(alg, [_unit(alg.dim, i) for i in range(ngens)], rng, moves)
+    return alg, gens, ut_n
+
+
+def _word_logs(alg, gens, ut_n, rng, count, length=6):
+    """(word, log) for random words in the generators and their inverses:
+    exact matrix products in UT(n), the group law otherwise."""
+    if ut_n is None:
+        one, mul, log = GroupElement.identity(alg), operator.mul, \
+            operator.attrgetter("log")
+        factor = {(i, e): GroupElement(alg, g) ** e
+                  for i, g in enumerate(gens) for e in (1, -1)}
+    else:
+        one, mul = ut.identity(ut_n), ut.mat_mul
+
+        def log(M):
+            return ut.coords_from_matrix(ut_n, ut.matrix_log(M))
+
+        factor = {(i, e): ut.matrix_exp(ut.matrix_from_coords(
+            ut_n, tuple(e * x for x in g)))
+            for i, g in enumerate(gens) for e in (1, -1)}
+    for _ in range(count):
+        word = [(rng.randrange(len(gens)), rng.choice((1, -1)))
+                for _ in range(length)]
+        g = one
+        for letter in word:
+            g = mul(g, factor[letter])
+        yield word, log(g)
+
+
+def _check_closed_hull(alg, gens, ut_n, rng, words=12):
+    h = lattice_hull(GenGroup(alg, gens))
+    assert h.embedding is None
+    assert closure_certificate(h)
+    for word, log in _word_logs(alg, gens, ut_n, rng, words):
+        assert h.lattice.member(log), word
+    return h
+
+
+@pytest.mark.parametrize("name", ["Psi(3,3)", "UT(4)", "UT(5)", "Psi(2,5)"])
+def test_moved_generators_give_closed_hulls(name):
+    """Basis-pair closure left exp(L) unclosed on each of these."""
+    rng = random.Random(1)
+    alg, gens, ut_n = _moved_generators(name, rng)
+    _check_closed_hull(alg, gens, ut_n, rng)
+
+
+# Lattices that basis-pair closure returned (den, HNF rows).
+PSI33_PAIR_CLOSED = (12, [[12 * int(i == j) // d for j in range(14)]
+                          for i, d in enumerate((1, 1, 1, 2, 2, 2, 12, 12, 12,
+                                                 4, 12, 4, 12, 12))])
+PSI25_PAIR_CLOSED = (720, [
+    [720, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 720, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 360, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 60, 0, 0, 0, 0, 0, 0, 0, 0, 0, 10],
+    [0, 0, 0, 0, 60, 0, 0, 0, 0, 0, 0, 0, 5, 0],
+    [0, 0, 0, 0, 0, 30, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 30, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 30, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 12],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 4, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15]])
+UT4_PAIR_CLOSED = (12, [[12, 0, 0, 0, 0, 1], [0, 12, 0, 0, 0, 0],
+                        [0, 0, 12, 0, 0, 0], [0, 0, 0, 6, 0, 0],
+                        [0, 0, 0, 0, 6, 0], [0, 0, 0, 0, 0, 3]])
+
+
+@pytest.mark.parametrize("n,c,old,index", [(3, 3, PSI33_PAIR_CLOSED, 3),
+                                           (2, 5, PSI25_PAIR_CLOSED, 225)])
+def test_psi_hulls_grew_over_pair_closure(n, c, old, index):
+    h = psi_group(n, c).hull
+    old = Lattice.from_den_rows(h.algebra.dim, *old)
+    assert not closure_certificate(_hull_on(h.algebra, old))
+    assert closure_certificate(h)
+    assert lattice_index(h.lattice, old) == index
+
+
+def test_pair_closed_ut4_lattice_fails_the_certificate():
+    alg, gens, _ = _moved_generators("UT(4)", random.Random(1))
+    old = Lattice.from_den_rows(alg.dim, *UT4_PAIR_CLOSED)
+    assert all(old.member(g) for g in gens)
+    assert not closure_certificate(_hull_on(alg, old))
+    assert lattice_index(lattice_hull(GenGroup(alg, gens)).lattice, old) == 3
+
+
+@pytest.mark.parametrize("name,seeds", [("Psi(2,3)", 20), ("Psi(3,2)", 20),
+                                        ("UT(4)", 20), ("Psi(2,4)", 12),
+                                        ("UT(5)", 12)])
+def test_generated_hulls(name, seeds):
+    """Seeded Nielsen-moved generators: the hull contains every sampled word
+    log, passes the exact certificate and is its own hull.  The two larger
+    shapes get fewer seeds to keep the test near 10 s."""
+    for seed in range(seeds):
+        rng = random.Random(seed)
+        alg, gens, ut_n = _moved_generators(name, rng, rng.randint(1, 4))
+        h = _check_closed_hull(alg, gens, ut_n, rng, words=6)
+        assert hull_of_lattice(alg, h.lattice).lattice == h.lattice, seed

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from malcev import bch, unitriangular as ut
+from malcev import bch, compiled, unitriangular as ut
 from malcev.errors import AlgebraMismatch
 from malcev.freenil import free_algebra, psi_group
 from malcev.liealg import (GroupElement, NilpotentLieAlgebra, add_vec,
@@ -184,6 +184,41 @@ def test_compiled_bch_matches_generic():
         expect = to_new(reference_bch(alg, to_old(vec(u)), to_old(vec(v))))
         assert vec(got) == vec(expect)
         assert comp2.eval_rat(u + v) == expect
+
+
+def test_binomial_vectors():
+    """x^e = sum_j S(e, j) j! C(x, j): coefficients in the binomial basis."""
+    x, y = (0,), (1,)
+
+    def vectors(*polys):
+        return sorted(compiled.binomial_vectors(list(polys)))
+
+    # x(x-1)/2 = C(x, 2); x^3/6 - x/6 = C(x, 3) + C(x, 2)
+    assert vectors({x + x: F(1, 2), x: F(-1, 2)}) == [(1,)]
+    assert vectors({x * 3: F(1, 6), x: F(-1, 6)}) == [(1,), (1,)]
+    # x^2/2 = C(x, 2) + C(x, 1)/2 is not integer-valued
+    assert vectors({x + x: F(1, 2)}) == [(F(1, 2),), (1,)]
+    # (x y, x^2 y): x^2 y = 2 C(x, 2) C(y, 1) + C(x, 1) C(y, 1)
+    assert vectors({x + y: F(1)}, {x + x + y: F(1)}) == [(0, 2), (1, 1)]
+    assert compiled.binomial_vectors([{}, {}]) == []
+
+
+def test_bch_symbolic_in_a_basis():
+    """Letters written in a basis: the polynomials evaluate to BCH of the
+    combinations; the default basis is the algebra's own."""
+    alg = free_algebra(2, 3)
+    k = alg.dim
+    assert compiled.bch_symbolic(alg) == compiled.bch_symbolic(
+        alg, [[int(i == t) for t in range(k)] for i in range(k)])
+    basis = [(1, 1, 0, 0, 0), (0, 2, F(1, 2), 0, 0), (0, 0, 0, F(1, 3), 1)]
+    comp = compiled.compile_polys(compiled.bch_symbolic(alg, basis))
+    rng = random.Random(5)
+    for _ in range(10):
+        a = [rng.randint(-3, 3) for _ in basis]
+        b = [rng.randint(-3, 3) for _ in basis]
+        u, v = (tuple(sum(c * row[l] for c, row in zip(w, basis))
+                      for l in range(k)) for w in (a, b))
+        assert comp.eval_rat(tuple(F(t) for t in a + b)) == reference_bch(alg, u, v)
 
 
 def _scaled_adapted(alg):
