@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .autos import LieAutomorphism, is_lie_aut, stabilizes_lattice
@@ -100,7 +100,7 @@ class FiberGroup:
         for y in range(self.p2.order):
             if self.pi2[y] == target:
                 return y
-        raise AssertionError("pi2 surjectivity guarantees a compatible y")
+        raise RuntimeError("pi2 surjectivity guarantees a compatible y")
 
     def generators(self):
         """Adapted-basis lifts plus torsion generators; they generate U."""
@@ -208,22 +208,38 @@ class FiberQuotient:
 
 
 class QuotientGroup:
-    """A quotient of a FiberQuotient by a normal key set, with coset reps."""
+    """F_s / N for F_s = fq and N the verbal subgroup of its m-th powers.
 
-    def __init__(self, fq: FiberQuotient, normal_keys):
+    N ⊇ exp(g*lattice) x {e} (mod s) for g = gcd(m * s1, s), s1 the pi1
+    level scale: each (s1*b, e) is a key, and its m-th power is
+    (m*s1*b mod s, e), which runs over all of g*lattice mod s.  So N holds
+    the kernel of F_s -> F_c for the coarse quotient F_c = FiberQuotient(u, g)
+    (whose scale c is a multiple of g) whenever c | s, and N is the full
+    preimage of the verbal subgroup of F_c.  The coset table is built on F_c
+    (on fq itself when c does not divide s) and a fine key is read through
+    its reduction.  The lexicographically first fine key of a coset has
+    coordinates below c, so it is the first coarse key and ``reps`` are the
+    first fine keys of the cosets, in key order, exactly.
+    """
+
+    def __init__(self, fq: FiberQuotient, m: int):
         self.fq = fq
-        self.normal = frozenset(normal_keys)
-        self.reps, self.coset_of = cosets(fq.keys(), self.normal, fq.mul)
+        coarse = FiberQuotient(fq.u, gcd(m * fq.u.side.scale, fq.s))
+        self.coarse = coarse if fq.s % coarse.s == 0 else fq
+        self.reps, self.coset_of = cosets(
+            self.coarse.keys(), self.coarse.verbal_power_subgroup(m),
+            self.coarse.mul)
         self.order = len(self.reps)
 
     def class_of_key(self, key) -> int:
-        return self.coset_of[key]
+        rep, y = key
+        return self.coset_of[(self.coarse.latq.reduce(rep), y)]
 
     def class_of_element(self, el: FiberElement) -> int:
-        return self.coset_of[self.fq.reduce(el)]
+        return self.coset_of[self.coarse.reduce(el)]
 
     def mul(self, i: int, j: int) -> int:
-        return self.coset_of[self.fq.mul(self.reps[i], self.reps[j])]
+        return self.coset_of[self.coarse.mul(self.reps[i], self.reps[j])]
 
 
 def _p2_exponent(u: FiberGroup) -> int:
@@ -241,15 +257,20 @@ def hom_test_scale(u: FiberGroup) -> int:
 
 
 def level_quotient(u: FiberGroup, m: int) -> QuotientGroup:
-    """Finite stand-in for the level-m quotient: F_s / (m-th powers)."""
+    """Finite stand-in for the level-m quotient: F_s / (m-th powers).
+
+    s is the congruence scale of level m * lcm(exp(P2), s1), so m * s1 | s
+    and the m-th powers hold exp(m*s1*lattice) x {e}: the coset table is
+    built on FiberQuotient(u, m * s1), which has no BCH product per fine key.
+    """
     fq = FiberQuotient(u, m * lcm(_p2_exponent(u), u.side.scale))
-    return QuotientGroup(fq, fq.verbal_power_subgroup(m))
+    return QuotientGroup(fq, m)
 
 
 def _separates_torsion(lq: QuotientGroup) -> bool:
     """No non-identity element of tor(U) lies in the verbal subgroup."""
     fq = lq.fq
-    return all(key == fq.identity_key() or key not in lq.normal
+    return all(key == fq.identity_key() or lq.class_of_key(key) != 0
                for key in map(fq.reduce, fq.u.torsion_elements()))
 
 
@@ -334,9 +355,9 @@ def lift_automorphism(u: FiberGroup, sigma1: LieAutomorphism, sigma2):
     for g in u.generators():
         image = sigma.apply(g)
         if not u.member(image):
-            raise AssertionError("lifted map leaves the fiber product")
+            raise RuntimeError("lifted map leaves the fiber product")
         if image.x != sigma1.apply(g.x) or image.y != sigma2[g.y]:
-            raise AssertionError("projection identity violated")
+            raise RuntimeError("projection identity violated")
     return sigma
 
 
@@ -374,7 +395,7 @@ def _torsion_exponents(u: FiberGroup, y: int, tor_gens):
             acc = u.p2.mul(acc, u.p2.power(g, e))
         if acc == y:
             return list(exps)
-    raise AssertionError("torsion element escapes its generators")
+    raise RuntimeError("torsion element escapes its generators")
 
 
 def free_abelianization_check(u: FiberGroup):
@@ -514,47 +535,55 @@ def reconstruction_check(u: FiberGroup, m: int):
     """Is rho: U -> Delta x_{Delta_m} Q_m injective and surjective at level m?
 
     Injectivity: tor meets the level kernel trivially (exact).  Surjectivity
-    is verified on the finite shadow at the same congruence level.
+    is verified on the finite shadow at the same congruence level: every
+    fine key of F_s gives a pair (Delta_s leg, Q_m class), and these pairs
+    must fill Delta_s x_{Delta_m} Q_m.  Both quotient tables come from
+    coarse levels without a BCH product per fine key: Q_m from
+    ``level_quotient``, and Delta_m = (lattice/s) / (m-th powers) from the
+    congruence quotient of level m, since the m-th powers hold
+    exp(m*lattice) (mod s) and so the whole kernel of the reduction to it
+    (when its scale divides s; otherwise from lattice/s itself).
     """
     lq = level_quotient(u, m)
     fq = lq.fq
     # injectivity: ker(rho) = tor & ker(U -> Q_m)
     injective = _separates_torsion(lq)
     # hull-side level-m quotient Delta_m = (lattice/s) / (m-th powers)
-    hull_fq = fq.latq
-    hgens = {hull_fq.power(rep, m) for rep in hull_fq.elements()}
-    closed = closure((0,) * u.hull.algebra.dim, tuple(hgens), hull_fq.mul)
-    delta_reps, delta_coset = cosets(hull_fq.elements(), closed, hull_fq.mul)
-    # legs of the target fiber product
-    def leg_delta(rep):
-        return delta_coset[rep]
-
-    def leg_qm_to_delta(cid):
-        rep, _y = lq.reps[cid]
-        return delta_coset[rep]
+    hull_s, hull_q = congruence_quotient(u.hull, m)
+    if fq.s % hull_s:
+        hull_q = fq.latq
+    hgens = {hull_q.power(rep, m) for rep in hull_q.elements()}
+    closed = closure((0,) * u.hull.algebra.dim, tuple(hgens), hull_q.mul)
+    delta_reps, delta_coset = cosets(hull_q.elements(), closed, hull_q.mul)
+    # the Delta_m leg of each Q_m class, read off its representative
+    delta_of_class = [delta_coset[hull_q.reduce(rep)] for rep, _y in lq.reps]
 
     # the shadow of Delta is the full congruence quotient at the same level;
     # covering Delta_s x_{Delta_m} Q_m lifts to surjectivity of rho, since
     # exp(s*lattice) x {e} lies in both ker(pi1) and ker(U -> Q_m)
-    seen_pairs = set()
     delta_m_size = len(delta_reps)
-    if (hull_fq.order * lq.order) % delta_m_size:
+    if (fq.latq.order * lq.order) % delta_m_size:
         raise RuntimeError("|Delta_m| must divide |Delta_s| * |Q_m|")
-    target_size = hull_fq.order * lq.order // delta_m_size
-    for key in fq.keys():
-        rep, _y = key
-        seen_pairs.add((rep, lq.class_of_key(key)))
-    surjective = len(seen_pairs) == target_size
-    # sanity: every pair seen is compatible over Delta_m
-    compatible = all(leg_delta(rep) == leg_qm_to_delta(c)
-                     for (rep, c) in seen_pairs)
+    target_size = fq.latq.order * lq.order // delta_m_size
+    # keys come grouped by their lattice rep: reduce each rep once, and
+    # check every pair seen is compatible over Delta_m
+    shadow_pairs = 0
+    compatible = True
+    reduce_q = lq.coarse.latq.reduce
+    for rep, keys in itertools.groupby(fq.keys(), key=lambda key: key[0]):
+        coarse_rep = reduce_q(rep)
+        classes = {lq.coset_of[(coarse_rep, y)] for _rep, y in keys}
+        shadow_pairs += len(classes)
+        leg = delta_coset[hull_q.reduce(rep)]
+        compatible = compatible and all(delta_of_class[c] == leg
+                                        for c in classes)
     return {
         "m": m,
         "level": fq.s,
         "injective": injective,
-        "surjective": surjective,
+        "surjective": shadow_pairs == target_size,
         "compatible": compatible,
-        "shadow_pairs": len(seen_pairs),
+        "shadow_pairs": shadow_pairs,
         "target_size": target_size,
     }
 
@@ -624,7 +653,7 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
         el = fq.element_from_key(key)
         got = lq.class_of_element(alpha.apply(el))
         if got != alpha_m[lq.class_of_key(key)]:
-            raise AssertionError("transported map does not reduce to alpha_m")
+            raise RuntimeError("transported map does not reduce to alpha_m")
     # IA*-ness, literally: the free abelianization reads off the first-layer
     # adapted coordinates of the hull part, and alpha must fix them
     d = u.hull.d
@@ -633,12 +662,12 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
         before = u.hull.to_adapted(g.x)[:d]
         after = u.hull.to_adapted(alpha.apply(g).x)[:d]
         if before != after:
-            raise AssertionError("transported map moves the free abelianization")
+            raise RuntimeError("transported map moves the free abelianization")
     # multiplicativity spot-check on generator pairs
     for a in gens:
         for b in gens:
             lhs = alpha.apply(u.mul(a, b))
             rhs = u.mul(alpha.apply(a), alpha.apply(b))
             if lhs != rhs:
-                raise AssertionError("transported map is not multiplicative")
+                raise RuntimeError("transported map is not multiplicative")
     return alpha

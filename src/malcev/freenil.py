@@ -83,8 +83,8 @@ def hall_basis(n: int, c: int, cap: int = 200):
                 trees.append((u, v))
                 weight.append(w)
         if len(trees) == start and witt_dimension(n, w) > 0:
-            raise AssertionError("Hall generation produced no trees of weight "
-                                 f"{w}")
+            raise RuntimeError("Hall generation produced no trees of weight "
+                               f"{w}")
         if len(trees) > cap:
             raise CapExceeded(f"Hall basis dimension exceeds cap {cap}")
     return trees, weight
@@ -143,7 +143,7 @@ def free_algebra(n: int, c: int, cap: int = 200) -> NilpotentLieAlgebra:
             target[col[wd]] = Fraction(coeff)
         coeffs = linalg.solve_coords(rows, tuple(target))
         if coeffs is None:
-            raise AssertionError("bracket expansion escaped the Hall span")
+            raise RuntimeError("bracket expansion escaped the Hall span")
         out = [Fraction(0)] * k
         for i, x in zip(idxs, coeffs):
             out[i] = x
@@ -199,7 +199,7 @@ def psi_group(n: int, c: int, cap: int = 200) -> FreeNilpotent:
     gens = [tuple(Fraction(int(i == t)) for t in range(alg.dim)) for i in range(n)]
     hull = lattice_hull(GenGroup(alg, tuple(gens)))
     if hull.embedding is not None:
-        raise AssertionError("free generators must span the free algebra")
+        raise RuntimeError("free generators must span the free algebra")
     return FreeNilpotent(n, c, alg, trees, weights, hull)
 
 
@@ -301,7 +301,7 @@ def aut_restriction(psi_low: FreeNilpotent, psi_high: FreeNilpotent, words):
     if not is_word_automorphism(psi_low, words):
         raise ValueError("input words are not an automorphism at the lower class")
     if not is_word_automorphism(psi_high, words):
-        raise AssertionError("lift failed to be an automorphism")
+        raise RuntimeError("lift failed to be an automorphism")
     M_high = word_endo_matrix(psi_high, words)
     M_low = word_endo_matrix(psi_low, words)
     k_low = psi_low.algebra.dim
@@ -309,7 +309,7 @@ def aut_restriction(psi_low: FreeNilpotent, psi_high: FreeNilpotent, words):
     restriction = tuple(tuple(M_high[i][j] for j in range(k_low))
                         for i in range(k_low))
     if restriction != M_low:
-        raise AssertionError("restriction of the lift differs from the input")
+        raise RuntimeError("restriction of the lift differs from the input")
     return M_high
 
 
@@ -424,9 +424,9 @@ class CentralTupleIso:
                 image = mul_gen[i].eval_int(tuple(u))
                 rec = mul_geninv[i].eval_int(image)
                 if any(x for pos, x in enumerate(rec) if pos not in top):
-                    raise AssertionError("recovered shift is not central")
+                    raise RuntimeError("recovered shift is not central")
                 if tuple(rec[z] for z in top) != block:
-                    raise AssertionError(
+                    raise RuntimeError(
                         f"roundtrip failed for generator {i} at {block}")
                 seen.add(image)
             injective = injective and len(seen) == blocks

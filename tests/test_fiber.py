@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from malcev.autos import LieAutomorphism, make_ia_star
-from malcev.catalog import build_fiber, build_zz2
+from malcev.catalog import TORSION_NAMES, build_fiber, build_zz2
 from malcev.errors import CapExceeded
 from malcev.fiber import (FiberElement, FiberGroup, FiberQuotient, HullSide,
                           fiber_product_finite, find_t, free_abelianization_check,
@@ -11,8 +11,8 @@ from malcev.fiber import (FiberElement, FiberGroup, FiberQuotient, HullSide,
                           level_quotient, lift_automorphism,
                           lift_automorphism_finite, lift_from_level_image,
                           reconstruction_check, torsion_subgroup)
-from malcev.finite import FiniteGroup
-from malcev.hull import GenGroup, lattice_hull
+from malcev.finite import FiniteGroup, closure, cosets
+from malcev.hull import GenGroup, LatticeQuotient, lattice_hull
 from malcev.liealg import NilpotentLieAlgebra
 
 
@@ -112,7 +112,7 @@ def test_find_t_examples():
     lq = level_quotient(u, 2)
     for tau in u.torsion_elements():
         key = lq.fq.reduce(tau)
-        assert key == lq.fq.identity_key() or key not in lq.normal
+        assert key == lq.fq.identity_key() or lq.class_of_key(key) != 0
 
 
 def test_lift_automorphism_examples():
@@ -255,5 +255,73 @@ def test_level_lift_unrealizable_image():
     target = next(i for i, key in enumerate(lq.reps) if any(key[0]))
     perm = list(range(lq.order))
     perm[0], perm[target] = perm[target], perm[0]
-    with pytest.raises((ValueError, AssertionError)):
+    with pytest.raises((ValueError, RuntimeError)):
         lift_from_level_image(u, 4, tuple(perm), beta_id)
+
+
+def reference_level_quotient(fq, m):
+    """Test oracle: the coset table of the closure of every fine m-th power,
+    built with one product per fine key."""
+    powers = tuple({fq.power(key, m) for key in fq.keys()})
+    normal = closure(fq.identity_key(), powers, fq.mul)
+    return cosets(fq.keys(), normal, fq.mul)
+
+
+def reference_reconstruction_check(u, m):
+    """Test oracle: reconstruction_check with both coset tables built on the
+    fine quotients, and one (rep, class) pair stored per fine key."""
+    lq = level_quotient(u, m)
+    fq = lq.fq
+    reps, coset_of = reference_level_quotient(fq, m)
+    normal = {key for key, c in coset_of.items() if c == 0}
+    injective = all(key == fq.identity_key() or key not in normal
+                    for key in map(fq.reduce, u.torsion_elements()))
+    hq = fq.latq
+    powers = tuple({hq.power(rep, m) for rep in hq.elements()})
+    delta_reps, delta_coset = cosets(
+        hq.elements(), closure((0,) * u.hull.algebra.dim, powers, hq.mul),
+        hq.mul)
+    target_size = hq.order * len(reps) // len(delta_reps)
+    seen = {(rep, coset_of[(rep, y)]) for rep, y in fq.keys()}
+    return {"m": m, "level": fq.s, "injective": injective,
+            "surjective": len(seen) == target_size,
+            "compatible": all(delta_coset[rep] == delta_coset[reps[c][0]]
+                              for rep, c in seen),
+            "shadow_pairs": len(seen), "target_size": target_size}
+
+
+@pytest.mark.parametrize("name", TORSION_NAMES + ("zz2",))
+def test_level_quotient_matches_all_keys_oracle(name):
+    u = build_zz2() if name == "zz2" else build_fiber(name)
+    for m in (1, 2, 3, 4, 5, 6) + ((9,) if name == "heis3" else ()):
+        lq = level_quotient(u, m)
+        reps, coset_of = reference_level_quotient(lq.fq, m)
+        assert lq.order == len(reps), (name, m)
+        assert lq.reps == reps, (name, m)
+        for key in lq.fq.keys():
+            assert lq.class_of_key(key) == coset_of[key], (name, m, key)
+
+
+@pytest.mark.parametrize("name,levels", [("z2z4", range(2, 13)),
+                                         ("heis3", range(3, 10))])
+def test_reconstruction_matches_all_keys_oracle(name, levels):
+    u = build_fiber(name)
+    for m in levels:
+        assert reconstruction_check(u, m) == \
+            reference_reconstruction_check(u, m), m
+
+
+def test_reconstruction_makes_no_product_per_fine_key(monkeypatch):
+    """heis3 at m = 15 has 273,375 fine keys; one product per key would
+    take more than 365,000 calls."""
+    calls = [0]
+    mul = LatticeQuotient.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(LatticeQuotient, "mul", counted)
+    r = reconstruction_check(build_fiber("heis3"), 15)
+    assert r["shadow_pairs"] == r["target_size"] == 273375
+    assert calls[0] < 20_000

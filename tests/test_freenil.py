@@ -158,10 +158,10 @@ def brute_box_roundtrip(iso, bound):
         for i in range(n):
             rec = mul_geninv[i].eval_int(images[i])
             if any(x for pos, x in enumerate(rec) if pos not in top):
-                raise AssertionError("recovered shift is not central")
+                raise RuntimeError("recovered shift is not central")
             recovered.extend(rec[z] for z in top)
         if tuple(recovered) != flat:
-            raise AssertionError(f"roundtrip failed at {flat}")
+            raise RuntimeError(f"roundtrip failed at {flat}")
         seen.add(tuple(images))
         count += 1
     return count, len(seen) == count
@@ -190,16 +190,16 @@ def test_box_roundtrip_rejects_tampered_generator_map(monkeypatch):
                              for t in range(k)])
     monkeypatch.setattr(iso, "generator_maps",
                         lambda: (top, [mul_gen[0], const], mul_geninv))
-    with pytest.raises(AssertionError, match="roundtrip failed"):
+    with pytest.raises(RuntimeError, match="roundtrip failed"):
         iso.box_roundtrip(1)
-    with pytest.raises(AssertionError, match="roundtrip failed"):
+    with pytest.raises(RuntimeError, match="roundtrip failed"):
         brute_box_roundtrip(iso, 1)
     # generator 0 inverted by the wrong map: the recovered shift is not central
     monkeypatch.setattr(iso, "generator_maps",
                         lambda: (top, mul_gen, [mul_gen[0], mul_geninv[1]]))
-    with pytest.raises(AssertionError, match="not central"):
+    with pytest.raises(RuntimeError, match="not central"):
         iso.box_roundtrip(1)
-    with pytest.raises(AssertionError, match="not central"):
+    with pytest.raises(RuntimeError, match="not central"):
         brute_box_roundtrip(iso, 1)
 
 

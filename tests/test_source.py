@@ -12,8 +12,12 @@ SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "malcev")
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     """Library invariants raise real exceptions: ``assert`` vanishes under
-    ``python -O``."""
+    ``python -O``, and a raised ``AssertionError`` reads as a failed test
+    instead of a library fault."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Raise) and node.exc is not None
+             and any(isinstance(n, ast.Name) and n.id == "AssertionError"
+                     for n in ast.walk(node.exc))]
     assert not lines, f"{path.name}: assert at lines {lines}"
