@@ -198,7 +198,6 @@ class IAStarEquations:
 
     def __init__(self, hull: HullResult, saturate: bool = True):
         self.hull = hull
-        self.saturate = saturate
         adapted = hull.adapted_algebra
         k = adapted.dim
         layers = hull.layers

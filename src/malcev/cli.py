@@ -11,7 +11,8 @@ import json
 import sys
 
 from . import interchange as io
-from .autos import IAStarEquations, enumerate_ia_star, LieAutomorphism
+from .autos import (IAStarEquations, csp_witness, enumerate_ia_star,
+                    strong_approx_check, LieAutomorphism)
 from .catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
                       entry_by_name)
 from .errors import CapExceeded, UnsupportedInputForm
@@ -163,7 +164,6 @@ def cmd_ia_enumerate(args) -> int:
 
 def _verify_single_level(args) -> int:
     """verify strong-approx --m M: one level on a chosen (or default) hull."""
-    from .autos import strong_approx_check
     group = _load_group(args) if (args.group or args.entry) else \
         build_group(entry_by_name("heisenberg"))
     hull = lattice_hull(group)
@@ -178,7 +178,6 @@ def _verify_single_level(args) -> int:
 
 def _verify_subgroup(args) -> int:
     """verify csp --subgroup FILE: one subgroup certificate."""
-    from .autos import csp_witness, LieAutomorphism
     doc = io.expect_object(_read_doc(args.subgroup), args.subgroup)
     if "entry" in doc:
         try:
@@ -291,12 +290,20 @@ def cmd_fiber(args) -> int:
         _emit({"t": t}, args.format, [f"t = {t}"])
         return EXIT_OK
     if args.fiber_cmd == "lift":
+        if args.sigma1 is None or args.sigma2 is None:
+            raise io.FormatError("arguments", "lift needs --sigma1 and --sigma2")
         mat = io.automorphism_from_doc(_read_doc(args.sigma1), args.sigma1)
+        if len(mat) != u.hull.algebra.dim:
+            raise io.FormatError(args.sigma1, f"need k = {u.hull.algebra.dim}")
         sigma1 = LieAutomorphism(u.hull.algebra, mat)
         try:
             perm = json.loads(args.sigma2)
         except json.JSONDecodeError as e:
             raise io.FormatError("--sigma2", e.msg) from None
+        n = u.p2.order
+        if not (isinstance(perm, list) and len(perm) == n and
+                all(type(y) is int and 0 <= y < n for y in perm)):
+            raise io.FormatError("--sigma2", f"need a list of {n} integers in 0..{n - 1}")
         try:
             lift_automorphism(u, sigma1, perm)
         except ValueError as e:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .autos import LieAutomorphism, is_lie_aut, stabilizes_lattice
+from .autos import (LieAutomorphism, adapted_matrix, is_ia_star, is_lie_aut,
+                    stabilizes_lattice)
 from .errors import CapExceeded
 from .finite import (FiniteGroup, check_onto, closure, cosets, extend_hom,
                      induced_map)
@@ -50,9 +51,12 @@ class HullSide:
         check_onto(self.to_q, mul, q, "pi1 data is not a homomorphism",
                    "pi1 must be surjective onto Q")
 
+    def q_of_rep(self, rep) -> int:
+        """The Q index of an integer adapted vector."""
+        return self.to_q[self.latq.index_of(self.latq.reduce(rep))]
+
     def pi1(self, x) -> int:
-        rep = self.latq.reduce_working(x)
-        return self.to_q[self.latq.index_of(rep)]
+        return self.q_of_rep(self.latq.reduce_working(x))
 
 
 class FiberGroup:
@@ -174,8 +178,7 @@ class FiberQuotient:
         if self._keys is None:
             out = []
             for rep in self.latq.elements():
-                q1 = self.u.side.to_q[self.u.side.latq.index_of(
-                    self.u.side.latq.reduce(rep))]
+                q1 = self.u.side.q_of_rep(rep)
                 for y in range(self.u.p2.order):
                     if self.u.pi2[y] == q1:
                         out.append((rep, y))
@@ -308,17 +311,19 @@ class ProductAut:
         return ProductAut(self.u, self.sigma1.inverse(), inv2)
 
 
+def _adapted_int_matrix(hull: HullResult, aut: LieAutomorphism) -> tuple:
+    """The adapted-coordinate matrix of a lattice automorphism, as ints."""
+    A = adapted_matrix(hull, aut)
+    if any(x.denominator != 1 for row in A for x in row):
+        raise RuntimeError("a lattice automorphism has an integral adapted matrix")
+    return tuple(tuple(int(x) for x in row) for row in A)
+
+
 def _induced_on_q_from_hull(u: FiberGroup, sigma1):
-    """induced_map of sigma1 on Q; a coset sent off the lattice fails."""
-    side = u.side
-
-    def pairs():
-        for rep in side.latq.elements():
-            image = sigma1.apply(u.hull.to_working(tuple(Fraction(t) for t in rep)))
-            yield (side.to_q[side.latq.index_of(rep)],
-                   side.pi1(image) if u.hull.lattice.member(image) else None)
-
-    return induced_map(pairs(), u.q.order)
+    """induced_map of the lattice automorphism sigma1 on Q."""
+    side, A = u.side, _adapted_int_matrix(u.hull, sigma1)
+    return induced_map(((side.q_of_rep(rep), side.q_of_rep(linalg.mat_apply(A, rep)))
+                        for rep in side.latq.elements()), u.q.order)
 
 
 def lift_automorphism(u: FiberGroup, sigma1: LieAutomorphism, sigma2):
@@ -606,68 +611,58 @@ def induced_on_level_quotient(lq: QuotientGroup, aut):
     return tuple(perm)
 
 
+@dataclass
+class LevelLiftAut:
+    """beta on the hull side; the P2 component is a table on fine keys."""
+
+    u: FiberGroup
+    beta: LieAutomorphism
+    fq: FiberQuotient
+    table: dict
+
+    def apply(self, el: FiberElement) -> FiberElement:
+        if not self.u.member(el):
+            raise ValueError("element outside the fiber group")
+        return FiberElement(self.beta.apply(el.x), self.table[self.fq.reduce(el)])
+
+
 def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
                           beta: LieAutomorphism, t: int | None = None):
-    """Reconstruct alpha in IA*(U) from its level-m image and a hull-side
-    beta, through the fiber representation at level m.
+    """Reconstruct alpha in IA*(U) from its level-m image alpha_m (a
+    permutation of the level quotient's cosets) and a hull-side IA* beta.
 
-    alpha_m is a permutation of the level quotient's cosets.  Returns an
-    automorphism object with .apply(); raises when t does not divide m or
-    when alpha_m is not realizable over the supplied beta.
+    beta's adapted matrix A is integral and maps s*Z^k into s*Z^k, so alpha
+    sends a fine key (rep, y) to (latq.reduce(A rep), y'), with y' the one P2
+    index over its Q-class in the coset alpha_m assigns: y' depends only on
+    the fine key.  Raises when t does not divide m or alpha_m is not
+    realizable over beta.
     """
     t = t if t is not None else find_t(u)
     if m % t:
         raise ValueError(f"level {m} is not a multiple of t = {t}")
     lq = level_quotient(u, m)
     fq = lq.fq
-
-    # beta must be IA*-like on the hull and compatible with alpha_m over the
-    # common quotient Delta_m: check by comparing classes elementwise.
-    from .autos import is_ia_star
     if not is_ia_star(beta, u.hull):
         raise ValueError("beta must be an IA* element of the hull")
-
-    class Transported:
-        def __init__(self):
-            self.u = u
-
-        def apply(self, el: FiberElement) -> FiberElement:
-            if not u.member(el):
-                raise ValueError("element outside the fiber group")
-            x_new = beta.apply(el.x)
-            target_class = alpha_m[lq.class_of_element(el)]
-            candidates = []
-            for y in range(u.p2.order):
-                cand = FiberElement(x_new, y)
-                if u.member(cand) and \
-                        lq.class_of_element(cand) == target_class:
-                    candidates.append(cand)
-            if len(candidates) != 1:
-                raise ValueError("alpha_m is not realizable over the supplied"
-                                 f" beta ({len(candidates)} candidates)")
-            return candidates[0]
-
-    alpha = Transported()
-    # verify the reduction of alpha is alpha_m on the whole finite quotient
+    A = _adapted_int_matrix(u.hull, beta)
+    table = {}
     for key in fq.keys():
-        el = fq.element_from_key(key)
-        got = lq.class_of_element(alpha.apply(el))
-        if got != alpha_m[lq.class_of_key(key)]:
-            raise RuntimeError("transported map does not reduce to alpha_m")
+        image = fq.latq.reduce(linalg.mat_apply(A, key[0]))
+        q1, target = u.side.q_of_rep(image), alpha_m[lq.class_of_key(key)]
+        ys = [y for y in range(u.p2.order)
+              if u.pi2[y] == q1 and lq.class_of_key((image, y)) == target]
+        if len(ys) != 1:
+            raise ValueError("alpha_m is not realizable over the supplied"
+                             f" beta ({len(ys)} candidates)")
+        table[key] = ys[0]
+    alpha = LevelLiftAut(u, beta, fq, table)
     # IA*-ness, literally: the free abelianization reads off the first-layer
     # adapted coordinates of the hull part, and alpha must fix them
-    d = u.hull.d
-    gens = u.generators()
-    for g in gens:
-        before = u.hull.to_adapted(g.x)[:d]
-        after = u.hull.to_adapted(alpha.apply(g).x)[:d]
-        if before != after:
-            raise RuntimeError("transported map moves the free abelianization")
+    d, gens, to_adapted = u.hull.d, u.generators(), u.hull.to_adapted
+    if any(to_adapted(g.x)[:d] != to_adapted(alpha.apply(g).x)[:d] for g in gens):
+        raise RuntimeError("transported map moves the free abelianization")
     # multiplicativity spot-check on generator pairs
-    for a in gens:
-        for b in gens:
-            lhs = alpha.apply(u.mul(a, b))
-            rhs = u.mul(alpha.apply(a), alpha.apply(b))
-            if lhs != rhs:
-                raise RuntimeError("transported map is not multiplicative")
+    if any(alpha.apply(u.mul(a, b)) != u.mul(alpha.apply(a), alpha.apply(b))
+           for a in gens for b in gens):
+        raise RuntimeError("transported map is not multiplicative")
     return alpha

@@ -291,12 +291,12 @@ def check_onto(pi, mul, q: FiniteGroup, not_hom: str, not_onto: str):
 def induced_map(pairs, size: int):
     """The map src -> dst read off (src, dst) pairs on 0..size-1.
 
-    Returns (map tuple, None), or (None, src) at the first src that is given
-    two different images or the image None.
+    Returns (map tuple, None), or (None, src) at the first src given two
+    different images.
     """
     out = [None] * size
     for src, dst in pairs:
-        if dst is None or out[src] not in (None, dst):
+        if out[src] not in (None, dst):
             return None, src
         out[src] = dst
     return tuple(out), None

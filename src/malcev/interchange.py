@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .finite import FiniteGroup
-from .hull import GenGroup
+from .hull import GenGroup, lattice_hull
 from .lattices import Lattice
 from .liealg import NilpotentLieAlgebra, validate_structure_constants
 
@@ -201,7 +201,6 @@ def fiber_to_doc(u) -> dict:
 
 def fiber_from_doc(doc, where: str = "fiber"):
     from .fiber import FiberGroup, HullSide
-    from .hull import lattice_hull
     group = group_from_doc(expect_object(doc, where).get("hull_group", {}),
                            where + ".hull_group")
     hull = lattice_hull(group)

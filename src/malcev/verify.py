@@ -15,16 +15,16 @@ from fractions import Fraction
 from . import linalg, unitriangular as ut
 from .autos import (IAStarEquations, adapted_matrix, csp_witness,
                     enumerate_ia_star, is_ia_star, make_ia_star,
-                    strong_approx_check, LieAutomorphism)
+                    matrix_from_adapted, strong_approx_check, LieAutomorphism)
 from .catalog import (CATALOG, CSP_SUBGROUPS, EXPECTED_T, TORSION_NAMES,
-                      build_fiber, build_group, build_hull, entry_by_name,
-                      finite_fiber_example)
+                      build_fiber, build_group, build_hull, build_zz2,
+                      entry_by_name, finite_fiber_example)
 from .errors import CapExceeded
 from .fiber import (find_t, free_abelianization_check, ia_kernel_enum,
                     lift_automorphism, lift_automorphism_finite,
                     reconstruction_check)
-from .freenil import (central_tuple_iso, aut_restriction, psi_algebra_only,
-                      psi_group, witt_dimension)
+from .freenil import (central_tuple_iso, aut_restriction, endo_matrix,
+                      psi_algebra_only, psi_group, witt_dimension)
 from .hull import (GenGroup, closure_certificate, hull_of_lattice,
                    lattice_hull)
 from .lattices import hnf_lattice, intersect_subspace, lattice_index, lattice_sum
@@ -356,7 +356,6 @@ def _aut_stock_for_hull(h):
                              for i in range(k))))
     elif k == 3:
         # diag(-1,-1,1) in adapted coordinates and an IA* shift
-        from .autos import matrix_from_adapted
         diag = tuple(tuple(Fraction([-1, -1, 1][i] * int(i == j))
                            for j in range(3)) for i in range(3))
         stock.append(LieAutomorphism(h.algebra, matrix_from_adapted(h, diag)))
@@ -449,7 +448,6 @@ def suite_fiber(seed: int = 0, recon_levels: int = 12):
     rep.record("torsion-shift kernel for z2z4", kr["order"] == 2 and kr["closed"],
                f"order {kr['order']} of {kr['candidates']} candidates", t())
     t = _timer()
-    from .catalog import build_zz2
     u = build_zz2()
     K2, kr2 = ia_kernel_enum(u)
     rep.record("torsion-shift kernel for Z x Z/2", kr2["order"] == 2 and kr2["closed"],
@@ -532,7 +530,6 @@ def suite_free_iso(seed: int = 0, box: int = 2, boxes=((2, 2), (2, 3), (3, 2)),
     enumerated = {a.adapted_entries
                   for a in enumerate_ia_star(psi22.hull, 2 * box, eq=eq)}
     matched = set()
-    from .freenil import endo_matrix
     for a in range(-box, box + 1):
         for b in range(-box, box + 1):
             tup = [vec((0, 0, a)), vec((0, 0, b))]

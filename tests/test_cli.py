@@ -152,6 +152,8 @@ def test_fiber_commands(capsys, tmp_path):
 
 _HEIS_ALGEBRA = io.algebra_to_doc(tr0_algebra(3)[0])
 _SUBGROUP_ARGS = ("verify", "csp", "--subgroup")
+_LIFT_ARGS = ("fiber", "lift", "--entry", "z2z4")
+_SIGMA1_NEG = {"k": 1, "matrix": [["-1"]]}
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -184,6 +186,18 @@ _SUBGROUP_ARGS = ("verify", "csp", "--subgroup")
     (("free", "algebra", "--n", "2", "--c", "0"), None),
     (("free", "a-iso", "--n", "2", "--c", "2", "--box", "-1"), None),
     (("free", "a-iso", "--n", "2", "--c", "2", "--box", "x"), None),
+    # fiber lift with a missing, malformed or mis-sized sigma1 or sigma2
+    (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, 1]"), None),
+    (_LIFT_ARGS + ("--sigma1",), _SIGMA1_NEG),
+    (_LIFT_ARGS + ("--sigma2", "5", "--sigma1"), _SIGMA1_NEG),
+    (_LIFT_ARGS + ("--sigma2", "{}", "--sigma1"), _SIGMA1_NEG),
+    (_LIFT_ARGS + ("--sigma2", "[0, 3, 2]", "--sigma1"), _SIGMA1_NEG),
+    (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, 1.0]", "--sigma1"), _SIGMA1_NEG),
+    (_LIFT_ARGS + ("--sigma2", '[0, 3, 2, "1"]', "--sigma1"), _SIGMA1_NEG),
+    (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, 4]", "--sigma1"), _SIGMA1_NEG),
+    (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, -1]", "--sigma1"), _SIGMA1_NEG),
+    (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, 1]", "--sigma1"),
+     {"k": 2, "matrix": [["1", "0"], ["0", "1"]]}),
 ])
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
     if doc is not None:

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from malcev.autos import LieAutomorphism, make_ia_star
+from malcev.autos import LieAutomorphism, is_ia_star, make_ia_star
 from malcev.catalog import TORSION_NAMES, build_fiber, build_zz2
 from malcev.errors import CapExceeded
 from malcev.fiber import (FiberElement, FiberGroup, FiberQuotient, HullSide,
@@ -227,14 +228,25 @@ def test_level_lift_identity_and_kernel():
         lift_from_level_image(u, 3, ident_perm, beta_id)  # t does not divide m
 
 
-def test_level_lift_heisenberg_entry():
+def test_level_lift_heisenberg_entry(monkeypatch):
+    """heis3 at m = 6 has 17,496 fine keys; reading each through working
+    coordinates made 157,880 reduce_working calls."""
     u = build_fiber("heis3")
     beta = make_ia_star(u.hull, {(2, 0): 1})
     ident2 = tuple(range(3))
     sigma = lift_automorphism(u, beta, ident2)
     lq = level_quotient(u, 6)
     alpha_m = induced_on_level_quotient(lq, sigma)
+    calls = [0]
+    reduce_working = LatticeQuotient.reduce_working
+
+    def counted(self, v):
+        calls[0] += 1
+        return reduce_working(self, v)
+
+    monkeypatch.setattr(LatticeQuotient, "reduce_working", counted)
     alpha = lift_from_level_image(u, 6, alpha_m, beta, t=3)
+    assert len(lq.fq.keys()) == 17496 and calls[0] < 1000
     for g in u.generators():
         assert alpha.apply(g) == sigma.apply(g)
 
@@ -257,6 +269,82 @@ def test_level_lift_unrealizable_image():
     perm[0], perm[target] = perm[target], perm[0]
     with pytest.raises((ValueError, RuntimeError)):
         lift_from_level_image(u, 4, tuple(perm), beta_id)
+
+
+def reference_lift_from_level_image(u, m, alpha_m, beta, t=None):
+    """Test oracle: the transported map that picks alpha's P2 part element
+    by element through working coordinates, checked on every fine key."""
+    t = t if t is not None else find_t(u)
+    if m % t:
+        raise ValueError(f"level {m} is not a multiple of t = {t}")
+    lq = level_quotient(u, m)
+    if not is_ia_star(beta, u.hull):
+        raise ValueError("beta must be an IA* element of the hull")
+
+    class Transported:
+        def apply(self, el):
+            if not u.member(el):
+                raise ValueError("element outside the fiber group")
+            x_new = beta.apply(el.x)
+            target_class = alpha_m[lq.class_of_element(el)]
+            candidates = []
+            for y in range(u.p2.order):
+                cand = FiberElement(x_new, y)
+                if u.member(cand) and \
+                        lq.class_of_element(cand) == target_class:
+                    candidates.append(cand)
+            if len(candidates) != 1:
+                raise ValueError("alpha_m is not realizable over the supplied"
+                                 f" beta ({len(candidates)} candidates)")
+            return candidates[0]
+
+    alpha = Transported()
+    for key in lq.fq.keys():
+        got = lq.class_of_element(alpha.apply(lq.fq.element_from_key(key)))
+        if got != alpha_m[lq.class_of_key(key)]:
+            raise RuntimeError("transported map does not reduce to alpha_m")
+    return alpha
+
+
+def _level_lift_cases():
+    """(u, m, alpha_m, beta, t): z2z4 at m = 2, 4 (identity and the
+    nontrivial torsion shift) and an IA* entry of heis3 at m = 3."""
+    u = z2z4()
+    beta_id = LieAutomorphism(u.hull.algebra, ((F(1),),))
+    gens = [FiberElement((F(1),), 1), FiberElement((F(0),), 2)]
+    knon = next(a for a in ia_kernel_enum(u, gens)[0] if any(a.shifts))
+    for m in (2, 4):
+        yield u, m, tuple(range(level_quotient(u, m).order)), beta_id, None
+    yield u, 4, induced_on_level_quotient(level_quotient(u, 4), knon), \
+        beta_id, None
+    h = build_fiber("heis3")
+    beta = make_ia_star(h.hull, {(2, 0): 1})
+    sigma = lift_automorphism(h, beta, (0, 1, 2))
+    yield h, 3, induced_on_level_quotient(level_quotient(h, 3), sigma), beta, 3
+
+
+def test_level_lift_matches_transported_oracle():
+    rng = random.Random(0)
+    for u, m, alpha_m, beta, t in _level_lift_cases():
+        alpha = lift_from_level_image(u, m, alpha_m, beta, t)
+        ref = reference_lift_from_level_image(u, m, alpha_m, beta, t)
+        fq = alpha.fq
+        k = u.hull.algebra.dim
+        for rep, y in fq.keys():
+            shift = [fq.s * rng.randint(-3, 3) for _ in range(k)]
+            for v in (rep, [a + b for a, b in zip(rep, shift)]):
+                el = FiberElement(u.hull.to_working(tuple(map(F, v))), y)
+                assert alpha.apply(el) == ref.apply(el), (m, rep, y, v)
+    # the swapped-coset permutation of test_level_lift_unrealizable_image
+    u = z2z4()
+    beta_id = LieAutomorphism(u.hull.algebra, ((F(1),),))
+    lq = level_quotient(u, 4)
+    target = next(i for i, key in enumerate(lq.reps) if any(key[0]))
+    perm = list(range(lq.order))
+    perm[0], perm[target] = perm[target], perm[0]
+    for lift in (lift_from_level_image, reference_lift_from_level_image):
+        with pytest.raises(ValueError, match="not realizable"):
+            lift(u, 4, tuple(perm), beta_id)
 
 
 def reference_level_quotient(fq, m):

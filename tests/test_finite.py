@@ -225,4 +225,3 @@ def test_induced_map_witness():
     assert induced_map([(0, 0), (1, 1), (0, 0)], 2) == ((0, 1), None)
     # source 1 is sent to 0 and then to 1: the witness is 1
     assert induced_map([(0, 1), (1, 0), (0, 1), (1, 1), (0, 0)], 2) == (None, 1)
-    assert induced_map(iter([(0, 0), (1, None)]), 2) == (None, 1)

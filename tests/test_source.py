@@ -21,3 +21,24 @@ def test_no_assert_statements(path):
              and any(isinstance(n, ast.Name) and n.id == "AssertionError"
                      for n in ast.walk(node.exc))]
     assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def _relative_modules(node):
+    """The sibling modules a ``from .X import ...`` / ``from . import X``
+    statement reads."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return set()
+    if node.module:
+        return {node.module}
+    return {alias.name for alias in node.names}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_redundant_local_imports(path):
+    """A function-local relative import is only there to break an import
+    cycle; one from a module the file already imports at the top is noise."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = set().union(*map(_relative_modules, tree.body))
+    lines = [node.lineno for node in ast.walk(tree)
+             if node not in tree.body and _relative_modules(node) & top]
+    assert not lines, f"{path.name}: redundant local import at lines {lines}"
