@@ -66,9 +66,9 @@ def _parse_vector(text: str, dim: int, where: str):
 
 def _parse_matrix_doc(doc, where: str):
     try:
-        n = int(doc["n"])
+        n = io.parse_int(doc["n"], where + ".n")
         rows = doc["matrix"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise io.FormatError(where, str(e)) from None
     if not io.is_square(rows, n):
         raise io.FormatError(where, "matrix must be n x n")

@@ -11,6 +11,7 @@ the hull.  The adapted basis refines it along the lower central series.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -228,7 +229,7 @@ def congruence_quotient(hull: HullResult, m: int):
     s = m
     for _ in range(ESCALATION_CAP + 1):
         try:
-            return s, LatticeQuotient(hull, hull.lattice.scale(s))
+            return s, LatticeQuotient(hull, s)
         except SublatticeError:
             s *= P
     raise CapExceeded("no BCH-closed scaled lattice within the escalation cap")
@@ -240,46 +241,32 @@ def congruence_scale(hull: HullResult, m: int) -> int:
 
 
 class LatticeQuotient:
-    """Coset arithmetic for exp(lat)/exp(sub) without a Cayley table.
+    """The congruence quotient exp(lat)/exp(s*lat) without a Cayley table.
 
-    Elements are canonical integer representative vectors in adapted
-    coordinates (the mixed-radix box cut out by the HNF of sub).
+    The adapted basis is a Z-basis of lat, so s*lat is s*Z^k there and the
+    elements are the points of the box [0, s)^k, reduced entrywise mod s.
     """
 
-    def __init__(self, hull: HullResult, sub: Lattice):
+    def __init__(self, hull: HullResult, s: int):
+        if type(s) is not int or s < 1:
+            raise ValueError(f"congruence scale must be an int >= 1, got {s!r}")
         self.hull = hull
-        k = hull.adapted_algebra.dim
-        rows = []
-        for b in sub.basis():
-            u = hull.to_adapted_int(b)
-            if u is None:
-                raise SublatticeError("sublattice not contained in the hull lattice")
-            rows.append(u)
-        H = linalg.hnf(rows)
-        if len(H) != k:
-            raise SublatticeError("finite quotient needs a full-rank sublattice")
-        self.sub_hnf = [list(row) for row in H]
-        self.diag = [H[i][i] for i in range(k)]
-        order = 1
-        for x in self.diag:
-            order *= x
-        self.order = order
-        self._weights = [1] * k
-        for i in range(k - 2, -1, -1):
-            self._weights[i] = self._weights[i + 1] * self.diag[i + 1]
+        self.s = s
+        self.k = hull.adapted_algebra.dim
+        self.order = s ** self.k
         self._bch = hull.adapted_algebra.bch_compiled()
         self._verify_normal()
 
     def _in_sub(self, w) -> bool:
-        return all(x.denominator == 1 for x in w) and \
-            not any(self.reduce(tuple(int(x) for x in w)))
+        return all(x.denominator == 1 and x.numerator % self.s == 0 for x in w)
 
     def _verify_normal(self):
-        """exp(sub) is a normal subgroup: the binomial coefficient vectors of
-        BCH in its basis and its conjugates by the lattice basis stay in sub."""
+        """exp(s*lat) is a normal subgroup: the binomial coefficient vectors
+        of BCH in its basis and its conjugates by the lattice basis stay in
+        s*lat."""
         alg = self.hull.adapted_algebra
-        k = alg.dim
-        basis = [vec(row) for row in self.sub_hnf]
+        k = self.k
+        basis = [vec(self.s * (i == t) for t in range(k)) for i in range(k)]
         if not all(self._in_sub(c) for c in compiled.binomial_vectors(
                 compiled.bch_symbolic(alg, basis))):
             raise SublatticeError("sublattice is not BCH-closed")
@@ -292,29 +279,26 @@ class LatticeQuotient:
 
     def reduce(self, v):
         """Canonical coset representative of an integer adapted vector."""
-        w = list(v)
-        H = self.sub_hnf
-        for i in range(len(w)):
-            q = w[i] // H[i][i]
-            if q:
-                row = H[i]
-                for j in range(i, len(w)):
-                    w[j] -= q * row[j]
-        return tuple(w)
+        s = self.s
+        return tuple(x % s for x in v)
 
     def index_of(self, rep) -> int:
-        return sum(x * wgt for x, wgt in zip(rep, self._weights))
+        """rep read as base-s digits, most significant first."""
+        idx = 0
+        for x in rep:
+            idx = idx * self.s + x
+        return idx
 
     def rep_of_index(self, idx: int):
-        out = []
-        for i in range(len(self.diag)):
-            out.append(idx // self._weights[i])
-            idx %= self._weights[i]
-        return tuple(out)
+        digits = []
+        for _ in range(self.k):
+            idx, x = divmod(idx, self.s)
+            digits.append(x)
+        return tuple(reversed(digits))
 
     def elements(self):
-        for idx in range(self.order):
-            yield self.rep_of_index(idx)
+        """The box [0, s)^k in lexicographic order, which is index order."""
+        return itertools.product(range(self.s), repeat=self.k)
 
     def mul(self, a, b):
         return self.reduce(self._bch.eval_int(a + b))

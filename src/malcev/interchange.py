@@ -1,6 +1,8 @@
 """JSON interchange formats (bit-exact round trips).
 
 Rationals travel as "num/den" strings (plain "n" accepted on input);
+integer fields (dimensions, indices, orders, table entries, levels) must
+be JSON integers, so a float, a numeric string or a bool is rejected;
 bracket indices in algebra documents are 1-based, matching the usual
 mathematical labeling; everything internal is 0-based.
 """
@@ -43,6 +45,13 @@ def is_square(rows, n: int) -> bool:
         all(isinstance(r, list) and len(r) == n for r in rows)
 
 
+def parse_int(x, where: str) -> int:
+    """x itself, if it is a JSON integer (not a float, string or bool)."""
+    if type(x) is not int:
+        raise FormatError(where, f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def parse_rat(s, where: str = "rational") -> Fraction:
     try:
         if isinstance(s, str):
@@ -50,7 +59,7 @@ def parse_rat(s, where: str = "rational") -> Fraction:
                 num, den = s.split("/")
                 return Fraction(int(num), int(den))
             return Fraction(int(s))
-        if isinstance(s, int):
+        if type(s) is int:
             return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise FormatError(where, f"bad rational {s!r}: {e}") from None
@@ -66,10 +75,11 @@ def lattice_to_doc(lat: Lattice) -> dict:
 
 def lattice_from_doc(doc, where: str = "lattice") -> Lattice:
     try:
-        dim = int(doc["dim"])
-        den = int(doc["den"])
-        rows = [[int(x) for x in row] for row in doc["rows"]]
-    except (KeyError, TypeError, ValueError) as e:
+        dim = parse_int(doc["dim"], where + ".dim")
+        den = parse_int(doc["den"], where + ".den")
+        rows = [[parse_int(x, where + ".rows") for x in row]
+                for row in doc["rows"]]
+    except (KeyError, TypeError) as e:
         raise FormatError(where, str(e)) from None
     if den < 1:
         raise FormatError(where, "denominator must be positive")
@@ -90,10 +100,10 @@ def algebra_to_doc(alg: NilpotentLieAlgebra) -> dict:
 
 def algebra_from_doc(doc, where: str = "algebra") -> NilpotentLieAlgebra:
     try:
-        dim = int(doc["dim"])
-        cls = int(doc["class"])
+        dim = parse_int(doc["dim"], where + ".dim")
+        cls = parse_int(doc["class"], where + ".class")
         entries = doc["brackets"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise FormatError(where, str(e)) from None
     if not isinstance(entries, list):
         raise FormatError(where, "brackets must be a list")
@@ -102,9 +112,9 @@ def algebra_from_doc(doc, where: str = "algebra") -> NilpotentLieAlgebra:
         loc = f"{where}.brackets[{idx}]"
         try:
             i, j, value = item
-            i, j = int(i) - 1, int(j) - 1
         except (TypeError, ValueError) as e:
             raise FormatError(loc, str(e)) from None
+        i, j = parse_int(i, loc) - 1, parse_int(j, loc) - 1
         if not (0 <= i < dim and 0 <= j < dim):
             raise FormatError(loc, "index out of range")
         if not isinstance(value, list) or len(value) != dim:
@@ -154,9 +164,9 @@ def automorphism_to_doc(matrix) -> dict:
 
 def automorphism_from_doc(doc, where: str = "automorphism"):
     try:
-        k = int(doc["k"])
+        k = parse_int(doc["k"], where + ".k")
         rows = doc["matrix"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise FormatError(where, str(e)) from None
     if not is_square(rows, k):
         raise FormatError(where, "matrix must be k x k")
@@ -171,9 +181,10 @@ def finite_group_to_doc(group: FiniteGroup) -> dict:
 
 def finite_group_from_doc(doc, where: str = "finite group") -> FiniteGroup:
     try:
-        order = int(doc["order"])
-        table = [[int(x) for x in row] for row in doc["cayley"]]
-    except (KeyError, TypeError, ValueError) as e:
+        order = parse_int(doc["order"], where + ".order")
+        table = [[parse_int(x, where + ".cayley") for x in row]
+                 for row in doc["cayley"]]
+    except (KeyError, TypeError) as e:
         raise FormatError(where, str(e)) from None
     if len(table) != order or any(len(r) != order for r in table):
         raise FormatError(where, "cayley table must be order x order")
@@ -205,10 +216,10 @@ def fiber_from_doc(doc, where: str = "fiber"):
                            where + ".hull_group")
     hull = lattice_hull(group)
     try:
-        level = int(doc["level"])
-        pi1 = [int(x) for x in doc["pi1"]]
-        pi2 = [int(x) for x in doc["pi2"]]
-    except (KeyError, TypeError, ValueError) as e:
+        level = parse_int(doc["level"], where + ".level")
+        pi1 = [parse_int(x, where + ".pi1") for x in doc["pi1"]]
+        pi2 = [parse_int(x, where + ".pi2") for x in doc["pi2"]]
+    except (KeyError, TypeError) as e:
         raise FormatError(where, str(e)) from None
     q = finite_group_from_doc(doc.get("q", {}), where + ".q")
     p2 = finite_group_from_doc(doc.get("p2", {}), where + ".p2")

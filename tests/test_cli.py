@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from malcev import interchange as io
-from malcev.catalog import build_group, entry_by_name
+from malcev.catalog import build_fiber, build_group, entry_by_name
 from malcev.cli import main
 from malcev.unitriangular import tr0_algebra
 
@@ -154,6 +154,8 @@ _HEIS_ALGEBRA = io.algebra_to_doc(tr0_algebra(3)[0])
 _SUBGROUP_ARGS = ("verify", "csp", "--subgroup")
 _LIFT_ARGS = ("fiber", "lift", "--entry", "z2z4")
 _SIGMA1_NEG = {"k": 1, "matrix": [["-1"]]}
+_FIND_T_ARGS = ("fiber", "find-t", "--fiber")
+_Z2Z4_FIBER = io.fiber_to_doc(build_fiber("z2z4"))
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -198,6 +200,26 @@ _SIGMA1_NEG = {"k": 1, "matrix": [["-1"]]}
     (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, -1]", "--sigma1"), _SIGMA1_NEG),
     (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, 1]", "--sigma1"),
      {"k": 2, "matrix": [["1", "0"], ["0", "1"]]}),
+    # integer fields that are floats, numeric strings or bools
+    (_FIND_T_ARGS, {**_Z2Z4_FIBER, "level": 2.5}),
+    (_FIND_T_ARGS, {**_Z2Z4_FIBER, "pi2": [0.25, 1.25, 0.25, 1.25]}),
+    (_FIND_T_ARGS, {**_Z2Z4_FIBER, "pi2": ["0", "1", "0", "1"]}),
+    (_FIND_T_ARGS, {**_Z2Z4_FIBER, "pi1": [0, True]}),
+    (_FIND_T_ARGS, {**_Z2Z4_FIBER, "q": {
+        "order": 2, "cayley": [[0.5, 1.5], [1.5, 0.5]]}}),
+    (_FIND_T_ARGS, {**_Z2Z4_FIBER, "p2": {**_Z2Z4_FIBER["p2"],
+                                          "order": 4.0}}),
+    (("log", "--matrix"), {"n": 2.9, "matrix": [["1", "1"], ["0", "1"]]}),
+    (("bch", "--x", "[true, false]", "--y", "[1, 0]", "--algebra"),
+     {"dim": 2, "class": 1, "brackets": []}),
+    (("bch", "--x", "[1, 0]", "--y", "[1, 0]", "--algebra"),
+     {"dim": "2", "class": 1, "brackets": []}),
+    (("bch", "--x", "[1, 0, 0]", "--y", "[0, 1, 0]", "--algebra"),
+     {**_HEIS_ALGEBRA, "class": 2.0}),
+    (("bch", "--x", "[1, 0, 0]", "--y", "[0, 1, 0]", "--algebra"),
+     {"dim": 3, "class": 2, "brackets": [[1.0, 2, ["0", "0", "1"]]]}),
+    (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, 1]", "--sigma1"),
+     {"k": 1.0, "matrix": [["-1"]]}),
 ])
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
     if doc is not None:

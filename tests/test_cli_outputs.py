@@ -24,6 +24,10 @@ COMMANDS = (
      for e in CATALOG for m in (1, 2)]
     + [["--format", "json", "quotient", "--entry", "heisenberg", "--m", "3"],
        ["quotient", "--entry", "psi32", "--m", "3", "--cap-order", "100"]]
+    + [["--format", "json", "quotient", "--entry", "heisenberg", "--m", str(m)]
+       for m in (4, 5, 6)]
+    + [["--format", "json", "quotient", "--entry", e, "--m", "3"]
+       for e in ("psi22", "psi23", "abelian3")]
     + [["--format", "json", "fiber", cmd, "--entry", name]
        for name in TORSION_NAMES for cmd in ("tor", "find-t", "k-tilde")])
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from malcev import unitriangular as ut
-from malcev.catalog import CATALOG, build_hull
+from malcev.catalog import CATALOG, TORSION_NAMES, build_fiber, build_hull
 from malcev.errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from malcev.freenil import free_algebra, psi_group
 from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
@@ -14,6 +14,7 @@ from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
                          group_index_in_hull, hull_of_lattice, lattice_hull)
 from malcev.lattices import Lattice, hnf_lattice, lattice_index
 from malcev.liealg import GroupElement, NilpotentLieAlgebra
+from malcev.linalg import hnf
 
 
 def heis_group():
@@ -137,7 +138,7 @@ def test_congruence_scale_catalog_values():
 def test_finite_quotient_orders_and_axioms():
     ab = NilpotentLieAlgebra.abelian(2)
     h = lattice_hull(GenGroup.from_elements(ab, [(1, 0), (0, 1)]))
-    klein = finite_quotient(LatticeQuotient(h, h.lattice.scale(2)))
+    klein = finite_quotient(LatticeQuotient(h, 2))
     assert klein.order == 4
     assert all(klein.mul(a, a) == 0 for a in range(4))  # Klein four-group
     heis = lattice_hull(heis_group())
@@ -147,12 +148,13 @@ def test_finite_quotient_orders_and_axioms():
     assert grp.validate() == []
     with pytest.raises(CapExceeded, match="quotient order 8 exceeds cap 7"):
         finite_quotient(quo, cap=7)
-    trivial = finite_quotient(LatticeQuotient(heis, heis.lattice))
+    trivial = finite_quotient(LatticeQuotient(heis, 1))
     assert trivial.order == 1
     # BCH-closure failures are rejected (center too sparse for the halves)
+    alg, _ = ut.tr0_algebra(3)
+    z3 = _hull_on(alg, hnf_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
     with pytest.raises(SublatticeError):
-        LatticeQuotient(heis, hnf_lattice([(1, 0, 0), (0, 1, 0),
-                                           (0, 0, F(5, 2))]))
+        LatticeQuotient(z3, 3)
 
 
 def test_quotient_reduce_roundtrip():
@@ -165,6 +167,45 @@ def test_quotient_reduce_roundtrip():
         assert quo.reduce(rep) == rep
         assert 0 <= quo.index_of(rep) < quo.order
         assert quo.rep_of_index(quo.index_of(rep)) == rep
+
+
+def reference_reduce(hull, s, vectors):
+    """The general sublattice reduction: row-reduce each vector by the HNF
+    of s*lat written in adapted coordinates."""
+    H = hnf([hull.to_adapted_int(b) for b in hull.lattice.scale(s).basis()])
+    out = []
+    for v in vectors:
+        w = list(v)
+        for i in range(len(w)):
+            q = w[i] // H[i][i]
+            for j in range(i, len(w)):
+                w[j] -= q * H[i][j]
+        out.append(tuple(w))
+    return out
+
+
+def test_box_quotient_matches_hnf_reduction():
+    """Entrywise reduction mod s is the HNF row reduction by s*lat, and the
+    box [0, s)^k is listed in index order."""
+    hulls = [(e.name, build_hull(e)) for e in CATALOG] + \
+        [(name, build_fiber(name).hull) for name in TORSION_NAMES]
+    rng = random.Random(10)
+    for name, h in hulls:
+        k = h.adapted_algebra.dim
+        for s in (1, 2, 3, 4, 5, 6, 12):
+            q = LatticeQuotient(h, s)
+            assert q.order == s ** k, name
+            vs = [tuple(rng.randint(-50, 50) for _ in range(k))
+                  for _ in range(200)]
+            assert [q.reduce(v) for v in vs] == reference_reduce(h, s, vs), \
+                (name, s)
+            if q.order <= 1000:
+                reps = list(q.elements())
+                assert reps == [q.rep_of_index(i) for i in range(q.order)]
+                assert [q.index_of(r) for r in reps] == list(range(q.order))
+        for bad in (0, -2, True, 2.0, h.lattice):
+            with pytest.raises(ValueError):
+                LatticeQuotient(h, bad)
 
 
 def test_root():
