@@ -5,7 +5,9 @@ with N supported on strictly-deeper-layer positions, subject to the
 automorphism equations.  Those equations are compiled once per hull into
 integer polynomials graded by depth: each stratum is affine-linear in its
 own unknowns over the earlier ones, which gives exact mod-m solving and
-Hensel-style integral lifting.
+Hensel-style integral lifting.  When every stratum's linear part maps onto
+its rows, the solutions form affine space over Z (``free_rank``), and the
+mod-m points are counted instead of listed.
 
 Mod-m solution sets are taken, by default, in the torsion-free (saturated)
 integral model: each graded stratum's row space is saturated in Z^n before
@@ -266,7 +268,13 @@ class IAStarEquations:
             s.snf = linalg.snf_with_transforms(C, len(s.vars)) if s.rows \
                 else ([], [], [tuple(int(i == j) for j in range(len(s.vars)))
                               for i in range(len(s.vars))])
-        self._lift_memo = (None, {})   # (modulus, prefix values -> partial lift)
+        # f when every stratum's linear part maps onto Z^rows (an all-ones
+        # Smith diagonal as long as the rows): the system is then affine
+        # f-space over Z, so every mod-m point lifts and there are m^f.
+        onto = all(len(s.snf[0]) == len(s.rows) and
+                   all(d == 1 for d in s.snf[0]) for s in self.strata)
+        self.free_rank = sum(len(s.vars) - len(s.rows) for s in self.strata) \
+            if onto else None
 
     def _saturate_stratum(self, s):
         monos = sorted({m for _, rem in s.rows for m, _ in rem})
@@ -364,40 +372,26 @@ class IAStarEquations:
         rec(0)
         return out
 
+    def count_mod(self, m: int, cap: int | None = None) -> int:
+        """The number of solutions mod m: m^free_rank when certified, else
+        counted by enumeration.  Raises CapExceeded past ``cap`` either way."""
+        if self.free_rank is None:
+            return len(self.solutions_mod(m, cap))
+        if m < 1:
+            raise ValueError("modulus must be >= 1")
+        count = m ** self.free_rank
+        if cap is not None and count > cap:
+            raise CapExceeded(f"more than {cap} mod-{m} points")
+        return count
+
     def lift(self, assignment, m: int):
         """An exact integer solution congruent to the mod-m point, or None.
 
         Straight-line Hensel: each stratum is solved exactly over Z with the
         congruence constraint; free coordinates of the correction are zero.
-        A stratum's solution depends only on the strata before it, so the
-        partial lift of every stratum but the last is memoized on its mod-m
-        values (None when that prefix does not lift).  The memo holds one
-        modulus at a time.
         """
-        if not self.strata:
-            return ()
-        *head, last = self.strata
-        key = tuple(assignment[v] % m for s in head for v in s.vars)
-        if self._lift_memo[0] != m:
-            self._lift_memo = (m, {})
-        memo = self._lift_memo[1]
-        if key in memo:
-            prefix = memo[key]
-        else:
-            exact = [None] * self.nvars
-            ok = self._lift_strata(head, assignment, m, exact)
-            prefix = memo[key] = tuple(exact) if ok else None
-        if prefix is None:
-            return None
-        exact = list(prefix)
-        if not self._lift_strata((last,), assignment, m, exact):
-            return None
-        return tuple(exact)
-
-    def _lift_strata(self, strata, assignment, m, exact) -> bool:
-        """Solve the given strata in order into ``exact``; False if one of
-        them has no exact solution over the values already in ``exact``."""
-        for s in strata:
+        exact = [None] * self.nvars
+        for s in self.strata:
             u = len(s.vars)
             xbar = [assignment[v] % m for v in s.vars]
             if not s.rows:
@@ -409,27 +403,23 @@ class IAStarEquations:
                 t = self._rem_value(rem, exact) + \
                     sum(c * x for c, x in zip(lin, xbar))
                 if t % m:
-                    return False
+                    return None
                 resid.append(-(t // m))
             diag, U, V = s.snf
             c = [sum(U[i][j] * resid[j] for j in range(len(resid)))
                  for i in range(len(resid))]
             rank = len(diag)
             if any(c[i] for i in range(rank, len(c))):
-                return False
+                return None
             w = [0] * u
-            feasible = True
             for i in range(rank):
                 if c[i] % diag[i]:
-                    feasible = False
-                    break
+                    return None
                 w[i] = c[i] // diag[i]
-            if not feasible:
-                return False
             z = [sum(V[t][j] * w[j] for j in range(u)) for t in range(u)]
             for t, v in enumerate(s.vars):
                 exact[v] = xbar[t] + m * z[t]
-        return True
+        return tuple(exact)
 
     def enumerate_integral(self, bound: int, cap: int = 10 ** 6):
         """All exact integer solutions with every variable in [-bound, bound]."""
@@ -535,13 +525,25 @@ def _matrix_mul_mod(A, B, m):
 def strong_approx_check(hull: HullResult, m: int,
                         eq: IAStarEquations | None = None,
                         point_cap: int = 500_000, witness_cap: int = 5):
-    """Is reduction IA*(Z) -> mod-m points surjective?  Constructive check.
+    """Is reduction IA*(Z) -> mod-m points surjective?
 
-    Every mod-m point is given an explicit integral lift; failures (points
-    with no straight-line lift) are reported as witnesses and make the
-    result inconclusive rather than a refutation.
+    When ``eq.free_rank`` is f, every stratum's linear part maps onto its
+    rows, so each mod-m point lifts stratum by stratum and there are m^f of
+    them: the result is certified without listing the points.  One seeded
+    point is still lifted as a check on that invariant.  Otherwise every
+    mod-m point is given an explicit integral lift, and failures (points
+    with no straight-line lift) are reported as witnesses that make the
+    result inconclusive rather than a refutation.  Either way more than
+    ``point_cap`` points raise CapExceeded.
     """
     eq = eq or IAStarEquations(hull)
+    if eq.free_rank is not None:
+        count = eq.count_mod(m, point_cap)
+        point = eq.random_point(random.Random(m), spread=m)
+        a = tuple(x % m for x in point)
+        _check_lift(eq, a, eq.lift(a, m), m)
+        return {"m": m, "solution_count": count, "lifted": count,
+                "surjective": True, "failure_witnesses": []}
     sols = eq.solutions_mod(m, cap=point_cap)
     failures = []
     lifted = 0
@@ -552,8 +554,7 @@ def strong_approx_check(hull: HullResult, m: int,
             if len(failures) >= witness_cap:
                 break
             continue
-        if any((e - v) % m for e, v in zip(exact, a)):
-            raise RuntimeError("lift does not reduce to its point")
+        _check_lift(eq, a, exact, m)
         lifted += 1
     return {
         "m": m,
@@ -562,6 +563,14 @@ def strong_approx_check(hull: HullResult, m: int,
         "surjective": not failures,
         "failure_witnesses": failures,
     }
+
+
+def _check_lift(eq, a, exact, m):
+    """RuntimeError unless ``exact`` solves the equations and reduces to the
+    mod-m point ``a``."""
+    if exact is None or any((e - v) % m for e, v in zip(exact, a)) or \
+            not eq.check_assignment(exact):
+        raise RuntimeError("lift does not reduce to its point")
 
 
 def mod_m_group(hull: HullResult, m: int, eq: IAStarEquations | None = None,
@@ -624,11 +633,11 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
         index = ia_star_abelian_index(hull, gens, eq)
     rng = random.Random(seed)
     for m in range(1, level_cap + 1):
-        universe = mod_m_group(hull, m, eq, point_cap)
+        universe = eq.count_mod(m, point_cap)
         image = subgroup_closure_mod(hull, gens, m)
-        if len(universe) % len(image):
+        if universe % len(image):
             continue
-        if len(universe) // len(image) != index:
+        if universe // len(image) != index:
             continue
         kernel_checked = 0
         for _ in range(samples):
@@ -642,7 +651,7 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
             if reduced not in image:
                 raise RuntimeError("kernel element escapes the image")
             kernel_checked += 1
-        return {"m": m, "index": index, "universe": len(universe),
+        return {"m": m, "index": index, "universe": universe,
                 "image": len(image), "kernel_samples": kernel_checked,
                 "status": "certified"}
     return {"m": None, "index": index, "status": "inconclusive",

@@ -10,6 +10,7 @@ mathematical labeling; everything internal is 0-based.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .finite import FiniteGroup
@@ -52,17 +53,19 @@ def parse_int(x, where: str) -> int:
     return x
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rat(s, where: str = "rational") -> Fraction:
-    try:
-        if isinstance(s, str):
-            if "/" in s:
-                num, den = s.split("/")
-                return Fraction(int(num), int(den))
-            return Fraction(int(s))
-        if type(s) is int:
-            return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise FormatError(where, f"bad rational {s!r}: {e}") from None
+    """A JSON integer, or a string "n" or "n/d" in ASCII digits (d > 0)."""
+    if type(s) is int:
+        return Fraction(s)
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
+        num, _, den = s.partition("/")
+        try:
+            return Fraction(int(num), int(den or 1))
+        except ZeroDivisionError as e:
+            raise FormatError(where, f"bad rational {s!r}: {e}") from None
     raise FormatError(where, f"bad rational {s!r}")
 
 

@@ -419,3 +419,117 @@ def test_invariant_failures_raise_runtime_error(monkeypatch):
     monkeypatch.setattr("malcev.autos.is_ia_star", lambda aut, hull: False)
     with pytest.raises(RuntimeError, match="failed is_ia_star validation"):
         enumerate_ia_star(h, 0)
+
+
+# -- the free-rank certificate against enumeration -----------------------------
+
+
+def enumerated_check(eq, m, witness_cap=5):
+    """strong_approx_check's result by listing and lifting every mod-m point."""
+    sols = eq.solutions_mod(m)
+    failures, lifted = [], 0
+    for a in sols:
+        exact = eq.lift(a, m)
+        if exact is None:
+            failures.append(a)
+            if len(failures) >= witness_cap:
+                break
+            continue
+        assert all((e - v) % m == 0 for e, v in zip(exact, a))
+        assert eq.check_assignment(exact)
+        lifted += 1
+    return {"m": m, "solution_count": len(sols), "lifted": lifted,
+            "surjective": not failures, "failure_witnesses": failures}
+
+
+def _abelian2_equations():
+    return IAStarEquations(lattice_hull(GenGroup.from_elements(
+        NilpotentLieAlgebra.abelian(2), [(1, 0), (0, 1)])))
+
+
+@pytest.mark.parametrize("name,levels", [("psi23", range(1, 7)),
+                                         ("psi24", (2,)),
+                                         ("filiform", range(1, 5)),
+                                         ("abelian2", (1, 2, 5))])
+def test_certificate_matches_enumeration(name, levels):
+    eq = _abelian2_equations() if name == "abelian2" else \
+        _oracle_equations(name)[0]
+    assert eq.free_rank is not None
+    for m in levels:
+        assert strong_approx_check(eq.hull, m, eq=eq) == \
+            enumerated_check(eq, m), m
+
+
+@pytest.mark.parametrize("name,seeds", [("Psi(2,3)", 5), ("Psi(3,2)", 3),
+                                        ("UT(4)", 3), ("Psi(2,4)", 2),
+                                        ("UT(5)", 1)])
+def test_certificate_matches_enumeration_on_generated_hulls(name, seeds):
+    """Seeded Nielsen-moved generators give other coordinates for the same
+    groups; the saturated systems stay certified, and where m^f is small
+    the certificate agrees with enumeration."""
+    from test_hull import _moved_generators
+    for seed in range(seeds):
+        rng = random.Random(seed)
+        alg, gens, _ = _moved_generators(name, rng, rng.randint(1, 4))
+        h = lattice_hull(GenGroup(alg, gens))
+        eq = IAStarEquations(h)
+        assert eq.free_rank is not None, seed
+        for m in (2, 3):
+            if m ** eq.free_rank <= 10_000:
+                assert strong_approx_check(h, m, eq=eq) == \
+                    enumerated_check(eq, m), (seed, m)
+
+
+def test_free_rank_certificate_and_its_fallback():
+    from malcev.freenil import psi_group
+    assert IAStarEquations(heis_hull()).free_rank == 2
+    for (n, c), f in (((2, 3), 6), ((2, 4), 12), ((3, 3), 33), ((2, 5), 24)):
+        assert IAStarEquations(psi_group(n, c).hull).free_rank == f, (n, c)
+    # raw Smith diagonals (2, 2) and ((2, 6), (2)): points that do not lift
+    for name, count, lifted in (("psi23-raw", 256, 64),
+                                ("filiform-raw", 512, 64)):
+        eq = _oracle_equations(name)[0]
+        assert eq.free_rank is None
+        assert eq.count_mod(2) == count
+        r = strong_approx_check(eq.hull, 2, eq=eq, witness_cap=count)
+        assert r == enumerated_check(eq, 2, witness_cap=count)
+        assert (r["solution_count"], r["lifted"]) == (count, lifted)
+        assert len(r["failure_witnesses"]) == count - lifted
+
+
+def test_count_mod_is_the_order_of_the_mod_m_group():
+    from malcev.errors import CapExceeded
+    from malcev.freenil import psi_group
+    for h in (heis_hull(), psi_group(2, 3).hull):
+        eq = IAStarEquations(h)
+        for m in range(1, 5):
+            assert eq.count_mod(m) == len(mod_m_group(h, m, eq)), m
+    for eq, f in ((IAStarEquations(heis_hull()), 2),
+                  (_oracle_equations("psi23-raw")[0], 8)):
+        assert eq.count_mod(2, cap=2 ** f) == 2 ** f
+        with pytest.raises(CapExceeded, match="more than 3 mod-2 points"):
+            eq.count_mod(2, cap=3)
+        with pytest.raises(ValueError):
+            eq.count_mod(0)
+
+
+def test_certified_checks_do_not_enumerate(monkeypatch):
+    from malcev.catalog import build_hull, entry_by_name
+    hulls = {n: build_hull(entry_by_name(n)) for n in ("heisenberg", "psi23")}
+    eqs = {n: IAStarEquations(h) for n, h in hulls.items()}
+
+    def enumerate_points(self, m, cap=None):
+        raise AssertionError("a certified check listed its points")
+
+    monkeypatch.setattr(IAStarEquations, "solutions_mod", enumerate_points)
+    for name, f in (("heisenberg", 2), ("psi23", 6)):
+        assert strong_approx_check(hulls[name], 8, eq=eqs[name]) == {
+            "m": 8, "solution_count": 8 ** f, "lifted": 8 ** f,
+            "surjective": True, "failure_witnesses": []}
+    _, _, gen_entries, index = next(row for row in CSP_SUBGROUPS
+                                    if row[:2] == ("psi23", "a2 = 0 mod 3"))
+    h = hulls["psi23"]
+    gens = [make_ia_star(h, e) for e in gen_entries]
+    assert csp_witness(h, gens, index=index, eq=eqs["psi23"]) == {
+        "m": 3, "index": 3, "universe": 729, "image": 243,
+        "kernel_samples": 100, "status": "certified"}

@@ -220,6 +220,11 @@ _Z2Z4_FIBER = io.fiber_to_doc(build_fiber("z2z4"))
      {"dim": 3, "class": 2, "brackets": [[1.0, 2, ["0", "0", "1"]]]}),
     (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, 1]", "--sigma1"),
      {"k": 1.0, "matrix": [["-1"]]}),
+    # rationals that int() would accept but the "n" / "n/d" format does not
+    (("log", "--matrix"), {"n": 2, "matrix": [["1", "1_0"], ["0", "1"]]}),
+    (("log", "--matrix"), {"n": 2, "matrix": [["1", " 3 "], ["0", "1"]]}),
+    (("log", "--matrix"), {"n": 2, "matrix": [["1", "1_0/3"], ["0", "1"]]}),
+    (("log", "--matrix"), {"n": 2, "matrix": [["1", "\u0663"], ["0", "1"]]}),
 ])
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
     if doc is not None:
