@@ -87,11 +87,17 @@ def stabilizes_lattice(aut, lat: Lattice) -> bool:
 
 
 def adapted_matrix(hull: HullResult, aut) -> tuple:
-    """The matrix of the map w.r.t. the adapted basis (Fractions)."""
+    """The integer matrix of the map w.r.t. the adapted basis, a Z-basis of
+    the hull lattice.
+
+    This is the one place that decides whether a map sends the hull lattice
+    into itself: raises ValueError when it does not.
+    """
     M = aut.matrix if isinstance(aut, LieAutomorphism) else aut
-    k = hull.algebra.dim
-    cols = [hull.to_adapted(linalg.mat_apply(M, hull.basis[j])) for j in range(k)]
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    cols = [hull.to_adapted_int(linalg.mat_apply(M, b)) for b in hull.basis]
+    if None in cols:
+        raise ValueError("map does not send the hull lattice into itself")
+    return tuple(zip(*cols))
 
 
 def matrix_from_adapted(hull: HullResult, adapted) -> tuple:
@@ -108,41 +114,31 @@ def matrix_from_adapted(hull: HullResult, adapted) -> tuple:
 
 def aut_star_image(aut: LieAutomorphism, hull: HullResult):
     """The induced d x d integer matrix on the abelianized lattice."""
-    A = adapted_matrix(hull, aut)
     d = hull.d
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            x = A[i][j]
-            if x.denominator != 1:
-                raise ValueError("action does not preserve the abelianized lattice")
-            row.append(int(x))
-        out.append(tuple(row))
-    det = linalg.det(out)
-    if abs(det) != 1:
+    out = tuple(row[:d] for row in adapted_matrix(hull, aut)[:d])
+    if abs(linalg.det(out)) != 1:
         raise ValueError("abelianized action is not invertible over Z")
-    return tuple(out)
+    return out
 
 
 def is_ia_star(aut: LieAutomorphism, hull: HullResult) -> bool:
-    """Automorphism + stabilizes the hull lattice + identity on L/L'.
+    """Automorphism + integral adapted matrix + identity on L/L'.
 
-    Unitriangularity w.r.t. the adapted ordering then follows (an
-    automorphism trivial on L/L' is trivial on every lcs layer), but it is
-    asserted too as a consistency check.
+    An automorphism trivial on L/L' is trivial on every lcs layer, so its
+    adapted matrix is unitriangular w.r.t. the adapted ordering (asserted
+    too, as a consistency check).  An integral one has an integral inverse,
+    so the map stabilizes the hull lattice.
     """
     ok, _ = is_lie_aut(hull.algebra, aut.matrix)
     if not ok:
         return False
-    if not stabilizes_lattice(aut, hull.lattice):
+    try:
+        A = adapted_matrix(hull, aut)
+    except ValueError:
         return False
-    A = adapted_matrix(hull, aut)
     d = hull.d
-    for i in range(d):
-        for j in range(d):
-            if A[i][j] != int(i == j):
-                return False
+    if any(A[i][j] != int(i == j) for i in range(d) for j in range(d)):
+        return False
     k = hull.algebra.dim
     layers = hull.layers
     if not all(A[i][j] == int(i == j)
@@ -581,14 +577,14 @@ def mod_m_group(hull: HullResult, m: int, eq: IAStarEquations | None = None,
     return {eq.adapted_matrix(v, mod=m) for v in sols}
 
 
-def subgroup_closure_mod(hull: HullResult, gens, m: int):
-    """Closure of the reduced generators inside the mod-m matrix group.
+def subgroup_closure_mod(hull: HullResult, mats, m: int):
+    """Closure of the reduced integer adapted matrices inside the mod-m
+    matrix group.
 
     The group is finite, so products of the generators already contain
     their inverses.
     """
-    start = [tuple(tuple(int(x) % m for x in row) for row in adapted_matrix(hull, g))
-             for g in gens]
+    start = [tuple(tuple(x % m for x in row) for row in A) for A in mats]
     k = hull.algebra.dim
     ident = tuple(tuple(int(i == j) % m for j in range(k)) for i in range(k))
     return set(closure(ident, start, lambda x, g: _matrix_mul_mod(x, g, m)))
@@ -604,10 +600,8 @@ def ia_star_abelian_index(hull: HullResult, gens,
     eq = eq or IAStarEquations(hull)
     if any(s.rows for s in eq.strata) or len(eq.strata) > 1:
         raise ValueError("IA* is not visibly free abelian; supply the index")
-    vecs = []
-    for g in gens:
-        A = adapted_matrix(hull, g)
-        vecs.append([int(A[r][c]) for (r, c) in eq.positions])
+    vecs = [[A[r][c] for (r, c) in eq.positions]
+            for A in (adapted_matrix(hull, g) for g in gens)]
     H = linalg.hnf(vecs)
     if len(H) < eq.nvars:
         raise ValueError("generators do not span a finite-index subgroup")
@@ -631,21 +625,22 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
             raise ValueError("subgroup generators must pass is_ia_star")
     if index is None:
         index = ia_star_abelian_index(hull, gens, eq)
+    mats = [adapted_matrix(hull, g) for g in gens]
     rng = random.Random(seed)
     for m in range(1, level_cap + 1):
         universe = eq.count_mod(m, point_cap)
-        image = subgroup_closure_mod(hull, gens, m)
+        image = subgroup_closure_mod(hull, mats, m)
         if universe % len(image):
             continue
         if universe // len(image) != index:
             continue
         kernel_checked = 0
+        ident = eq.adapted_matrix((0,) * eq.nvars, mod=m)
         for _ in range(samples):
             point = eq.random_point(rng, spread=3, multiple=m)
             if point is None:
                 continue
             reduced = eq.adapted_matrix(point, mod=m)
-            ident = eq.adapted_matrix((0,) * eq.nvars, mod=m)
             if reduced != ident:
                 continue
             if reduced not in image:

@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .autos import (LieAutomorphism, adapted_matrix, is_ia_star, is_lie_aut,
-                    stabilizes_lattice)
+from .autos import LieAutomorphism, adapted_matrix, is_ia_star, is_lie_aut
 from .errors import CapExceeded
 from .finite import (FiniteGroup, check_onto, closure, cosets, extend_hom,
                      induced_map)
@@ -311,17 +310,9 @@ class ProductAut:
         return ProductAut(self.u, self.sigma1.inverse(), inv2)
 
 
-def _adapted_int_matrix(hull: HullResult, aut: LieAutomorphism) -> tuple:
-    """The adapted-coordinate matrix of a lattice automorphism, as ints."""
-    A = adapted_matrix(hull, aut)
-    if any(x.denominator != 1 for row in A for x in row):
-        raise RuntimeError("a lattice automorphism has an integral adapted matrix")
-    return tuple(tuple(int(x) for x in row) for row in A)
-
-
-def _induced_on_q_from_hull(u: FiberGroup, sigma1):
-    """induced_map of the lattice automorphism sigma1 on Q."""
-    side, A = u.side, _adapted_int_matrix(u.hull, sigma1)
+def _induced_on_q_from_hull(u: FiberGroup, A):
+    """induced_map on Q of the lattice automorphism with adapted matrix A."""
+    side = u.side
     return induced_map(((side.q_of_rep(rep), side.q_of_rep(linalg.mat_apply(A, rep)))
                         for rep in side.latq.elements()), u.q.order)
 
@@ -329,12 +320,17 @@ def _induced_on_q_from_hull(u: FiberGroup, sigma1):
 def lift_automorphism(u: FiberGroup, sigma1: LieAutomorphism, sigma2):
     """Componentwise lift: sigma(x, y) = (sigma1 x, sigma2 y) when compatible.
 
-    sigma1 must be a lattice automorphism preserving the pi1 fibration,
-    sigma2 a P2-automorphism preserving ker(pi2); their induced maps on Q
-    must agree.  Incompatibility raises with a witness element of Q.
+    sigma1 must be a lattice automorphism (an automorphism whose adapted
+    matrix is integral with det +-1) preserving the pi1 fibration, sigma2 a
+    P2-automorphism preserving ker(pi2); their induced maps on Q must agree.
+    Incompatibility raises with a witness element of Q.
     """
     ok, _ = is_lie_aut(u.hull.algebra, sigma1.matrix)
-    if not ok or not stabilizes_lattice(sigma1, u.hull.lattice):
+    try:
+        A = adapted_matrix(u.hull, sigma1)
+    except ValueError:
+        ok = False
+    if not ok or abs(linalg.det(A)) != 1:
         raise ValueError("sigma1 is not a lattice automorphism")
     if u.p2.hom_from_generators(u.p2.generating_set(),
                                 [sigma2[g] for g in u.p2.generating_set()],
@@ -344,7 +340,7 @@ def lift_automorphism(u: FiberGroup, sigma1: LieAutomorphism, sigma2):
     kernel = set(u.kernel_pi2())
     if {sigma2[y] for y in kernel} != kernel:
         raise ValueError("sigma2 does not preserve ker(pi2)")
-    q1, w1 = _induced_on_q_from_hull(u, sigma1)
+    q1, w1 = _induced_on_q_from_hull(u, A)
     if q1 is None:
         raise ValueError(f"sigma1 does not preserve the pi1 fibration"
                          f" (witness Q-class {w1})")
@@ -644,7 +640,7 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
     fq = lq.fq
     if not is_ia_star(beta, u.hull):
         raise ValueError("beta must be an IA* element of the hull")
-    A = _adapted_int_matrix(u.hull, beta)
+    A = adapted_matrix(u.hull, beta)
     table = {}
     for key in fq.keys():
         image = fq.latq.reduce(linalg.mat_apply(A, key[0]))

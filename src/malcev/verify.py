@@ -253,8 +253,7 @@ def suite_ia_structure(seed: int = 0, bound: int = 3):
                len(lst) == count_expected and got == expected_entries,
                f"{len(lst)} elements", t())
     def closure_ok(hull, eq_, auts, bnd):
-        mats = [tuple(tuple(int(x) for x in row)
-                      for row in adapted_matrix(hull, a)) for a in auts]
+        mats = [adapted_matrix(hull, a) for a in auts]
         have = {tuple(M[r][c] for (r, c) in eq_.positions) for M in mats}
         k = hull.algebra.dim
         for A in mats:
@@ -539,7 +538,7 @@ def suite_free_iso(seed: int = 0, box: int = 2, boxes=((2, 2), (2, 3), (3, 2)),
                 matched = None
                 break
             am = adapted_matrix(psi22.hull, aut)
-            matched.add(tuple(int(am[r][c2]) for (r, c2) in eq.positions))
+            matched.add(tuple(am[r][c2] for (r, c2) in eq.positions))
         if matched is None:
             break
     ok = matched is not None and matched <= enumerated and \

@@ -6,11 +6,12 @@ import pytest
 from malcev import linalg, unitriangular as ut
 from malcev.autos import (IAStarEquations, LieAutomorphism, adapted_matrix,
                           aut_star_image, csp_witness, enumerate_ia_star,
-                          ia_star_positions, is_ia_star, is_lie_aut,
-                          make_ia_star, matrix_from_adapted, mod_m_group,
+                          ia_star_abelian_index, ia_star_positions, is_ia_star,
+                          is_lie_aut, make_ia_star, matrix_from_adapted,
+                          mod_m_group,
                           stabilizes_lattice, strong_approx_check,
                           subgroup_closure_mod)
-from malcev.catalog import CSP_SUBGROUPS
+from malcev.catalog import CSP_SUBGROUPS, build_hull, entry_by_name
 from malcev.hull import GenGroup, lattice_hull
 from malcev.liealg import NilpotentLieAlgebra
 
@@ -19,6 +20,20 @@ def heis_hull():
     alg, _ = ut.tr0_algebra(3)
     return lattice_hull(GenGroup.from_elements(
         alg, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+
+
+# Heisenberg maps by adapted matrix: -1 on part of L/L' (in Aut(Gamma)),
+# a central shift by 3/2 (a Lie automorphism outside Aut(Gamma)), and an
+# integral map of det 4 (not onto the lattice).
+DIAG = ((-1, 0, 0), (0, 1, 0), (0, 0, -1))
+ODD = ((1, 0, 0), (0, 1, 0), (F(3, 2), 0, 1))
+DOUBLE = ((2, 0, 0), (0, 1, 0), (0, 0, 2))
+
+
+def adapted_map(h, A):
+    """The map whose matrix in the adapted basis of h is A."""
+    A = tuple(tuple(F(x) for x in row) for row in A)
+    return LieAutomorphism(h.algebra, matrix_from_adapted(h, A))
 
 
 def test_is_lie_aut():
@@ -68,6 +83,28 @@ def test_is_ia_star():
     assert ok and stabilizes_lattice(aut, h.lattice)
     assert not is_ia_star(aut, h)
 
+    # the definition as an oracle: automorphism, stabilizes the lattice,
+    # identity on the first d x d adapted block
+    def by_definition(aut, hull):
+        ok, _ = is_lie_aut(hull.algebra, aut.matrix)
+        if not ok or not stabilizes_lattice(aut, hull.lattice):
+            return False
+        A = adapted_matrix(hull, aut)
+        return all(A[i][j] == int(i == j)
+                   for i in range(hull.d) for j in range(hull.d))
+
+    psi = build_hull(entry_by_name("psi23"))
+    pool = [(h, make_ia_star(h, {(2, 0): a, (2, 1): b}))
+            for a, b in ((0, 0), (1, -2), (3, 1))]
+    pool += [(psi, make_ia_star(psi, e))
+             for entry, _, gens, _ in CSP_SUBGROUPS if entry == "psi23"
+             for e in gens]
+    pool += [(psi, make_ia_star(psi, {(2, 0): 1}))]
+    pool += [(h, adapted_map(h, A)) for A in (DIAG, ODD, DOUBLE)]
+    verdicts = [is_ia_star(a, hull) for hull, a in pool]
+    assert verdicts == [by_definition(a, hull) for hull, a in pool]
+    assert True in verdicts and False in verdicts
+
 
 def test_aut_star_image():
     h = heis_hull()
@@ -79,6 +116,13 @@ def test_aut_star_image():
     ok, _ = is_lie_aut(h.algebra, aut.matrix)
     assert ok
     assert aut_star_image(aut, h) == ((0, 1), (1, 0))
+    # a Lie automorphism outside Aut(Gamma) is rejected, not truncated to
+    # its first block
+    odd = adapted_map(h, ODD)
+    assert is_lie_aut(h.algebra, odd.matrix)[0]
+    assert not stabilizes_lattice(odd, h.lattice)
+    with pytest.raises(ValueError, match="hull lattice"):
+        aut_star_image(odd, h)
 
 
 def test_positions_and_enumeration():
@@ -156,6 +200,40 @@ def test_csp_witness_examples():
     g7 = [make_ia_star(h, {(2, 0): 7}), make_ia_star(h, {(2, 1): 1})]
     rep = csp_witness(h, g7, index=7, level_cap=5, eq=eq)
     assert rep["status"] == "inconclusive"
+    # a map outside Aut(Gamma) has no integer adapted matrix to reduce
+    odd = adapted_map(h, ODD)
+    with pytest.raises(ValueError, match="hull lattice"):
+        ia_star_abelian_index(h, [odd, make_ia_star(h, {(2, 1): 1})], eq)
+    with pytest.raises(ValueError, match="hull lattice"):
+        subgroup_closure_mod(h, [adapted_matrix(h, odd)], 2)
+    with pytest.raises(ValueError, match="must pass is_ia_star"):
+        csp_witness(h, [odd, make_ia_star(h, {(2, 1): 1})], eq=eq)
+
+
+def test_csp_witness_converts_each_generator_a_fixed_number_of_times(
+        monkeypatch):
+    """"beta = 0 mod 16" certifies at m = 16; one adapted matrix per
+    generator and level tried would take more than 32 calls."""
+    from malcev import autos
+    calls = [0]
+    adapted = autos.adapted_matrix
+
+    def counted(hull, aut):
+        calls[0] += 1
+        return adapted(hull, aut)
+
+    monkeypatch.setattr(autos, "adapted_matrix", counted)
+    for entry, desc, m in (("psi23", "a2 = 0 mod 3", 3),
+                           ("heisenberg", "beta = 0 mod 16", 16)):
+        _, _, gen_entries, index = next(row for row in CSP_SUBGROUPS
+                                        if row[:2] == (entry, desc))
+        h = build_hull(entry_by_name(entry))
+        gens = [make_ia_star(h, e) for e in gen_entries]
+        calls[0] = 0
+        # the Heisenberg index is computed, the psi(2,3) one supplied
+        rep = csp_witness(h, gens, index=index if entry == "psi23" else None)
+        assert (rep["m"], rep["index"]) == (m, index)
+        assert calls[0] <= 3 * len(gens), (desc, calls[0])
 
 
 def test_mod_m_group_is_a_group():
@@ -274,17 +352,17 @@ def test_subgroup_closure_mod_is_closed_under_inverses():
             continue
         gens = [make_ia_star(h, e) for e in gen_entries]
         for m in range(2, 7):
-            image = subgroup_closure_mod(h, gens, m)
+            image = subgroup_closure_mod(h, [adapted_matrix(h, g) for g in gens], m)
             assert all(reduced(adapted_matrix(h, g), m) in image for g in gens)
             for A in image:
                 assert reduced(linalg.mat_inv(A), m) in image, (desc, m, A)
 
 
-# -- the prefix-memoized lift against the per-point lift -----------------------
+# -- the lift against a reference lift written out stratum by stratum ---------
 
 
 def reference_lift(eq, assignment, m):
-    """The memo-free lift: every stratum is solved again for every point."""
+    """The straight-line lift, written out: each stratum solved over Z."""
     exact = [None] * eq.nvars
     for s in eq.strata:
         u = len(s.vars)
@@ -385,7 +463,7 @@ def test_memoized_lift_matches_reference_across_alternating_moduli(name):
         _assert_lifts_match(eq, [a2], m2)
 
 
-def test_failing_prefixes_are_remembered_as_failures():
+def test_raw_psi23_lifts_64_of_256_points_at_level_2():
     """Raw psi(2,3) equations at m = 2: 256 points of which 64 lift; the
     other 192 share prefixes that have no exact lift."""
     eq, _, _ = _oracle_equations("psi23-raw")

@@ -1,14 +1,18 @@
-"""Every library name the benchmark in ``perfbench/`` binds must resolve.
+"""Every library name the benchmark in ``perfbench/`` binds must resolve,
+and one job per workload must pass the benchmark's own gate.
 
-The benchmark is read, never imported for its side effects: ``spans.TRACED``
-is loaded from its file, and the ``malcev`` attributes that ``gate.py`` and
-``workloads.py`` use are collected from their syntax trees.  A deletion in
-``src/`` that would break ``--trace 1`` or the output gate fails here.
+``spans.TRACED`` is loaded from its file, and the ``malcev`` attributes that
+``gate.py`` and ``workloads.py`` use are collected from their syntax trees.
+A deletion in ``src/`` that would break ``--trace 1`` or the output gate
+fails here.  A change of shape behind a name that still resolves (a return
+value or an argument) fails the smoke test, which imports ``workloads`` the
+way ``perfbench/run.py`` does and runs one small job of each workload.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,29 @@ def test_gate_and_workload_names_resolve(filename):
     missing = [(m, a) for m, a in names
                if not hasattr(importlib.import_module(m), a)]
     assert not missing
+
+
+# One small job of each benchmark workload, by the name the benchmark gives it.
+SMOKE_JOBS = (("hull-ladder", "hull Psi(2,3)"),
+              ("congruence", "csp psi23: a1 even"),
+              ("fiber-levels", "lifting heis3"),
+              ("element-arith", "central tuples psi(3,2) box 1"))
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """``perfbench/workloads.py``, imported with ``perfbench/`` on the path."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("gate", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("workloads")
+    for name in ("gate", "workloads"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("workload,job_name", SMOKE_JOBS)
+def test_one_job_per_workload_passes_the_gate(bench_workloads, workload,
+                                              job_name):
+    wl = bench_workloads.WORKLOADS[workload]
+    job = next(j for j in wl.jobs(wl.setup(1)) if j.name == job_name)
+    assert job.problems(job.run()) == []

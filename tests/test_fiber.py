@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from malcev.autos import LieAutomorphism, is_ia_star, make_ia_star
+from malcev.autos import (LieAutomorphism, is_ia_star, is_lie_aut, make_ia_star,
+                          matrix_from_adapted)
 from malcev.catalog import TORSION_NAMES, build_fiber, build_zz2
 from malcev.errors import CapExceeded
 from malcev.fiber import (FiberElement, FiberGroup, FiberQuotient, HullSide,
@@ -138,6 +139,19 @@ def test_lift_automorphism_examples():
     # the compatible companion works
     neg9 = tuple((-y) % 9 for y in range(9))
     lift_automorphism(u39, neg, neg9)
+    # Lie automorphisms of the heis3 hull that are not lattice automorphisms:
+    # an adapted entry 3/2, and diag(2, 1, 2), integral of det 4
+    heis = build_fiber("heis3")
+    ident_p2 = tuple(range(heis.p2.order))
+    for A in (((1, 0, 0), (0, 1, 0), (F(3, 2), 0, 1)),
+              ((2, 0, 0), (0, 1, 0), (0, 0, 2))):
+        A = tuple(tuple(F(x) for x in row) for row in A)
+        sigma1 = LieAutomorphism(heis.hull.algebra,
+                                 matrix_from_adapted(heis.hull, A))
+        assert is_lie_aut(heis.hull.algebra, sigma1.matrix)[0]
+        with pytest.raises(ValueError,
+                           match="sigma1 is not a lattice automorphism"):
+            lift_automorphism(heis, sigma1, ident_p2)
 
 
 def test_lift_automorphism_finite():
