@@ -49,12 +49,6 @@ class LieAutomorphism:
         return LieAutomorphism(self.algebra,
                                linalg.mat_mul(self.matrix, other.matrix))
 
-    def inverse(self) -> "LieAutomorphism":
-        inv = linalg.mat_inv(self.matrix)
-        if inv is None:
-            raise ValueError("singular matrix")
-        return LieAutomorphism(self.algebra, inv)
-
 
 def is_lie_aut(alg: NilpotentLieAlgebra, matrix):
     """(ok, witness): do the defining equations hold on all basis pairs?
@@ -167,8 +161,10 @@ def make_ia_star(hull: HullResult, entries: dict) -> LieAutomorphism:
         if layers[r] <= layers[c]:
             raise ValueError(f"position ({r},{c}) is not strictly deeper")
         A[r][c] = Fraction(value)
+        if A[r][c].denominator != 1:
+            raise ValueError("IA* entries must be integers")
     working = matrix_from_adapted(hull, tuple(tuple(row) for row in A))
-    ents = tuple(int(Fraction(entries.get(p, 0))) for p in ia_star_positions(hull))
+    ents = tuple(A[r][c].numerator for r, c in ia_star_positions(hull))
     return LieAutomorphism(hull.algebra, working, adapted_entries=ents)
 
 

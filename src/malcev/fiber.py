@@ -303,12 +303,6 @@ class ProductAut:
     def apply(self, el: FiberElement) -> FiberElement:
         return FiberElement(self.sigma1.apply(el.x), self.sigma2[el.y])
 
-    def inverse(self) -> "ProductAut":
-        inv2 = [0] * len(self.sigma2)
-        for i, j in enumerate(self.sigma2):
-            inv2[j] = i
-        return ProductAut(self.u, self.sigma1.inverse(), inv2)
-
 
 def _induced_on_q_from_hull(u: FiberGroup, A):
     """induced_map on Q of the lattice automorphism with adapted matrix A."""
@@ -654,7 +648,7 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
     alpha = LevelLiftAut(u, beta, fq, table)
     # IA*-ness, literally: the free abelianization reads off the first-layer
     # adapted coordinates of the hull part, and alpha must fix them
-    d, gens, to_adapted = u.hull.d, u.generators(), u.hull.to_adapted
+    d, gens, to_adapted = u.hull.d, u.generators(), u.hull.to_adapted_int
     if any(to_adapted(g.x)[:d] != to_adapted(alpha.apply(g).x)[:d] for g in gens):
         raise RuntimeError("transported map moves the free abelianization")
     # multiplicativity spot-check on generator pairs

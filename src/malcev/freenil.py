@@ -90,6 +90,20 @@ def hall_basis(n: int, c: int, cap: int = 200):
     return trees, weight
 
 
+def _commutator(a, b):
+    """ab - ba of two associative-word expansions (dict word -> int)."""
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            for w, s in ((w1 + w2, 1), (w2 + w1, -1)):
+                v = out.get(w, 0) + s * c1 * c2
+                if v:
+                    out[w] = v
+                elif w in out:
+                    del out[w]
+    return out
+
+
 def _expand(trees, idx, cache):
     """Associative-word expansion (dict word -> int) of a Hall tree."""
     if idx in cache:
@@ -98,17 +112,8 @@ def _expand(trees, idx, cache):
     if isinstance(t, int):
         out = {(t,): 1}
     else:
-        a = _expand(trees, t[0], cache)
-        b = _expand(trees, t[1], cache)
-        out = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                for w, s in ((w1 + w2, 1), (w2 + w1, -1)):
-                    v = out.get(w, 0) + s * c1 * c2
-                    if v:
-                        out[w] = v
-                    elif w in out:
-                        del out[w]
+        out = _commutator(_expand(trees, t[0], cache),
+                          _expand(trees, t[1], cache))
     cache[idx] = out
     return out
 
@@ -155,15 +160,7 @@ def free_algebra(n: int, c: int, cap: int = 200) -> NilpotentLieAlgebra:
             w = weight[i] + weight[j]
             if w > c:
                 continue
-            prod = {}
-            for w1, c1 in expansions[i].items():
-                for w2, c2 in expansions[j].items():
-                    for wd, s in ((w1 + w2, 1), (w2 + w1, -1)):
-                        v = prod.get(wd, 0) + s * c1 * c2
-                        if v:
-                            prod[wd] = v
-                        elif wd in prod:
-                            del prod[wd]
+            prod = _commutator(expansions[i], expansions[j])
             if prod:
                 table[(i, j)] = to_hall(prod, w)
     alg = NilpotentLieAlgebra(k, table, c)

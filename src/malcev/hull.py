@@ -64,6 +64,7 @@ class HullResult:
     adapted_algebra: NilpotentLieAlgebra = field(repr=False, default=None)
     _to_adapted: object = field(repr=False, default=None)
     _to_working: object = field(repr=False, default=None)
+    _coords_to_adapted: tuple = field(repr=False, default=None)
 
     @property
     def layer_sizes(self):
@@ -90,10 +91,10 @@ class HullResult:
         return self._to_working(u)
 
     def to_adapted_int(self, v):
-        u = self._to_adapted(v)
-        if any(x.denominator != 1 for x in u):
-            return None
-        return tuple(int(x) for x in u)
+        """Integer adapted coordinates of v, or None when v is outside the
+        lattice: its lattice coordinates times the stored integer inverse."""
+        c = self.lattice.coords(v)
+        return None if c is None else linalg.mat_apply(self._coords_to_adapted, c)
 
 
 def _closure_candidates(alg, lat):
@@ -149,6 +150,12 @@ def _attach_adapted(hull: HullResult) -> None:
     hull.adapted_algebra = adapted
     hull._to_adapted = to_new
     hull._to_working = to_old
+    # rows: the adapted basis in lattice coordinates, a unimodular matrix
+    A = [hull.lattice.coords(b) for b in hull.basis]
+    inv = None if None in A else linalg.unimodular_inverse(A)
+    if inv is None:
+        raise RuntimeError("adapted basis is not a Z-basis of the hull lattice")
+    hull._coords_to_adapted = tuple(zip(*inv))
 
 
 def adapted_basis(lat: Lattice, alg: NilpotentLieAlgebra):

@@ -3,13 +3,15 @@
 A :class:`Lattice` stores the Hermite normal form of the denominator-cleared
 basis together with the single common denominator, normalized so that two
 lattices are equal iff their stored data are identical.  All queries
-(membership, index, quotient invariants, sums, intersections) are exact.
+(membership, index, quotient invariants, sums, intersections) are exact and
+read the integer rows over the one denominator; membership and coordinates
+are one back-substitution, :meth:`Lattice.coords`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg
 from .errors import DimensionMismatch, SublatticeError
@@ -69,31 +71,30 @@ class Lattice:
 
     def member(self, v) -> bool:
         """True iff v is a Z-combination of the basis."""
+        return self.coords(v) is not None
+
+    def coords(self, v):
+        """Integer coordinates of v in the basis, or None.
+
+        One back-substitution of v * den along the pivots of the HNF rows:
+        each coordinate is the quotient at its row's pivot column, and v is
+        in the lattice iff nothing is left over.
+        """
         v = _as_fraction_vec(v, self.dim)
         w = []
         for x in v:
             y = x * self.den
             if y.denominator != 1:
-                return False
+                return None
             w.append(y.numerator)
+        out = []
         for row in self.rows:
-            c = next((j for j, x in enumerate(row) if x), None)
-            if c is None:
-                continue
-            if w[c] % row[c]:
-                return False
+            c = next(j for j, x in enumerate(row) if x)
             q = w[c] // row[c]
             if q:
                 w = [a - q * b for a, b in zip(w, row)]
-        return not any(w)
-
-    def coords(self, v):
-        """Integer coordinates of v in the basis, or None."""
-        v = _as_fraction_vec(v, self.dim)
-        c = linalg.solve_coords(self.basis(), v)
-        if c is None or any(x.denominator != 1 for x in c):
-            return None
-        return tuple(int(x) for x in c)
+            out.append(q)
+        return None if any(w) else tuple(out)
 
     # -- protocol ----------------------------------------------------------
 
@@ -155,50 +156,35 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
 
 
 def _coordinate_matrix(outer: Lattice, inner: Lattice):
-    """Rational matrix T with inner basis == T * outer basis (rows)."""
+    """Integer matrix T with inner basis == T * outer basis (rows), for a
+    sublattice inner of outer with the same rank."""
     if outer.dim != inner.dim:
         raise DimensionMismatch("lattices in different ambient dimensions")
-    ob = outer.basis()
-    rows = []
-    for v in inner.basis():
-        c = linalg.solve_coords(ob, v)
-        if c is None:
-            raise SublatticeError("unequal spans: inner basis vector outside outer span")
-        rows.append(c)
+    if inner.rank != outer.rank:
+        raise SublatticeError("unequal spans: ranks differ")
+    rows = [outer.coords(v) for v in inner.basis()]
+    if None in rows:
+        raise SublatticeError("not a sublattice: inner basis vector outside"
+                              " the outer lattice")
     return rows
 
 
 def lattice_index(outer: Lattice, inner: Lattice) -> int:
-    """|outer / inner| for full-rank inner <= outer in the same Q-span."""
-    T = _coordinate_matrix(outer, inner)
-    if len(T) != outer.rank:
-        raise SublatticeError("unequal spans: ranks differ")
-    for row in T:
-        if any(x.denominator != 1 for x in row):
-            raise SublatticeError("not a sublattice: non-integer coordinates")
-    d = linalg.det(T)
-    if d == 0:
-        raise SublatticeError("unequal spans: inner basis is degenerate")
-    return abs(int(d))
+    """|outer / inner| for full-rank inner <= outer in the same Q-span: the
+    product of the HNF pivots of the (nonsingular) coordinate matrix."""
+    H = linalg.hnf(_coordinate_matrix(outer, inner))
+    return prod(row[i] for i, row in enumerate(H))
+
 
 def smith_quotient(outer: Lattice, inner: Lattice):
     """Invariant factors d1 | d2 | ... of outer/inner (factors 1 omitted)."""
-    T = _coordinate_matrix(outer, inner)
-    if len(T) != outer.rank:
-        raise SublatticeError("unequal spans: ranks differ")
-    int_rows = []
-    for row in T:
-        if any(x.denominator != 1 for x in row):
-            raise SublatticeError("not a sublattice: non-integer coordinates")
-        int_rows.append([int(x) for x in row])
-    return linalg.snf_invariants(int_rows)
+    return linalg.snf_invariants(_coordinate_matrix(outer, inner))
 
 
 def intersect_subspace(lat: Lattice, subspace_rows) -> Lattice:
     """The sublattice of lat lying in the Q-span of subspace_rows."""
     if not lat.rows:
         return lat
-    basis = lat.basis()
     sub = [r for r in subspace_rows if any(Fraction(x) for x in r)]
     if not sub:
         return hnf_lattice([], lat.dim)
@@ -211,11 +197,10 @@ def intersect_subspace(lat: Lattice, subspace_rows) -> Lattice:
     cond = linalg.right_kernel(S, lat.dim)
     if not cond:
         return lat
-    # evaluate each condition on each lattice basis vector
-    M = [[sum(v[j] * c[j] for j in range(lat.dim)) for c in cond] for v in basis]
-    den = lcm(*(x.denominator for row in M for x in row))
-    Mi = [[int(x * den) for x in row] for row in M]
-    combos = linalg.left_kernel(Mi)
-    vecs = [tuple(sum(Fraction(cb[i]) * basis[i][j] for i in range(len(basis)))
-                  for j in range(lat.dim)) for cb in combos]
-    return hnf_lattice(vecs, lat.dim)
+    # the integer combinations of the HNF rows on which every condition vanishes
+    M = [[sum(a * b for a, b in zip(row, c)) for c in cond] for row in lat.rows]
+    combos = linalg.left_kernel(M)
+    return Lattice.from_den_rows(
+        lat.dim, lat.den,
+        [tuple(sum(cb[i] * row[j] for i, row in enumerate(lat.rows))
+               for j in range(lat.dim)) for cb in combos])

@@ -87,6 +87,17 @@ def hnf(rows, transform: bool = False):
     return result
 
 
+def unimodular_inverse(rows):
+    """Integer inverse of a square integer matrix, or None if it is not
+    unimodular: exactly then its HNF is the identity, and the HNF transform
+    is the inverse."""
+    n = len(rows)
+    H, U = hnf(rows, transform=True)
+    if H != [tuple(int(i == j) for j in range(n)) for i in range(n)]:
+        return None
+    return U
+
+
 def left_kernel(rows):
     """Basis of {x in Z^m : x * rows == 0} (combinations of rows vanishing).
 

@@ -255,16 +255,12 @@ def suite_ia_structure(seed: int = 0, bound: int = 3):
     def closure_ok(hull, eq_, auts, bnd):
         mats = [adapted_matrix(hull, a) for a in auts]
         have = {tuple(M[r][c] for (r, c) in eq_.positions) for M in mats}
-        k = hull.algebra.dim
         for A in mats:
-            inv = linalg.mat_inv(A)
-            entries = tuple(int(inv[r][c]) for (r, c) in eq_.positions)
-            if max(map(abs, entries), default=0) <= bnd and entries not in have:
+            inv = linalg.unimodular_inverse(A)
+            if inv is None:
                 return False
-            for B in mats:
-                entries = tuple(
-                    sum(A[r][t] * B[t][c] for t in range(k))
-                    for (r, c) in eq_.positions)
+            for P in [inv] + [linalg.mat_mul(A, B) for B in mats]:
+                entries = tuple(P[r][c] for (r, c) in eq_.positions)
                 if max(map(abs, entries), default=0) <= bnd \
                         and entries not in have:
                     return False

@@ -280,6 +280,8 @@ def test_make_ia_star_rejects_shallow_positions():
     h = heis_hull()
     with pytest.raises(ValueError):
         make_ia_star(h, {(0, 2): 1})  # layer(row) <= layer(col)
+    with pytest.raises(ValueError, match="must be integers"):
+        make_ia_star(h, {(2, 0): F(3, 2)})
 
 
 def _random_unimodular(rng, k):
@@ -435,14 +437,14 @@ ORACLE_CASES = ["psi23", "psi24", "psi23-raw", "filiform", "filiform-raw"]
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
-def test_memoized_lift_matches_reference_in_enumeration_order(name):
+def test_lift_matches_reference_in_enumeration_order(name):
     eq, levels, _ = _oracle_equations(name)
     for m in levels:
         _assert_lifts_match(eq, eq.solutions_mod(m), m)
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
-def test_memoized_lift_matches_reference_in_shuffled_order(name):
+def test_lift_matches_reference_in_shuffled_order(name):
     eq, levels, _ = _oracle_equations(name)
     rng = random.Random(5)
     for m in levels:
@@ -452,7 +454,7 @@ def test_memoized_lift_matches_reference_in_shuffled_order(name):
 
 
 @pytest.mark.parametrize("name", ["psi23", "filiform", "filiform-raw"])
-def test_memoized_lift_matches_reference_across_alternating_moduli(name):
+def test_lift_matches_reference_across_alternating_moduli(name):
     eq, _, (m1, m2) = _oracle_equations(name)
     points = {m: eq.solutions_mod(m) for m in (m1, m2)}
     for m in (m1, m2, m1):

@@ -1,18 +1,21 @@
+import math
 import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from malcev import unitriangular as ut
-from malcev.catalog import CATALOG, TORSION_NAMES, build_fiber, build_hull
+from malcev import linalg, unitriangular as ut
+from malcev.catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
+                            build_hull)
 from malcev.errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from malcev.freenil import free_algebra, psi_group
 from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
                          adapted_basis, closure_certificate, congruence_quotient,
                          congruence_scale, derived_lattice_data, finite_quotient,
                          group_index_in_hull, hull_of_lattice, lattice_hull)
-from malcev.lattices import Lattice, hnf_lattice, lattice_index
+from malcev.lattices import (Lattice, _coordinate_matrix, hnf_lattice,
+                             intersect_subspace, lattice_index, smith_quotient)
 from malcev.liealg import GroupElement, NilpotentLieAlgebra
 from malcev.linalg import hnf
 
@@ -384,3 +387,171 @@ def test_generated_hulls(name, seeds):
         alg, gens, ut_n = _moved_generators(name, rng, rng.randint(1, 4))
         h = _check_closed_hull(alg, gens, ut_n, rng, words=6)
         assert hull_of_lattice(alg, h.lattice).lattice == h.lattice, seed
+
+
+# Fraction definitions of the integer lattice queries, kept as references.
+
+def _ref_coords(lat, v):
+    c = linalg.solve_coords(lat.basis(), v)
+    if c is None or any(x.denominator != 1 for x in c):
+        return None
+    return tuple(int(x) for x in c)
+
+
+def _ref_coordinate_matrix(outer, inner):
+    T = [linalg.solve_coords(outer.basis(), v) for v in inner.basis()]
+    if None in T or len(T) != outer.rank or \
+            any(x.denominator != 1 for row in T for x in row):
+        raise SublatticeError("reference")
+    return tuple(tuple(int(x) for x in row) for row in T)
+
+
+def _ref_index(outer, inner):
+    return abs(int(linalg.det(_ref_coordinate_matrix(outer, inner))))
+
+
+def _ref_smith(outer, inner):
+    return linalg.snf_invariants(_ref_coordinate_matrix(outer, inner))
+
+
+def _ref_intersect_subspace(lat, subspace_rows):
+    if not lat.rows:
+        return lat
+    basis = lat.basis()
+    sub = [r for r in subspace_rows if any(F(x) for x in r)]
+    if not sub:
+        return hnf_lattice([], lat.dim)
+    S = []
+    for row in sub:
+        row = [F(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        S.append([int(x * den) for x in row])
+    cond = linalg.right_kernel(S, lat.dim)
+    if not cond:
+        return lat
+    M = [[sum(v[j] * c[j] for j in range(lat.dim)) for c in cond] for v in basis]
+    den = math.lcm(*(x.denominator for row in M for x in row))
+    combos = linalg.left_kernel([[int(x * den) for x in row] for row in M])
+    return hnf_lattice([tuple(sum(F(cb[i]) * basis[i][j]
+                                  for i in range(len(basis)))
+                              for j in range(lat.dim)) for cb in combos],
+                       lat.dim)
+
+
+def _ref_to_adapted_int(hull, v):
+    u = hull.to_adapted(v)
+    if any(x.denominator != 1 for x in u):
+        return None
+    return tuple(int(x) for x in u)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SublatticeError:
+        return SublatticeError
+
+
+def _probe_vectors(lat, rng, count=6):
+    """Lattice points, and the same points shifted by 1/2 or 1/3 in one
+    coordinate: off the lattice, and off its Q-span when it is not full rank."""
+    out = list(lat.basis())
+    for _ in range(count):
+        v = [sum(rng.randint(-3, 3) * b[j] for b in lat.basis())
+             for j in range(lat.dim)]
+        out.append(tuple(F(x) for x in v))
+        j = rng.randrange(lat.dim)
+        v[j] += F(1, rng.choice((2, 3)))
+        out.append(tuple(F(x) for x in v))
+    return out
+
+
+def _twisted(group, rng):
+    """The group in coordinates changed by random rational shears, so the
+    adapted basis of its hull is not the HNF basis of the hull lattice."""
+    k = group.algebra.dim
+    T = [[F(int(i == j)) for j in range(k)] for i in range(k)]
+    for _ in range(2 * k):
+        i, j = rng.sample(range(k), 2)
+        q = F(rng.randint(-2, 2), rng.randint(1, 2))
+        T[i] = [a + q * b for a, b in zip(T[i], T[j])]
+    alg, to_new, _ = group.algebra.change_basis(T)
+    return GenGroup(alg, tuple(to_new(tuple(map(F, g))) for g in group.gen_logs))
+
+
+def _lattice_queries(lat, rng):
+    """(query name, *args) tuples for the integer queries on lat."""
+    k = lat.dim
+    calls = [("coords", lat, v) for v in _probe_vectors(lat, rng)]
+    combos = [[rng.randint(-2, 2) for _ in range(lat.rank)]
+              for _ in range(lat.rank)]
+    inners = [lat.scale(2), lat.scale(F(1, 2)), hnf_lattice(lat.basis()[1:], k),
+              hnf_lattice([tuple(sum(c * b[j] for c, b in zip(row, lat.basis()))
+                                 for j in range(k)) for row in combos], k)]
+    calls += [(name, lat, inner) for inner in inners
+              for name in ("matrix", "index", "smith")]
+    for _ in range(3):
+        rows = [tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(k))
+                for _ in range(rng.randint(0, k))]
+        calls.append(("intersect", lat, rows))
+    return calls
+
+
+_INTEGER_QUERIES = {
+    "coords": Lattice.coords,
+    "member": Lattice.member,
+    "matrix": lambda a, b: tuple(map(tuple, _coordinate_matrix(a, b))),
+    "index": lattice_index,
+    "smith": smith_quotient,
+    "intersect": intersect_subspace,
+    "adapted": HullResult.to_adapted_int,
+}
+_REFERENCES = {
+    "coords": _ref_coords,
+    "member": lambda lat, v: _ref_coords(lat, v) is not None,
+    "matrix": _ref_coordinate_matrix,
+    "index": _ref_index,
+    "smith": _ref_smith,
+    "intersect": _ref_intersect_subspace,
+    "adapted": _ref_to_adapted_int,
+}
+
+
+def test_integer_lattice_queries_match_fraction_references(monkeypatch):
+    """Lattice coordinates, membership, coordinate matrices, index, Smith
+    invariants, subspace intersections and integer adapted coordinates agree
+    with their Fraction definitions, and run with no rational elimination.
+    Inputs: the seeded lattices of test_lattices.py's idempotence test, the
+    catalog hulls, the catalog groups in sheared coordinates, and
+    Nielsen-moved hulls."""
+    rng = random.Random(0)
+    lattices = []
+    for _ in range(30):
+        k = rng.randint(1, 4)
+        lattices.append(hnf_lattice(
+            [tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k))
+             for _ in range(rng.randint(1, 4))], k))
+    hulls = [build_hull(entry) for entry in CATALOG]
+    groups = [build_group(entry) for entry in CATALOG]
+    hulls += [lattice_hull(_twisted(g, rng)) for g in groups if g.algebra.dim > 1]
+    for name in ("Psi(2,3)", "Psi(3,2)", "UT(4)", "Psi(3,3)"):
+        alg, gens, _ = _moved_generators(name, random.Random(1))
+        hulls.append(lattice_hull(GenGroup(alg, gens)))
+    calls = []
+    for lat in lattices:
+        calls += _lattice_queries(lat, rng)
+    for h in hulls:
+        calls += _lattice_queries(h.lattice, rng)
+        calls += [("intersect", h.lattice, space) for space in h.algebra.lcs()]
+        calls += [("adapted", h, v) for v in _probe_vectors(h.lattice, rng)]
+    calls += [("member", lat, v) for name, lat, v in calls if name == "coords"]
+    want = [_outcome(_REFERENCES[name], *args) for name, *args in calls]
+
+    def rational_elimination(*args):
+        raise AssertionError("an integer lattice query ran rational elimination")
+
+    monkeypatch.setattr(linalg, "solve_coords", rational_elimination)
+    monkeypatch.setattr(linalg, "rref", rational_elimination)
+    got = [_outcome(_INTEGER_QUERIES[name], *args) for name, *args in calls]
+    for (name, *_), g, w in zip(calls, got, want):
+        assert g == w, name

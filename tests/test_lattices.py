@@ -39,8 +39,8 @@ def test_member_examples():
 
 
 def test_member_bruteforce_oracle():
-    """Membership agrees with a bounded-coefficient search (entries <= 10,
-    ambient dimension <= 5)."""
+    """Membership and coordinates agree with a bounded-coefficient search
+    (entries <= 10, ambient dimension <= 5)."""
     rng = random.Random(1)
     for _ in range(25):
         k = rng.randint(2, 5)
@@ -55,11 +55,12 @@ def test_member_bruteforce_oracle():
                       for j in range(k))
             if rng.random() < 0.5:
                 v = tuple(x + F(1, 2) for x in v)
-            found = any(
-                all(sum(F(c) * row[j] for c, row in zip(combo, rows)) == v[j]
-                    for j in range(k))
-                for combo in itertools.product(range(-4, 5), repeat=lat.rank))
-            assert lat.member(v) == found
+            found = next(
+                (combo for combo in itertools.product(range(-4, 5), repeat=lat.rank)
+                 if all(sum(F(c) * row[j] for c, row in zip(combo, rows)) == v[j]
+                        for j in range(k))), None)
+            assert lat.member(v) == (found is not None)
+            assert lat.coords(v) == found
 
 
 def test_index_and_smith():
