@@ -9,7 +9,7 @@ verifiers, and fiber-product representations of groups with torsion.
 
 from .errors import (AlgebraMismatch, CapExceeded, DimensionMismatch,
                      SublatticeError, UnsupportedInputForm)
-from .lattices import (Lattice, hnf_lattice, intersect_subspace,
+from .lattices import (Coordinates, Lattice, hnf_lattice, intersect_subspace,
                        lattice_index, lattice_intersect, lattice_sum,
                        smith_quotient)
 from .liealg import (GroupElement, NilpotentLieAlgebra,

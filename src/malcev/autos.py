@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg
 from .compiled import poly_add, poly_scale, poly_sub, _sym_bracket
@@ -71,13 +71,11 @@ def is_lie_aut(alg: NilpotentLieAlgebra, matrix):
 
 
 def stabilizes_lattice(aut, lat: Lattice) -> bool:
-    """True iff the matrix maps the lattice onto itself (both inclusions)."""
+    """True iff the matrix maps the lattice onto itself: its matrix in the
+    lattice basis is integral and unimodular."""
     M = aut.matrix if isinstance(aut, LieAutomorphism) else aut
-    inv = linalg.mat_inv(M)
-    if inv is None:
-        return False
-    return all(lat.member(linalg.mat_apply(M, b)) for b in lat.basis()) and \
-        all(lat.member(linalg.mat_apply(inv, b)) for b in lat.basis())
+    A = [lat.coords(linalg.mat_apply(M, b)) for b in lat.basis()]
+    return None not in A and linalg.unimodular_inverse(A) is not None
 
 
 def adapted_matrix(hull: HullResult, aut) -> tuple:
@@ -96,21 +94,16 @@ def adapted_matrix(hull: HullResult, aut) -> tuple:
 
 def matrix_from_adapted(hull: HullResult, adapted) -> tuple:
     """Convert an adapted-coordinates matrix back to working coordinates."""
-    k = hull.algebra.dim
-    cols = []
-    for j in range(k):
-        e = tuple(Fraction(int(j == t)) for t in range(k))
-        u = hull.to_adapted(e)
-        v = linalg.mat_apply(adapted, u)
-        cols.append(hull.to_working(v))
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    cols = [hull.to_working(linalg.mat_apply(adapted, hull.to_adapted(e)))
+            for e in linalg.mat_identity(hull.algebra.dim, Fraction(1))]
+    return tuple(zip(*cols))
 
 
 def aut_star_image(aut: LieAutomorphism, hull: HullResult):
     """The induced d x d integer matrix on the abelianized lattice."""
     d = hull.d
     out = tuple(row[:d] for row in adapted_matrix(hull, aut)[:d])
-    if abs(linalg.det(out)) != 1:
+    if linalg.unimodular_inverse(out) is None:
         raise ValueError("abelianized action is not invertible over Z")
     return out
 
@@ -601,8 +594,7 @@ def ia_star_abelian_index(hull: HullResult, gens,
     H = linalg.hnf(vecs)
     if len(H) < eq.nvars:
         raise ValueError("generators do not span a finite-index subgroup")
-    d = linalg.det(H)
-    return abs(int(d))
+    return prod(row[i] for i, row in enumerate(H))
 
 
 def csp_witness(hull: HullResult, gens, index: int | None = None,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import interchange as io
@@ -326,16 +327,19 @@ def cmd_fiber(args) -> int:
 
 
 def _int_at_least(minimum):
-    """argparse type: an integer >= minimum; anything else is exit 2."""
+    """argparse type: ASCII digits with an optional minus sign, at least
+    minimum (any integer when minimum is None); anything else is exit 2."""
     def parse(text):
-        if not text.strip().lstrip("+-").isdigit() or int(text) < minimum:
-            raise argparse.ArgumentTypeError(
-                f"input error: {text!r} is not an integer >= {minimum}")
-        return int(text)
+        if re.fullmatch("-?[0-9]+", text) and (
+                minimum is None or int(text) >= minimum):
+            return int(text)
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise argparse.ArgumentTypeError(
+            f"input error: {text!r} is not an integer{bound}")
     return parse
 
 
-_COUNT, _POSITIVE = _int_at_least(0), _int_at_least(1)
+_INT, _COUNT, _POSITIVE = _int_at_least(None), _int_at_least(0), _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES + ("all",))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--m", type=_POSITIVE, default=None,
                    help="strong-approx: check a single level")
     p.add_argument("--subgroup", default=None,

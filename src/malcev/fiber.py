@@ -324,7 +324,7 @@ def lift_automorphism(u: FiberGroup, sigma1: LieAutomorphism, sigma2):
         A = adapted_matrix(u.hull, sigma1)
     except ValueError:
         ok = False
-    if not ok or abs(linalg.det(A)) != 1:
+    if not ok or linalg.unimodular_inverse(A) is None:
         raise ValueError("sigma1 is not a lattice automorphism")
     if u.p2.hom_from_generators(u.p2.generating_set(),
                                 [sigma2[g] for g in u.p2.generating_set()],

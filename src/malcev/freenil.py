@@ -9,7 +9,7 @@ is used by the tests to cross-check layer dimensions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -17,7 +17,7 @@ from . import linalg
 from .compiled import bch_symbolic, compile_polys
 from .errors import CapExceeded
 from .hull import GenGroup, HullResult, lattice_hull
-from .lattices import Lattice, hnf_lattice, intersect_subspace
+from .lattices import Coordinates, Lattice, hnf_lattice, intersect_subspace
 from .liealg import GroupElement, NilpotentLieAlgebra, vec
 
 
@@ -125,7 +125,8 @@ def free_algebra(n: int, c: int, cap: int = 200) -> NilpotentLieAlgebra:
     cache: dict = {}
     expansions = [_expand(trees, i, cache) for i in range(k)]
 
-    # per weight: express a Lie element (as word dict) in Hall coordinates
+    # per weight: express a Lie element (as word dict) in Hall coordinates,
+    # with one set of coordinates in the weight's word matrix
     by_weight: dict = {}
     for i, w in enumerate(weight):
         by_weight.setdefault(w, []).append(i)
@@ -133,20 +134,15 @@ def free_algebra(n: int, c: int, cap: int = 200) -> NilpotentLieAlgebra:
     for w, idxs in by_weight.items():
         words = sorted({wd for i in idxs for wd in expansions[i]})
         col = {wd: t for t, wd in enumerate(words)}
-        rows = []
-        for i in idxs:
-            row = [Fraction(0)] * len(words)
-            for wd, coeff in expansions[i].items():
-                row[col[wd]] = Fraction(coeff)
-            rows.append(tuple(row))
-        solvers[w] = (idxs, col, rows)
+        rows = [[expansions[i].get(wd, 0) for wd in words] for i in idxs]
+        solvers[w] = (idxs, col, Coordinates.of_rows(rows, len(words)))
 
     def to_hall(word_dict, w):
-        idxs, col, rows = solvers[w]
-        target = [Fraction(0)] * len(col)
+        idxs, col, coords = solvers[w]
+        target = [0] * len(col)
         for wd, coeff in word_dict.items():
-            target[col[wd]] = Fraction(coeff)
-        coeffs = linalg.solve_coords(rows, tuple(target))
+            target[col[wd]] = coeff
+        coeffs = coords(target)
         if coeffs is None:
             raise RuntimeError("bracket expansion escaped the Hall span")
         out = [Fraction(0)] * k
@@ -228,8 +224,8 @@ def center(psi: FreeNilpotent):
               for r in linalg.right_kernel(cond_int, k)]
     top = [i for i, w in enumerate(psi.weights) if w == psi.c]
     top_span = [tuple(Fraction(int(i == t)) for t in range(k)) for i in top]
-    if len(z_rows) != len(top) or not all(
-            linalg.in_span(top_span, z) for z in z_rows):
+    in_top = Coordinates.of_rows(top_span, k)
+    if len(z_rows) != len(top) or any(in_top(z) is None for z in z_rows):
         raise RuntimeError("free nilpotent center must be the top layer")
     hull_center = intersect_subspace(psi.hull.lattice, z_rows)
     group_center = hnf_lattice(top_span, k)
@@ -279,7 +275,7 @@ def is_word_automorphism(psi: FreeNilpotent, words) -> bool:
     ab = [[M[i][j] for j in range(psi.n)] for i in range(psi.n)]
     if any(x.denominator != 1 for row in ab for x in row):
         return False
-    return abs(linalg.det(ab)) == 1
+    return linalg.unimodular_inverse(ab) is not None
 
 
 def abelianized_matrix(psi: FreeNilpotent, words):
@@ -326,6 +322,10 @@ class CentralTupleIso:
     psi: FreeNilpotent
     center_rows: tuple
     group_center: Lattice
+    _center: Coordinates = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._center = Coordinates.of_rows(self.center_rows, self.psi.algebra.dim)
 
     def backward(self, tuple_logs):
         """Images of the generators for the map x_i -> x_i * u_i."""
@@ -335,7 +335,7 @@ class CentralTupleIso:
         images = []
         for g, u in zip(gens, tuple_logs):
             u = vec(u)
-            if not linalg.in_span(list(self.center_rows), u):
+            if self._center(u) is None:
                 raise ValueError("tuple entry is not central")
             if not self.group_center.member(u):
                 raise ValueError("tuple entry is not in the group center")
@@ -348,7 +348,7 @@ class CentralTupleIso:
         out = []
         for g, im in zip(gens, image_logs):
             u = (g.inverse() * GroupElement(self.psi.algebra, vec(im))).log
-            if not linalg.in_span(list(self.center_rows), u):
+            if self._center(u) is None:
                 raise ValueError("map is not a central shift of the generators")
             if not self.group_center.member(u):
                 raise ValueError("central part leaves the group center")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import compiled, linalg
 from .errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from .finite import FiniteGroup
-from .lattices import (Lattice, hnf_lattice, intersect_subspace,
+from .lattices import (Coordinates, Lattice, hnf_lattice, intersect_subspace,
                        lattice_sum)
 from .liealg import GroupElement, NilpotentLieAlgebra, scale_vec, vec
 
@@ -53,6 +53,8 @@ class HullResult:
     coordinates back to the original ones).  ``basis`` is the adapted basis,
     made of per-layer bases of the lattice along the lower central series;
     ``layers[i]`` is its 1-based layer and ``d`` the abelianized rank.
+    The coordinate maps read ``basis`` and the :class:`Coordinates` of the
+    adapted basis in ``lattice`` (the lattice and one integer inverse).
     """
 
     algebra: NilpotentLieAlgebra
@@ -62,9 +64,7 @@ class HullResult:
     d: int
     embedding: tuple | None = None
     adapted_algebra: NilpotentLieAlgebra = field(repr=False, default=None)
-    _to_adapted: object = field(repr=False, default=None)
-    _to_working: object = field(repr=False, default=None)
-    _coords_to_adapted: tuple = field(repr=False, default=None)
+    _coordinates: Coordinates = field(repr=False, default=None)
 
     @property
     def layer_sizes(self):
@@ -85,16 +85,18 @@ class HullResult:
         return tuple(out)
 
     def to_adapted(self, v):
-        return self._to_adapted(v)
+        """Adapted coordinates of a working vector."""
+        return self._coordinates(v)
 
     def to_working(self, u):
-        return self._to_working(u)
+        """The working vector with adapted coordinates u."""
+        return tuple(sum(x * b[j] for x, b in zip(u, self.basis))
+                     for j in range(self.algebra.dim))
 
     def to_adapted_int(self, v):
         """Integer adapted coordinates of v, or None when v is outside the
         lattice: its lattice coordinates times the stored integer inverse."""
-        c = self.lattice.coords(v)
-        return None if c is None else linalg.mat_apply(self._coords_to_adapted, c)
+        return self._coordinates.integer(v)
 
 
 def _closure_candidates(alg, lat):
@@ -121,9 +123,9 @@ def lattice_hull(group: GenGroup, max_rounds: int = 64) -> HullResult:
     embedding = None
     if lat.rank < alg.dim:
         embedding = tuple(linalg.span_basis(lat.basis()))
+        coords = Coordinates.of_rows(embedding, alg.dim)
         alg = alg.restrict(embedding)
-        lat = hnf_lattice([linalg.solve_coords(embedding, b)
-                           for b in lat.basis()], alg.dim)
+        lat = hnf_lattice([coords(b) for b in lat.basis()], alg.dim)
     basis, layers = adapted_basis(lat, alg)
     hull = HullResult(algebra=alg, lattice=lat, basis=tuple(basis),
                       layers=tuple(layers), d=layers.count(1),
@@ -146,16 +148,12 @@ def closure_certificate(hull: HullResult) -> bool:
 
 
 def _attach_adapted(hull: HullResult) -> None:
-    adapted, to_new, to_old = hull.algebra.change_basis(hull.basis)
-    hull.adapted_algebra = adapted
-    hull._to_adapted = to_new
-    hull._to_working = to_old
-    # rows: the adapted basis in lattice coordinates, a unimodular matrix
-    A = [hull.lattice.coords(b) for b in hull.basis]
-    inv = None if None in A else linalg.unimodular_inverse(A)
-    if inv is None:
-        raise RuntimeError("adapted basis is not a Z-basis of the hull lattice")
-    hull._coords_to_adapted = tuple(zip(*inv))
+    hull.adapted_algebra = hull.algebra.change_basis(hull.basis)[0]
+    try:
+        hull._coordinates = Coordinates(hull.lattice, hull.basis)
+    except ValueError:
+        raise RuntimeError("adapted basis is not a Z-basis of the hull"
+                           " lattice") from None
 
 
 def adapted_basis(lat: Lattice, alg: NilpotentLieAlgebra):
@@ -185,34 +183,26 @@ def _layer_basis(upper_lat: Lattice, lower_space_rows):
     """Vectors of upper_lat whose classes give an HNF basis mod the subspace."""
     if upper_lat.rank == 0:
         return []
-    W = list(linalg.span_basis(lower_space_rows)) if lower_space_rows else []
+    # the lower space rows are independent: an lcs entry
+    W = list(lower_space_rows)
     gens = list(upper_lat.basis())
     # extend W to a basis of the span of the layer, tracking a complement E
     E = []
-    current = list(W)
+    coords = Coordinates.of_rows(W, upper_lat.dim)
     for g in gens:
-        if not linalg.in_span(current, g):
+        if coords(g) is None:
             E.append(g)
-            current = list(linalg.span_basis(current + [g]))
+            coords = Coordinates.of_rows(W + E, upper_lat.dim)
     if not E:
         return []
-    WE = W + E
-    s = len(E)
     # coordinates of each generator along the complement part
-    proj = []
-    for g in gens:
-        c = linalg.solve_coords(WE, g)
-        proj.append(tuple(c[len(W):]))
+    proj = [coords(g)[len(W):] for g in gens]
     den = math.lcm(*(x.denominator for p in proj for x in p))
     int_rows = [[int(x * den) for x in p] for p in proj]
     H, U = linalg.hnf(int_rows, transform=True)
-    out = []
-    for i in range(len(H)):
-        combo = U[i]
-        out.append(tuple(sum(Fraction(combo[t]) * gens[t][j]
-                             for t in range(len(gens)))
-                         for j in range(upper_lat.dim)))
-    if len(out) != s:
+    out = [tuple(sum(Fraction(U[i][t]) * gens[t][j] for t in range(len(gens)))
+                 for j in range(upper_lat.dim)) for i in range(len(H))]
+    if len(out) != len(E):
         raise RuntimeError("complement basis must have one vector per"
                            " extension generator")
     return out
@@ -339,8 +329,8 @@ def group_index_in_hull(group: GenGroup, hull: HullResult) -> int:
 
     Exact subgroup indices for arbitrary generator sets would need polycyclic
     collection, which is out of scope; for a filtered (Mal'cev) sequence the
-    index is the determinant of the generator log coordinates in the hull
-    lattice basis.
+    index is |det| of the generator log coordinates in the hull lattice
+    basis: the product of the pivots of their HNF.
     """
     if not group.filtered:
         raise UnsupportedInputForm("index computation needs a filtered sequence")
@@ -357,7 +347,7 @@ def group_index_in_hull(group: GenGroup, hull: HullResult) -> int:
         if c is None:
             raise SublatticeError("generator log outside the hull lattice")
         rows.append(c)
-    d = linalg.det(rows)
-    if d == 0:
+    H = linalg.hnf(rows)
+    if len(H) < k:
         raise UnsupportedInputForm("generator logs are linearly dependent")
-    return abs(int(d))
+    return math.prod(row[i] for i, row in enumerate(H))

@@ -5,7 +5,8 @@ basis together with the single common denominator, normalized so that two
 lattices are equal iff their stored data are identical.  All queries
 (membership, index, quotient invariants, sums, intersections) are exact and
 read the integer rows over the one denominator; membership and coordinates
-are one back-substitution, :meth:`Lattice.coords`.
+are one back-substitution, :meth:`Lattice.coords`.  :class:`Coordinates`
+turns that into exact coordinates in any basis of rational rows.
 """
 
 from __future__ import annotations
@@ -128,6 +129,47 @@ def hnf_lattice(vectors, dim: int | None = None) -> Lattice:
     den = lcm(*(x.denominator for v in vecs for x in v))
     int_rows = [tuple(int(x * den) for x in v) for v in vecs]
     return Lattice.from_den_rows(dim, den, int_rows)
+
+
+class Coordinates:
+    """Exact coordinates in ``rows``, a Z-basis of ``lattice``.
+
+    The rows' lattice coordinates form a unimodular matrix; the columns of
+    its integer inverse turn lattice coordinates into row coordinates.  For
+    v in the Q-span, N * v is in the lattice when N is the lcm of v's
+    denominators times the product of the HNF pivots (Cramer on the pivot
+    columns), so one :meth:`Lattice.coords` of N * v answers every query.
+    """
+
+    __slots__ = ("lattice", "_columns", "_pivots")
+
+    def __init__(self, lattice: Lattice, rows):
+        if len(rows) != lattice.rank:
+            raise ValueError("basis rows are linearly dependent")
+        A = [lattice.coords(r) for r in rows]
+        inv = None if None in A else linalg.unimodular_inverse(A)
+        if inv is None:
+            raise ValueError("rows are not a Z-basis of the lattice")
+        self.lattice = lattice
+        self._columns = tuple(zip(*inv))
+        self._pivots = prod(next(x for x in row if x) for row in lattice.rows)
+
+    @staticmethod
+    def of_rows(rows, dim: int) -> "Coordinates":
+        """Coordinates in linearly independent rational rows of length dim."""
+        return Coordinates(hnf_lattice(rows, dim), rows)
+
+    def integer(self, v):
+        """Integer coordinates of v, or None when v is outside the lattice."""
+        c = self.lattice.coords(v)
+        return None if c is None else linalg.mat_apply(self._columns, c)
+
+    def __call__(self, v):
+        """Rational coordinates of v, or None when v is outside the Q-span."""
+        n = lcm(*(Fraction(x).denominator for x in v)) * self._pivots
+        c = self.lattice.coords(tuple(n * x for x in v))
+        return None if c is None else tuple(
+            Fraction(x, n) for x in linalg.mat_apply(self._columns, c))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:

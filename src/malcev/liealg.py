@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .compiled import compile_bch
 from .errors import AlgebraMismatch, DimensionMismatch
+from .lattices import Coordinates
 
 
 def vec(values):
@@ -170,16 +171,13 @@ class NilpotentLieAlgebra:
         B = [vec(r) for r in new_basis_rows]
         if len(B) != k:
             raise DimensionMismatch("new basis must have full size")
-        Binv_cols = linalg.mat_inv([[B[i][j] for i in range(k)] for j in range(k)])
-        if Binv_cols is None:
-            raise ValueError("new basis is singular")
+        try:
+            to_new = Coordinates.of_rows(B, k)
+        except ValueError:
+            raise ValueError("new basis is singular") from None
 
         def to_old(u):
             return tuple(sum(u[i] * B[i][j] for i in range(k)) for j in range(k))
-
-        def to_new(v):
-            # solve sum u_i B_i = v via the precomputed inverse of B^T
-            return linalg.mat_apply(Binv_cols, v)
 
         table = {}
         for i in range(k):
@@ -195,11 +193,11 @@ class NilpotentLieAlgebra:
         of a bracket-closed span."""
         S = linalg.span_basis(span_rows)
         r = len(S)
+        coords = Coordinates.of_rows(S, self.dim)
         table = {}
         for i in range(r):
             for j in range(i + 1, r):
-                w = self.bracket(S[i], S[j])
-                c = linalg.solve_coords(S, w)
+                c = coords(self.bracket(S[i], S[j]))
                 if c is None:
                     raise ValueError("span is not closed under the bracket")
                 if any(c):

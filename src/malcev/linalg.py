@@ -283,31 +283,6 @@ def span_basis(rows):
     return basis
 
 
-def in_span(basis_rows, v) -> bool:
-    return solve_coords(basis_rows, v) is not None
-
-
-def solve_coords(basis_rows, v):
-    """Coefficients x with sum(x_i * basis_rows[i]) == v, or None.
-
-    basis_rows must be linearly independent.
-    """
-    r = len(basis_rows)
-    if r == 0:
-        return () if not any(v) else None
-    n = len(v)
-    # augmented system over the transpose: columns are the basis rows
-    M = [[Fraction(basis_rows[i][j]) for i in range(r)] + [Fraction(v[j])]
-         for j in range(n)]
-    reduced, pivots = rref(M)
-    coeffs = [Fraction(0)] * r
-    for row, p in zip(reduced, pivots):
-        if p == r:
-            return None  # inconsistent
-        coeffs[p] = row[r]
-    return tuple(coeffs)
-
-
 def mat_apply(A, v):
     """Apply matrix A (list of rows) to column vector v."""
     return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
@@ -321,18 +296,8 @@ def mat_mul(A, B):
 
 
 def mat_identity(n, one=1):
-    return tuple(tuple(one if i == j else 0 * one for j in range(n)) for i in range(n))
-
-
-def mat_inv(A):
-    """Inverse of a square matrix over Q, or None if singular."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] +
-         [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    reduced, pivots = rref(M)
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in reduced)
+    zero = 0 * one
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def det(A):

@@ -68,6 +68,11 @@ def test_stabilizes_lattice():
     ok, _ = is_lie_aut(h.algebra, half.matrix)
     assert ok
     assert not stabilizes_lattice(half, h.lattice)
+    # diag(2, 1, 2) sends the lattice into itself, but not onto it
+    double = LieAutomorphism(h.algebra, matrix_from_adapted(
+        h, ((F(2), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(2)))))
+    assert is_lie_aut(h.algebra, double.matrix)[0]
+    assert not stabilizes_lattice(double, h.lattice)
 
 
 def test_is_ia_star():
@@ -357,7 +362,7 @@ def test_subgroup_closure_mod_is_closed_under_inverses():
             image = subgroup_closure_mod(h, [adapted_matrix(h, g) for g in gens], m)
             assert all(reduced(adapted_matrix(h, g), m) in image for g in gens)
             for A in image:
-                assert reduced(linalg.mat_inv(A), m) in image, (desc, m, A)
+                assert reduced(linalg.unimodular_inverse(A), m) in image, (desc, m, A)
 
 
 # -- the lift against a reference lift written out stratum by stratum ---------

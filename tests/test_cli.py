@@ -225,6 +225,12 @@ _Z2Z4_FIBER = io.fiber_to_doc(build_fiber("z2z4"))
     (("log", "--matrix"), {"n": 2, "matrix": [["1", " 3 "], ["0", "1"]]}),
     (("log", "--matrix"), {"n": 2, "matrix": [["1", "1_0/3"], ["0", "1"]]}),
     (("log", "--matrix"), {"n": 2, "matrix": [["1", "\u0663"], ["0", "1"]]}),
+    # integer flags take ASCII digits with an optional minus sign only
+    (("quotient", "--entry", "heisenberg", "--m", "\u0663"), None),
+    (("quotient", "--entry", "heisenberg", "--m", "+2"), None),
+    (("quotient", "--entry", "heisenberg", "--m", " 2"), None),
+    (("verify", "hull", "--seed", "1_0"), None),
+    (("verify", "hull", "--seed", "\u0663"), None),
 ])
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
     if doc is not None:

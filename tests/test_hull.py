@@ -9,13 +9,14 @@ from malcev import linalg, unitriangular as ut
 from malcev.catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
                             build_hull)
 from malcev.errors import CapExceeded, SublatticeError, UnsupportedInputForm
-from malcev.freenil import free_algebra, psi_group
+from malcev.freenil import _commutator, _expand, free_algebra, hall_basis, psi_group
 from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
                          adapted_basis, closure_certificate, congruence_quotient,
                          congruence_scale, derived_lattice_data, finite_quotient,
                          group_index_in_hull, hull_of_lattice, lattice_hull)
-from malcev.lattices import (Lattice, _coordinate_matrix, hnf_lattice,
-                             intersect_subspace, lattice_index, smith_quotient)
+from malcev.lattices import (Coordinates, Lattice, _coordinate_matrix,
+                             hnf_lattice, intersect_subspace, lattice_index,
+                             smith_quotient)
 from malcev.liealg import GroupElement, NilpotentLieAlgebra
 from malcev.linalg import hnf
 
@@ -391,15 +392,56 @@ def test_generated_hulls(name, seeds):
 
 # Fraction definitions of the integer lattice queries, kept as references.
 
+def _ref_rref(M):
+    """Gauss-Jordan elimination over Fraction: (reduced rows, pivot columns)."""
+    M = [[F(x) for x in row] for row in M]
+    pivots = []
+    for c in range(len(M[0]) if M else 0):
+        p = next((i for i in range(len(pivots), len(M)) if M[i][c]), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        row = [x / M[p][c] for x in M[p]]
+        M[p] = M[r]
+        M[r] = row
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+    return M[:len(pivots)], pivots
+
+
+def _ref_solve(rows, v):
+    """x with x * rows == v, from the augmented system [rows^T | v], or None;
+    ValueError when the rows are dependent."""
+    r = len(rows)
+    reduced, pivots = _ref_rref([[rows[i][j] for i in range(r)] + [v[j]]
+                                 for j in range(len(v))])
+    if r in pivots:
+        return None
+    if len(pivots) < r:
+        raise ValueError("dependent rows")
+    return tuple(row[r] for row in reduced)
+
+
+def _ref_mat_inv(A):
+    """The Fraction inverse of a square matrix, by elimination of [A | I]."""
+    n = len(A)
+    reduced, pivots = _ref_rref([list(A[i]) + [int(i == j) for j in range(n)]
+                                 for i in range(n)])
+    assert pivots == list(range(n))
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
 def _ref_coords(lat, v):
-    c = linalg.solve_coords(lat.basis(), v)
+    c = _ref_solve(lat.basis(), v)
     if c is None or any(x.denominator != 1 for x in c):
         return None
     return tuple(int(x) for x in c)
 
 
 def _ref_coordinate_matrix(outer, inner):
-    T = [linalg.solve_coords(outer.basis(), v) for v in inner.basis()]
+    T = [_ref_solve(outer.basis(), v) for v in inner.basis()]
     if None in T or len(T) != outer.rank or \
             any(x.denominator != 1 for row in T for x in row):
         raise SublatticeError("reference")
@@ -439,8 +481,8 @@ def _ref_intersect_subspace(lat, subspace_rows):
 
 
 def _ref_to_adapted_int(hull, v):
-    u = hull.to_adapted(v)
-    if any(x.denominator != 1 for x in u):
+    u = _ref_solve(hull.basis, v)
+    if u is None or any(x.denominator != 1 for x in u):
         return None
     return tuple(int(x) for x in u)
 
@@ -466,16 +508,20 @@ def _probe_vectors(lat, rng, count=6):
     return out
 
 
-def _twisted(group, rng):
-    """The group in coordinates changed by random rational shears, so the
-    adapted basis of its hull is not the HNF basis of the hull lattice."""
-    k = group.algebra.dim
+def _shear(k, rng):
+    """A product of 2k random rational shears of Q^k."""
     T = [[F(int(i == j)) for j in range(k)] for i in range(k)]
     for _ in range(2 * k):
         i, j = rng.sample(range(k), 2)
         q = F(rng.randint(-2, 2), rng.randint(1, 2))
         T[i] = [a + q * b for a, b in zip(T[i], T[j])]
-    alg, to_new, _ = group.algebra.change_basis(T)
+    return T
+
+
+def _twisted(group, rng):
+    """The group in coordinates changed by random rational shears, so the
+    adapted basis of its hull is not the HNF basis of the hull lattice."""
+    alg, to_new, _ = group.algebra.change_basis(_shear(group.algebra.dim, rng))
     return GenGroup(alg, tuple(to_new(tuple(map(F, g))) for g in group.gen_logs))
 
 
@@ -550,8 +596,104 @@ def test_integer_lattice_queries_match_fraction_references(monkeypatch):
     def rational_elimination(*args):
         raise AssertionError("an integer lattice query ran rational elimination")
 
-    monkeypatch.setattr(linalg, "solve_coords", rational_elimination)
     monkeypatch.setattr(linalg, "rref", rational_elimination)
+    monkeypatch.setattr(linalg, "det", rational_elimination)
     got = [_outcome(_INTEGER_QUERIES[name], *args) for name, *args in calls]
     for (name, *_), g, w in zip(calls, got, want):
         assert g == w, name
+
+
+def _ref_hall_table(n, c):
+    """free_algebra's structure constants by one Fraction solve per bracket
+    pair, as free_algebra used to compute them."""
+    trees, weight = hall_basis(n, c)
+    k = len(trees)
+    cache = {}
+    expansions = [_expand(trees, i, cache) for i in range(k)]
+    table = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            w = weight[i] + weight[j]
+            prod = _commutator(expansions[i], expansions[j]) if w <= c else {}
+            if not prod:
+                continue
+            idxs = [t for t in range(k) if weight[t] == w]
+            words = sorted({wd for t in idxs for wd in expansions[t]})
+            assert set(prod) <= set(words)
+            rows = [[expansions[t].get(wd, 0) for wd in words] for t in idxs]
+            x = _ref_solve(rows, [prod.get(wd, 0) for wd in words])
+            out = [F(0)] * k
+            for t, v in zip(idxs, x):
+                out[t] = v
+            table[(i, j)] = tuple(out)
+    return table
+
+
+def test_coordinates_match_a_fraction_solve(monkeypatch):
+    """Coordinates agrees with a Fraction solve of the augmented system on
+    seeded rational bases, with None exactly off the span, ValueError on
+    dependent rows, and the empty basis; it runs no rational elimination.
+    change_basis on sheared bases agrees with the dense Fraction inverse it
+    used to apply, and free_algebra with one Fraction solve per bracket."""
+    rng = random.Random(0)
+
+    def rational():
+        return F(rng.randint(-4, 4), rng.randint(1, 4))
+
+    cases = [([(1, 0, 1), (0, 1, 1)], [(2, 3, 5), (0, 0, 1)]),
+             ([], [(0, 0), (1, 0)])]
+    dependent = []
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        rows = [tuple(rational() for _ in range(k))
+                for _ in range(rng.randint(1, k))]
+        combos = [tuple(sum(x * r[j] for x, r in zip(coeffs, rows))
+                        for j in range(k))
+                  for coeffs in ([rational() for _ in rows] for _ in range(3))]
+        try:
+            _ref_solve(rows, rows[0])
+        except ValueError:
+            dependent.append(rows)
+            continue
+        dependent.append(rows + combos[:1])
+        cases.append((rows, combos + [tuple(rational() for _ in range(k))
+                                      for _ in range(3)]))
+    want = [[_ref_solve(rows, v) for v in vectors] for rows, vectors in cases]
+    assert want[0] == [(2, 3), None] and want[1] == [(), None]
+    assert sum(x is None for w in want for x in w) > 10
+
+    def rational_elimination(*args):
+        raise AssertionError("Coordinates ran rational elimination")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref", rational_elimination)
+        patch.setattr(linalg, "det", rational_elimination)
+        got = [[Coordinates.of_rows(rows, len(vectors[0]))(v) for v in vectors]
+               for rows, vectors in cases]
+        for rows in dependent:
+            with pytest.raises(ValueError):
+                Coordinates.of_rows(rows, len(rows[0]))
+    assert got == want
+
+    groups = [g for g in map(build_group, CATALOG) if g.algebra.dim > 1]
+    for name in ("Psi(2,3)", "UT(4)"):
+        alg, gens, _ = _moved_generators(name, random.Random(1))
+        groups.append(GenGroup(alg, gens))
+    for group in groups:
+        old, k = group.algebra, group.algebra.dim
+        T = _shear(k, rng)
+        alg, to_new, to_old = old.change_basis(T)
+        inv_cols = _ref_mat_inv([[T[i][j] for i in range(k)] for j in range(k)])
+        table = {}
+        for i in range(k):
+            for j in range(i + 1, k):
+                w = linalg.mat_apply(inv_cols, old.bracket(T[i], T[j]))
+                if any(w):
+                    table[(i, j)] = w
+        assert alg.brackets == table
+        for v in _probe_vectors(hnf_lattice(T, k), rng):
+            assert to_new(v) == linalg.mat_apply(inv_cols, v)
+            assert to_old(to_new(v)) == v
+
+    for n, c in ((2, 5), (3, 3), (4, 3)):
+        assert free_algebra(n, c).brackets == _ref_hall_table(n, c), (n, c)

@@ -116,9 +116,3 @@ def test_saturation():
     assert linalg.saturate_rows([[2, 4]], 2) == [[1, 2]]
     sat = linalg.saturate_rows([[2, 0], [0, 2]], 2)
     assert linalg.hnf(sat) == [(1, 0), (0, 1)]
-
-
-def test_solve_coords():
-    basis = [(1, 0, 1), (0, 1, 1)]
-    assert linalg.solve_coords(basis, (2, 3, 5)) == (2, 3)
-    assert linalg.solve_coords(basis, (0, 0, 1)) is None
