@@ -211,13 +211,8 @@ def center(psi: FreeNilpotent):
     k = alg.dim
     conditions = []
     for j in range(psi.n):
-        ej = tuple(Fraction(int(j == t)) for t in range(k))
-        for l in range(k):
-            row = []
-            for i in range(k):
-                ei = tuple(Fraction(int(i == t)) for t in range(k))
-                row.append(alg.bracket(ei, ej)[l])
-            conditions.append(row)
+        cols = [alg.bracket_basis(i, j) for i in range(k)]
+        conditions.extend([c[l] for c in cols] for l in range(k))
     den = lcm(*(x.denominator for row in conditions for x in row))
     cond_int = [[int(x * den) for x in row] for row in conditions]
     z_rows = [tuple(Fraction(x) for x in r)

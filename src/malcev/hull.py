@@ -185,23 +185,23 @@ def _layer_basis(upper_lat: Lattice, lower_space_rows):
         return []
     # the lower space rows are independent: an lcs entry
     W = list(lower_space_rows)
-    gens = list(upper_lat.basis())
-    # extend W to a basis of the span of the layer, tracking a complement E
-    E = []
-    coords = Coordinates.of_rows(W, upper_lat.dim)
-    for g in gens:
-        if coords(g) is None:
-            E.append(g)
-            coords = Coordinates.of_rows(W + E, upper_lat.dim)
+    gens = upper_lat.basis()
+    # the greedy complement E: the generators that are pivot columns of
+    # the matrix with columns W, then gens
+    pivots = linalg.rref(list(zip(*W, *gens)))[1]
+    E = [gens[c - len(W)] for c in pivots[len(W):]]
     if not E:
         return []
     # coordinates of each generator along the complement part
+    coords = Coordinates.of_rows(W + E, upper_lat.dim)
     proj = [coords(g)[len(W):] for g in gens]
     den = math.lcm(*(x.denominator for p in proj for x in p))
     int_rows = [[int(x * den) for x in p] for p in proj]
     H, U = linalg.hnf(int_rows, transform=True)
-    out = [tuple(sum(Fraction(U[i][t]) * gens[t][j] for t in range(len(gens)))
-                 for j in range(upper_lat.dim)) for i in range(len(H))]
+    # U * gens, read as integer combinations of the lattice rows over den
+    cols, zero = tuple(zip(*upper_lat.rows)), Fraction(0)
+    out = [tuple(Fraction(x, upper_lat.den) if x else zero
+                 for x in linalg.mat_apply(cols, U[i])) for i in range(len(H))]
     if len(out) != len(E):
         raise RuntimeError("complement basis must have one vector per"
                            " extension generator")

@@ -18,6 +18,9 @@ from . import linalg
 from .errors import DimensionMismatch, SublatticeError
 
 
+_ZERO = Fraction(0)
+
+
 def _as_fraction_vec(v, dim):
     if len(v) != dim:
         raise DimensionMismatch(f"vector of length {len(v)} in ambient dimension {dim}")
@@ -169,7 +172,8 @@ class Coordinates:
         n = lcm(*(Fraction(x).denominator for x in v)) * self._pivots
         c = self.lattice.coords(tuple(n * x for x in v))
         return None if c is None else tuple(
-            Fraction(x, n) for x in linalg.mat_apply(self._columns, c))
+            Fraction(x, n) if x else _ZERO
+            for x in linalg.mat_apply(self._columns, c))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .compiled import compile_bch
@@ -19,7 +20,16 @@ from .lattices import Coordinates
 
 
 def vec(values):
-    return tuple(Fraction(x) for x in values)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+
+
+_ZERO = Fraction(0)
+
+
+@cache
+def _identity(k):
+    """The k x k Fraction identity, one shared tuple per dimension."""
+    return linalg.mat_identity(k, Fraction(1))
 
 
 def zero_vec(k):
@@ -77,8 +87,10 @@ class NilpotentLieAlgebra:
     def bracket(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket operand has wrong length")
-        out = [Fraction(0)] * self.dim
+        out = [_ZERO] * self.dim
         for (i, j), v in self.brackets.items():
+            if not ((x[i] and y[j]) or (x[j] and y[i])):
+                continue
             c = x[i] * y[j] - x[j] * y[i]
             if c:
                 for l, w in enumerate(v):
@@ -91,17 +103,30 @@ class NilpotentLieAlgebra:
     def lcs(self):
         """Bases of gamma_1 >= gamma_2 >= ... >= gamma_{c+1} = 0.
 
-        The last entry is always the empty basis.
+        The last entry is always the empty basis.  gamma_{j+1} is spanned by
+        the [u, e_b] = sum_i u_i [e_i, e_b] over the rows u of gamma_j, read
+        from the nonzero ad columns [e_i, e_b] of the bracket table.
         """
         if self._lcs is None:
-            chain = [linalg.mat_identity(self.dim, Fraction(1))]
+            k = self.dim
+            # ad[b]: the (i, nonzero entries of [e_i, e_b]) with [e_i, e_b] != 0
+            ad = [[] for _ in range(k)]
+            for (i, j), v in self.brackets.items():
+                entries = [(l, x) for l, x in enumerate(v) if x]
+                ad[j].append((i, entries))
+                ad[i].append((j, [(l, -x) for l, x in entries]))
+            chain = [_identity(k)]
             while chain[-1]:
                 prev = chain[-1]
                 gens = []
                 for u in prev:
-                    for b in range(self.dim):
-                        e = tuple(Fraction(int(b == t)) for t in range(self.dim))
-                        w = self.bracket(u, e)
+                    for col in ad:
+                        w = [_ZERO] * k
+                        for i, entries in col:
+                            c = u[i]
+                            if c:
+                                for l, x in entries:
+                                    w[l] += c * x
                         if any(w):
                             gens.append(w)
                 nxt = linalg.span_basis(gens)
@@ -125,14 +150,15 @@ class NilpotentLieAlgebra:
         """
         violations = []
         k = self.dim
-        basis = [tuple(Fraction(int(i == t)) for t in range(k)) for i in range(k)]
+        basis = _identity(k)
+        inner = self.bracket_basis
         for i in range(k):
             for j in range(i + 1, k):
                 for l in range(j + 1, k):
                     s = add_vec(
-                        add_vec(self.bracket(basis[i], self.bracket(basis[j], basis[l])),
-                                self.bracket(basis[j], self.bracket(basis[l], basis[i]))),
-                        self.bracket(basis[l], self.bracket(basis[i], basis[j])))
+                        add_vec(self.bracket(basis[i], inner(j, l)),
+                                self.bracket(basis[j], inner(l, i))),
+                        self.bracket(basis[l], inner(i, j)))
                     if any(s):
                         violations.append(("jacobi", (i, j, l)))
         computed_class = len(self.lcs()) - 1

@@ -254,7 +254,7 @@ def snf_with_transforms(rows, n_cols=None):
 
 def rref(rows):
     """Reduced row echelon form over Q.  Returns (rows, pivot_columns)."""
-    M = [[Fraction(x) for x in r] for r in rows]
+    M = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
     m = len(M)
     n = len(M[0]) if m else 0
     pivots = []
@@ -265,11 +265,12 @@ def rref(rows):
             continue
         M[r], M[piv] = M[piv], M[r]
         inv = 1 / M[r][c]
-        M[r] = [v * inv for v in M[r]]
+        # zero entries are skipped and kept as the objects they are
+        M[r] = [v * inv if v else v for v in M[r]]
         for i in range(m):
             if i != r and M[i][c]:
                 f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+                M[i] = [a - f * b if b else a for a, b in zip(M[i], M[r])]
         pivots.append(c)
         r += 1
         if r == m:

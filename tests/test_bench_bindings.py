@@ -7,12 +7,15 @@ A deletion in ``src/`` that would break ``--trace 1`` or the output gate
 fails here.  A change of shape behind a name that still resolves (a return
 value or an argument) fails the smoke test, which imports ``workloads`` the
 way ``perfbench/run.py`` does and runs one small job of each workload.
+A memory guard bounds what one hull-ladder pass keeps alive.
 """
 
 import ast
+import gc
 import importlib
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,23 @@ def test_one_job_per_workload_passes_the_gate(bench_workloads, workload,
     wl = bench_workloads.WORKLOADS[workload]
     job = next(j for j in wl.jobs(wl.setup(1)) if j.name == job_name)
     assert job.problems(job.run()) == []
+
+
+def test_a_hull_ladder_pass_keeps_under_100_kib(bench_workloads):
+    """The benchmark keeps every pass's results until its run ends, so what
+    one pass keeps grows ``peak_rss_mib`` with the number of passes.  One
+    seed-1 hull-ladder pass, run after a warm-up pass, keeps under 100 KiB."""
+    wl = bench_workloads.WORKLOADS["hull-ladder"]
+    jobs = wl.jobs(wl.setup(1))
+    for job in jobs:
+        job.run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = [job.run() for job in jobs]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == len(jobs)
+    assert retained < 100 * 1024, f"{retained / 1024:.1f} KiB"

@@ -11,8 +11,9 @@ from malcev.catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
 from malcev.errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from malcev.freenil import _commutator, _expand, free_algebra, hall_basis, psi_group
 from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
-                         adapted_basis, closure_certificate, congruence_quotient,
-                         congruence_scale, derived_lattice_data, finite_quotient,
+                         _layer_basis, adapted_basis, closure_certificate,
+                         congruence_quotient, congruence_scale,
+                         derived_lattice_data, finite_quotient,
                          group_index_in_hull, hull_of_lattice, lattice_hull)
 from malcev.lattices import (Coordinates, Lattice, _coordinate_matrix,
                              hnf_lattice, intersect_subspace, lattice_index,
@@ -697,3 +698,115 @@ def test_coordinates_match_a_fraction_solve(monkeypatch):
 
     for n, c in ((2, 5), (3, 3), (4, 3)):
         assert free_algebra(n, c).brackets == _ref_hall_table(n, c), (n, c)
+
+
+# The lower central series and the layer bases against their old definitions:
+# a unit-vector bracket over the whole table, then a Fraction span; and the
+# greedy complement that rebuilds its coordinates for every added vector.
+
+def _ref_bracket(brackets, x, y):
+    """[x, y] = sum over the table of (x_i y_j - x_j y_i) [e_i, e_j]."""
+    out = [F(0)] * len(x)
+    for (i, j), v in brackets.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            out = [o + c * w for o, w in zip(out, v)]
+    return tuple(out)
+
+
+def _ref_lcs(k, brackets):
+    chain = [[_unit(k, i) for i in range(k)]]
+    while chain[-1]:
+        gens = [w for u in chain[-1] for b in range(k)
+                if any(w := _ref_bracket(brackets, u, _unit(k, b)))]
+        nxt = [tuple(row) for row in _ref_rref(gens)[0]]
+        if len(nxt) == len(chain[-1]):
+            raise ValueError("structure constants are not nilpotent")
+        chain.append(nxt)
+    return [[tuple(row) for row in g] for g in chain]
+
+
+def _ref_layer_basis(upper_lat, lower_space_rows):
+    if upper_lat.rank == 0:
+        return []
+    W = list(lower_space_rows)
+    gens = list(upper_lat.basis())
+    E = []
+    coords = Coordinates.of_rows(W, upper_lat.dim)
+    for g in gens:
+        if coords(g) is None:
+            E.append(g)
+            coords = Coordinates.of_rows(W + E, upper_lat.dim)
+    if not E:
+        return []
+    proj = [coords(g)[len(W):] for g in gens]
+    den = math.lcm(*(x.denominator for p in proj for x in p))
+    H, U = hnf([[int(x * den) for x in p] for p in proj], transform=True)
+    return [tuple(sum(F(U[i][t]) * gens[t][j] for t in range(len(gens)))
+                  for j in range(upper_lat.dim)) for i in range(len(H))]
+
+
+def test_lcs_matches_unit_vector_brackets():
+    rng = random.Random(0)
+    algebras = [free_algebra(n, c)
+                for n, c in ((2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4))]
+    algebras += [ut.tr0_algebra(n)[0] for n in (4, 5, 6)]
+    groups = [build_group(entry) for entry in CATALOG]
+    algebras += [g.algebra for g in groups]
+    for g in groups:
+        if g.algebra.dim > 1:
+            twisted = _twisted(g, rng)
+            algebras += [twisted.algebra, lattice_hull(twisted).adapted_algebra]
+    restricted = lattice_hull(GenGroup(free_algebra(3, 3),
+                                       (_unit(14, 0), _unit(14, 1))))
+    assert restricted.embedding is not None
+    algebras.append(restricted.algebra)
+    for alg in algebras:
+        assert [[tuple(row) for row in g] for g in alg.lcs()] == \
+            _ref_lcs(alg.dim, alg.brackets)
+
+    for dim, table in ((2, {(0, 1): (0, 1)}),
+                       (3, {(0, 1): (0, 0, 1), (0, 2): (0, 1, 0)})):
+        with pytest.raises(ValueError, match="structure constants are not nilpotent"):
+            NilpotentLieAlgebra(dim, table)
+        with pytest.raises(ValueError, match="structure constants are not nilpotent"):
+            _ref_lcs(dim, {key: tuple(map(F, v)) for key, v in table.items()})
+
+
+def test_bracket_matches_the_dense_formula():
+    rng = random.Random(0)
+    algebras = [free_algebra(3, 3), ut.tr0_algebra(5)[0]]
+    algebras += [build_group(entry).algebra for entry in CATALOG]
+
+    def draw(k, density):
+        return tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                     if rng.random() < density else F(0) for _ in range(k))
+
+    for alg in algebras:
+        for density in (1.0, 0.3, 0.1):
+            for _ in range(10):
+                x, y = draw(alg.dim, density), draw(alg.dim, density)
+                assert alg.bracket(x, y) == _ref_bracket(alg.brackets, x, y)
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                assert alg.bracket_basis(i, j) == _ref_bracket(
+                    alg.brackets, _unit(alg.dim, i), _unit(alg.dim, j))
+
+
+def test_layer_basis_matches_the_greedy_rebuild():
+    rng = random.Random(2)
+    groups = [build_group(entry) for entry in CATALOG]
+    hulls = [lattice_hull(_twisted(g, rng)) for g in groups if g.algebra.dim > 1]
+    for name in ("Psi(2,3)", "Psi(3,2)", "Psi(2,4)", "UT(4)", "UT(5)"):
+        for seed in (1, 2):
+            alg, gens, _ = _moved_generators(name, random.Random(seed))
+            hulls.append(lattice_hull(GenGroup(alg, gens)))
+    for h in hulls:
+        gammas = h.algebra.lcs()
+        basis = []
+        for j in range(1, len(gammas)):
+            upper = intersect_subspace(h.lattice, gammas[j - 1])
+            got = _layer_basis(upper, gammas[j])
+            assert got == _ref_layer_basis(upper, gammas[j])
+            basis += got
+        assert tuple(basis) == h.basis
