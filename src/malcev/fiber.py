@@ -171,7 +171,9 @@ class FiberQuotient:
 
     @property
     def order(self) -> int:
-        return len(self.keys())
+        """|lattice/s| * |ker pi2|: pi2 is a checked surjective homomorphism,
+        so every Q-class has |ker pi2| P2 indices over it."""
+        return self.latq.order * len(self.u.kernel_pi2())
 
     def keys(self):
         if self._keys is None:
@@ -199,10 +201,6 @@ class FiberQuotient:
     def power(self, a, n: int):
         return (self.latq.power(a[0], n), self.u.p2.power(a[1], n))
 
-    def element_from_key(self, key) -> FiberElement:
-        rep, y = key
-        return FiberElement(self.u.hull.to_working(tuple(Fraction(t) for t in rep)), y)
-
     def verbal_power_subgroup(self, t: int):
         """Closure of all t-th powers; a normal subgroup, as a key set."""
         gens = {self.power(key, t) for key in self.keys()}
@@ -217,11 +215,13 @@ class QuotientGroup:
     (m*s1*b mod s, e), which runs over all of g*lattice mod s.  So N holds
     the kernel of F_s -> F_c for the coarse quotient F_c = FiberQuotient(u, g)
     (whose scale c is a multiple of g) whenever c | s, and N is the full
-    preimage of the verbal subgroup of F_c.  The coset table is built on F_c
-    (on fq itself when c does not divide s) and a fine key is read through
-    its reduction.  The lexicographically first fine key of a coset has
-    coordinates below c, so it is the first coarse key and ``reps`` are the
-    first fine keys of the cosets, in key order, exactly.
+    preimage of the verbal subgroup of F_c.  So the closure and the coset
+    table walk the c^k coarse reps of F_c only (fq itself when c does not
+    divide s), and ``class_of_key`` reads a key at any scale that c divides
+    through its reduction mod c, which is exact because N is that preimage.
+    The lexicographically first fine key of a coset has coordinates below
+    c, so it is the first coarse key and ``reps`` are the first fine keys of
+    the cosets, in key order, exactly.
     """
 
     def __init__(self, fq: FiberQuotient, m: int):
@@ -236,9 +236,6 @@ class QuotientGroup:
     def class_of_key(self, key) -> int:
         rep, y = key
         return self.coset_of[(self.coarse.latq.reduce(rep), y)]
-
-    def class_of_element(self, el: FiberElement) -> int:
-        return self.coset_of[self.coarse.reduce(el)]
 
     def mul(self, i: int, j: int) -> int:
         return self.coset_of[self.coarse.mul(self.reps[i], self.reps[j])]
@@ -526,33 +523,68 @@ def ia_kernel_enum(u: FiberGroup, gens=None, candidate_cap: int = 4096):
 # reconstruction (rho) and the lifting proposition
 
 
-def reconstruction_check(u: FiberGroup, m: int):
-    """Is rho: U -> Delta x_{Delta_m} Q_m injective and surjective at level m?
+def _delta_m(u: FiberGroup, m: int, fq: FiberQuotient):
+    """(hull_q, reps, coset_of) of Delta_m = (lattice/s) / (m-th powers).
 
-    Injectivity: tor meets the level kernel trivially (exact).  Surjectivity
-    is verified on the finite shadow at the same congruence level: every
-    fine key of F_s gives a pair (Delta_s leg, Q_m class), and these pairs
-    must fill Delta_s x_{Delta_m} Q_m.  Both quotient tables come from
-    coarse levels without a BCH product per fine key: Q_m from
-    ``level_quotient``, and Delta_m = (lattice/s) / (m-th powers) from the
-    congruence quotient of level m, since the m-th powers hold
-    exp(m*lattice) (mod s) and so the whole kernel of the reduction to it
-    (when its scale divides s; otherwise from lattice/s itself).
+    The m-th powers hold exp(m*lattice) (mod s), so Delta_m is read off the
+    congruence quotient of level m when its scale divides s, and off
+    lattice/s itself otherwise.
     """
-    lq = level_quotient(u, m)
-    fq = lq.fq
-    # injectivity: ker(rho) = tor & ker(U -> Q_m)
-    injective = _separates_torsion(lq)
-    # hull-side level-m quotient Delta_m = (lattice/s) / (m-th powers)
     hull_s, hull_q = congruence_quotient(u.hull, m)
     if fq.s % hull_s:
         hull_q = fq.latq
     hgens = {hull_q.power(rep, m) for rep in hull_q.elements()}
     closed = closure((0,) * u.hull.algebra.dim, tuple(hgens), hull_q.mul)
-    delta_reps, delta_coset = cosets(hull_q.elements(), closed, hull_q.mul)
-    # the Delta_m leg of each Q_m class, read off its representative
-    delta_of_class = [delta_coset[hull_q.reduce(rep)] for rep, _y in lq.reps]
+    return (hull_q,) + cosets(hull_q.elements(), closed, hull_q.mul)
 
+
+def _walk_shadow(lq: QuotientGroup, hull_q, delta_coset, walk):
+    """(shadow_pairs, compatible) of reconstruction_check, read off the reps
+    of the congruence quotient ``walk``.
+
+    A fine key (rep, y) of F_s is read through rep mod the scales of
+    lq.coarse (its Q_m class), u.side (the y over it) and hull_q (its
+    Delta_m leg).  When all three divide walk.s = g and g divides s, each
+    rep mod g stands for the (s/g)^k fine reps over it, which give the same
+    classes and leg; so it counts with that weight.  walk = fq.latq is the
+    plain walk over every fine rep.
+    """
+    fq, u = lq.fq, lq.fq.u
+    read = (lq.coarse.latq, u.side.latq, hull_q)
+    if fq.s % walk.s or any(walk.s % q.s for q in read):
+        raise ValueError("the walk scale must divide s and be a multiple of"
+                         " every scale the walk reads")
+    over = [[y for y in range(u.p2.order) if u.pi2[y] == q] for q in range(u.q.order)]
+    delta_of_class = [delta_coset[hull_q.reduce(rep)] for rep, _y in lq.reps]
+    reduce_q = lq.coarse.latq.reduce
+    shadow_pairs = 0
+    compatible = True
+    for rep in walk.elements():
+        coarse_rep = reduce_q(rep)
+        classes = {lq.coset_of[(coarse_rep, y)] for y in over[u.side.q_of_rep(rep)]}
+        shadow_pairs += len(classes)
+        leg = delta_coset[hull_q.reduce(rep)]
+        compatible = compatible and all(delta_of_class[c] == leg for c in classes)
+    return (fq.s // walk.s) ** walk.k * shadow_pairs, compatible
+
+
+def reconstruction_check(u: FiberGroup, m: int):
+    """Is rho: U -> Delta x_{Delta_m} Q_m injective and surjective at level m?
+
+    Injectivity: tor meets the level kernel trivially (exact).  Surjectivity
+    is verified on the finite shadow at the same congruence level s: every
+    fine key of F_s gives a pair (Delta_s leg, Q_m class), and these pairs
+    must fill Delta_s x_{Delta_m} Q_m.  No table is built at scale s: Q_m
+    comes from ``level_quotient`` on its coarse scale g, Delta_m from
+    ``_delta_m``, and the pairs are counted over the g^k coarse reps, each
+    standing for (s/g)^k fine reps, whenever the Delta_m scale divides g
+    (over the s^k fine reps otherwise); see ``_walk_shadow``.
+    """
+    lq = level_quotient(u, m)
+    fq = lq.fq
+    # injectivity: ker(rho) = tor & ker(U -> Q_m)
+    injective = _separates_torsion(lq)
+    hull_q, delta_reps, delta_coset = _delta_m(u, m, fq)
     # the shadow of Delta is the full congruence quotient at the same level;
     # covering Delta_s x_{Delta_m} Q_m lifts to surjectivity of rho, since
     # exp(s*lattice) x {e} lies in both ker(pi1) and ker(U -> Q_m)
@@ -560,18 +592,9 @@ def reconstruction_check(u: FiberGroup, m: int):
     if (fq.latq.order * lq.order) % delta_m_size:
         raise RuntimeError("|Delta_m| must divide |Delta_s| * |Q_m|")
     target_size = fq.latq.order * lq.order // delta_m_size
-    # keys come grouped by their lattice rep: reduce each rep once, and
-    # check every pair seen is compatible over Delta_m
-    shadow_pairs = 0
-    compatible = True
-    reduce_q = lq.coarse.latq.reduce
-    for rep, keys in itertools.groupby(fq.keys(), key=lambda key: key[0]):
-        coarse_rep = reduce_q(rep)
-        classes = {lq.coset_of[(coarse_rep, y)] for _rep, y in keys}
-        shadow_pairs += len(classes)
-        leg = delta_coset[hull_q.reduce(rep)]
-        compatible = compatible and all(delta_of_class[c] == leg
-                                        for c in classes)
+    coarse = lq.coarse.latq
+    walk = coarse if coarse.s % hull_q.s == 0 else fq.latq
+    shadow_pairs, compatible = _walk_shadow(lq, hull_q, delta_coset, walk)
     return {
         "m": m,
         "level": fq.s,
@@ -583,27 +606,12 @@ def reconstruction_check(u: FiberGroup, m: int):
     }
 
 
-def induced_on_level_quotient(lq: QuotientGroup, aut):
-    """The permutation induced on Q_m by an automorphism with .apply().
-
-    Verified to be well defined on every element of the finite quotient.
-    """
-    fq = lq.fq
-    perm = [None] * lq.order
-    for key in fq.keys():
-        el = fq.element_from_key(key)
-        src = lq.class_of_key(key)
-        dst = lq.class_of_element(aut.apply(el))
-        if perm[src] is None:
-            perm[src] = dst
-        elif perm[src] != dst:
-            raise ValueError("map does not descend to the level quotient")
-    return tuple(perm)
-
-
 @dataclass
 class LevelLiftAut:
-    """beta on the hull side; the P2 component is a table on fine keys."""
+    """beta on the hull side; the P2 component is a table on the keys of
+    ``fq``, the coarse quotient of the level quotient (see
+    ``lift_from_level_image``).  An element is read through its reduction
+    to that scale."""
 
     u: FiberGroup
     beta: LieAutomorphism
@@ -621,23 +629,25 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
     """Reconstruct alpha in IA*(U) from its level-m image alpha_m (a
     permutation of the level quotient's cosets) and a hull-side IA* beta.
 
-    beta's adapted matrix A is integral and maps s*Z^k into s*Z^k, so alpha
-    sends a fine key (rep, y) to (latq.reduce(A rep), y'), with y' the one P2
-    index over its Q-class in the coset alpha_m assigns: y' depends only on
-    the fine key.  Raises when t does not divide m or alpha_m is not
-    realizable over beta.
+    beta's adapted matrix A is integral, so it maps g*Z^k into g*Z^k for the
+    coarse scale g of the level quotient, and alpha sends a key (rep, y) to
+    (A rep mod g, y'), with y' the one P2 index over its Q-class in the
+    coset alpha_m assigns.  The Q-class needs rep mod s1 and the coset
+    rep mod g (s1 | g), so y' depends only on the coarse key, and the table
+    is built on the coarse keys alone.  Raises when t does not divide m or
+    alpha_m is not realizable over beta.
     """
     t = t if t is not None else find_t(u)
     if m % t:
         raise ValueError(f"level {m} is not a multiple of t = {t}")
     lq = level_quotient(u, m)
-    fq = lq.fq
+    coarse = lq.coarse
     if not is_ia_star(beta, u.hull):
         raise ValueError("beta must be an IA* element of the hull")
     A = adapted_matrix(u.hull, beta)
     table = {}
-    for key in fq.keys():
-        image = fq.latq.reduce(linalg.mat_apply(A, key[0]))
+    for key in coarse.keys():
+        image = coarse.latq.reduce(linalg.mat_apply(A, key[0]))
         q1, target = u.side.q_of_rep(image), alpha_m[lq.class_of_key(key)]
         ys = [y for y in range(u.p2.order)
               if u.pi2[y] == q1 and lq.class_of_key((image, y)) == target]
@@ -645,7 +655,7 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
             raise ValueError("alpha_m is not realizable over the supplied"
                              f" beta ({len(ys)} candidates)")
         table[key] = ys[0]
-    alpha = LevelLiftAut(u, beta, fq, table)
+    alpha = LevelLiftAut(u, beta, coarse, table)
     # IA*-ness, literally: the free abelianization reads off the first-layer
     # adapted coordinates of the hull part, and alpha must fix them
     d, gens, to_adapted = u.hull.d, u.generators(), u.hull.to_adapted_int

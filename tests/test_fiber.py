@@ -8,9 +8,9 @@ from malcev.autos import (LieAutomorphism, is_ia_star, is_lie_aut, make_ia_star,
 from malcev.catalog import TORSION_NAMES, build_fiber, build_zz2
 from malcev.errors import CapExceeded
 from malcev.fiber import (FiberElement, FiberGroup, FiberQuotient, HullSide,
-                          fiber_product_finite, find_t, free_abelianization_check,
-                          ia_kernel_enum, induced_on_level_quotient,
-                          level_quotient, lift_automorphism,
+                          _delta_m, _walk_shadow, fiber_product_finite, find_t,
+                          free_abelianization_check, hom_test_scale,
+                          ia_kernel_enum, level_quotient, lift_automorphism,
                           lift_automorphism_finite, lift_from_level_image,
                           reconstruction_check, torsion_subgroup)
 from malcev.finite import FiniteGroup, closure, cosets
@@ -222,6 +222,34 @@ def test_reconstruction_levels():
     assert not r["injective"]
 
 
+def _ref_element_from_key(fq, key):
+    """Test oracle: a fiber element with the given key, in working
+    coordinates."""
+    rep, y = key
+    return FiberElement(fq.u.hull.to_working(tuple(F(t) for t in rep)), y)
+
+
+def _ref_class_of_element(lq, el):
+    """Test oracle: the Q_m class of an element, through working
+    coordinates."""
+    return lq.coset_of[lq.coarse.reduce(el)]
+
+
+def _ref_induced_on_level_quotient(lq, aut):
+    """Test oracle: the permutation induced on Q_m by an automorphism with
+    .apply(), checked to be well defined on every fine key."""
+    fq = lq.fq
+    perm = [None] * lq.order
+    for key in fq.keys():
+        src = lq.class_of_key(key)
+        dst = _ref_class_of_element(lq, aut.apply(_ref_element_from_key(fq, key)))
+        if perm[src] is None:
+            perm[src] = dst
+        elif perm[src] != dst:
+            raise ValueError("map does not descend to the level quotient")
+    return tuple(perm)
+
+
 def test_level_lift_identity_and_kernel():
     u = z2z4()
     beta_id = LieAutomorphism(u.hull.algebra, ((F(1),),))
@@ -234,7 +262,7 @@ def test_level_lift_identity_and_kernel():
     gens = [FiberElement((F(1),), 1), FiberElement((F(0),), 2)]
     K, _ = ia_kernel_enum(u, gens)
     knon = next(a for a in K if any(a.shifts))
-    alpha_m = induced_on_level_quotient(lq, knon)
+    alpha_m = _ref_induced_on_level_quotient(lq, knon)
     alpha = lift_from_level_image(u, 4, alpha_m, beta_id)
     for g in u.generators():
         assert alpha.apply(g) == knon.apply(g)
@@ -250,7 +278,7 @@ def test_level_lift_heisenberg_entry(monkeypatch):
     ident2 = tuple(range(3))
     sigma = lift_automorphism(u, beta, ident2)
     lq = level_quotient(u, 6)
-    alpha_m = induced_on_level_quotient(lq, sigma)
+    alpha_m = _ref_induced_on_level_quotient(lq, sigma)
     calls = [0]
     reduce_working = LatticeQuotient.reduce_working
 
@@ -300,12 +328,12 @@ def reference_lift_from_level_image(u, m, alpha_m, beta, t=None):
             if not u.member(el):
                 raise ValueError("element outside the fiber group")
             x_new = beta.apply(el.x)
-            target_class = alpha_m[lq.class_of_element(el)]
+            target_class = alpha_m[_ref_class_of_element(lq, el)]
             candidates = []
             for y in range(u.p2.order):
                 cand = FiberElement(x_new, y)
                 if u.member(cand) and \
-                        lq.class_of_element(cand) == target_class:
+                        _ref_class_of_element(lq, cand) == target_class:
                     candidates.append(cand)
             if len(candidates) != 1:
                 raise ValueError("alpha_m is not realizable over the supplied"
@@ -314,7 +342,8 @@ def reference_lift_from_level_image(u, m, alpha_m, beta, t=None):
 
     alpha = Transported()
     for key in lq.fq.keys():
-        got = lq.class_of_element(alpha.apply(lq.fq.element_from_key(key)))
+        got = _ref_class_of_element(
+            lq, alpha.apply(_ref_element_from_key(lq.fq, key)))
         if got != alpha_m[lq.class_of_key(key)]:
             raise RuntimeError("transported map does not reduce to alpha_m")
     return alpha
@@ -329,12 +358,13 @@ def _level_lift_cases():
     knon = next(a for a in ia_kernel_enum(u, gens)[0] if any(a.shifts))
     for m in (2, 4):
         yield u, m, tuple(range(level_quotient(u, m).order)), beta_id, None
-    yield u, 4, induced_on_level_quotient(level_quotient(u, 4), knon), \
+    yield u, 4, _ref_induced_on_level_quotient(level_quotient(u, 4), knon), \
         beta_id, None
     h = build_fiber("heis3")
     beta = make_ia_star(h.hull, {(2, 0): 1})
     sigma = lift_automorphism(h, beta, (0, 1, 2))
-    yield h, 3, induced_on_level_quotient(level_quotient(h, 3), sigma), beta, 3
+    yield h, 3, _ref_induced_on_level_quotient(level_quotient(h, 3), sigma), \
+        beta, 3
 
 
 def test_level_lift_matches_transported_oracle():
@@ -342,7 +372,8 @@ def test_level_lift_matches_transported_oracle():
     for u, m, alpha_m, beta, t in _level_lift_cases():
         alpha = lift_from_level_image(u, m, alpha_m, beta, t)
         ref = reference_lift_from_level_image(u, m, alpha_m, beta, t)
-        fq = alpha.fq
+        # alpha.fq is the coarse quotient; the oracle walks every fine key
+        fq = level_quotient(u, m).fq
         k = u.hull.algebra.dim
         for rep, y in fq.keys():
             shift = [fq.s * rng.randint(-3, 3) for _ in range(k)]
@@ -405,7 +436,10 @@ def test_level_quotient_matches_all_keys_oracle(name):
 
 
 @pytest.mark.parametrize("name,levels", [("z2z4", range(2, 13)),
-                                         ("heis3", range(3, 10))])
+                                         ("heis3", range(3, 10)),
+                                         ("zz3", range(2, 7)),
+                                         ("z3z9", range(2, 7)),
+                                         ("z2z2z4", range(2, 7))])
 def test_reconstruction_matches_all_keys_oracle(name, levels):
     u = build_fiber(name)
     for m in levels:
@@ -413,17 +447,64 @@ def test_reconstruction_matches_all_keys_oracle(name, levels):
             reference_reconstruction_check(u, m), m
 
 
+@pytest.mark.parametrize("name", TORSION_NAMES)
+def test_coarse_walk_matches_fine_walk(name):
+    """Every catalog entry takes the coarse walk, so the fine walk runs only
+    here; both must give the same (shadow_pairs, compatible)."""
+    u = build_fiber(name)
+    for m in range(2, 7):
+        lq = level_quotient(u, m)
+        hull_q, _reps, delta_coset = _delta_m(u, m, lq.fq)
+        coarse = lq.coarse.latq
+        assert coarse.s < lq.fq.s and coarse.s % hull_q.s == 0, (name, m)
+        fine = _walk_shadow(lq, hull_q, delta_coset, lq.fq.latq)
+        assert _walk_shadow(lq, hull_q, delta_coset, coarse) == fine, (name, m)
+        assert fine[0] == reconstruction_check(u, m)["shadow_pairs"], (name, m)
+
+
+def test_walk_rejects_a_scale_it_cannot_read():
+    u = build_fiber("heis3")
+    lq = level_quotient(u, 6)
+    hull_q, _reps, delta_coset = _delta_m(u, 6, lq.fq)
+    with pytest.raises(ValueError, match="walk scale"):
+        _walk_shadow(lq, hull_q, delta_coset, u.side.latq)
+
+
 def test_reconstruction_makes_no_product_per_fine_key(monkeypatch):
     """heis3 at m = 15 has 273,375 fine keys; one product per key would
-    take more than 365,000 calls."""
-    calls = [0]
-    mul = LatticeQuotient.mul
+    take more than 365,000 calls, and reading every fine rep made 313,882
+    reduce calls."""
+    calls = {"mul": 0, "reduce": 0}
+    mul, reduce = LatticeQuotient.mul, LatticeQuotient.reduce
+    keys = FiberQuotient.keys
+    listed = []
 
-    def counted(self, a, b):
-        calls[0] += 1
+    def counted_mul(self, a, b):
+        calls["mul"] += 1
         return mul(self, a, b)
 
-    monkeypatch.setattr(LatticeQuotient, "mul", counted)
-    r = reconstruction_check(build_fiber("heis3"), 15)
+    def counted_reduce(self, v):
+        calls["reduce"] += 1
+        return reduce(self, v)
+
+    def recorded_keys(self):
+        listed.append(self.s)
+        return keys(self)
+
+    monkeypatch.setattr(LatticeQuotient, "mul", counted_mul)
+    monkeypatch.setattr(LatticeQuotient, "reduce", counted_reduce)
+    monkeypatch.setattr(FiberQuotient, "keys", recorded_keys)
+    u = build_fiber("heis3")
+    r = reconstruction_check(u, 15)
     assert r["shadow_pairs"] == r["target_size"] == 273375
-    assert calls[0] < 20_000
+    assert calls["mul"] < 20_000
+    assert calls["reduce"] < 100_000
+    assert listed and level_quotient(u, 15).fq.s not in listed
+
+
+@pytest.mark.parametrize("name", TORSION_NAMES + ("zz2",))
+def test_fiber_quotient_order_counts_keys(name):
+    u = build_zz2() if name == "zz2" else build_fiber(name)
+    for level in (hom_test_scale(u),) + tuple(u.side.scale * m for m in range(1, 7)):
+        fq = FiberQuotient(u, level)
+        assert fq.order == len(fq.keys()), (name, level)
