@@ -57,9 +57,11 @@ def is_lie_aut(alg: NilpotentLieAlgebra, matrix):
     offending basis pair.
     """
     M = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-    if linalg.det(M) == 0:
-        raise ValueError("singular matrix is not an automorphism candidate")
     k = alg.dim
+    den = lcm(*(x.denominator for row in M for x in row))
+    if len(linalg.hnf([[x.numerator * (den // x.denominator) for x in row]
+                       for row in M])) < k:
+        raise ValueError("singular matrix is not an automorphism candidate")
     cols = [tuple(M[r][c] for r in range(k)) for c in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
@@ -503,10 +505,6 @@ def enumerate_ia_star(hull: HullResult, bound: int, cap: int = 10 ** 6,
     return out
 
 
-def _matrix_mul_mod(A, B, m):
-    return tuple(tuple(x % m for x in row) for row in linalg.mat_mul(A, B))
-
-
 def strong_approx_check(hull: HullResult, m: int,
                         eq: IAStarEquations | None = None,
                         point_cap: int = 500_000, witness_cap: int = 5):
@@ -568,15 +566,35 @@ def mod_m_group(hull: HullResult, m: int, eq: IAStarEquations | None = None,
 
 def subgroup_closure_mod(hull: HullResult, mats, m: int):
     """Closure of the reduced integer adapted matrices inside the mod-m
-    matrix group.
+    matrix group, as a set of tuples of row tuples.
 
-    The group is finite, so products of the generators already contain
-    their inverses.
+    The product with a generator g is x + x E, where E = (g - I) mod m is
+    kept as its nonzero entries: it touches k * nnz(E) entries of x instead
+    of the k^3 of a dense product.  No generator is assumed unitriangular;
+    E holds whatever g - I has, diagonal included.  During the search an
+    element is a flat row-major tuple reduced mod m.  The group is finite,
+    so products of the generators already contain their inverses.
     """
-    start = [tuple(tuple(x % m for x in row) for row in A) for A in mats]
     k = hull.algebra.dim
-    ident = tuple(tuple(int(i == j) % m for j in range(k)) for i in range(k))
-    return set(closure(ident, start, lambda x, g: _matrix_mul_mod(x, g, m)))
+    rows = range(0, k * k, k)
+    steps = []
+    for A in mats:
+        E = [(r, c, v) for r in range(k) for c in range(k)
+             if (v := (A[r][c] - (r == c)) % m)]
+        steps.append(([(i + c, i + r, v) for r, c, v in E for i in rows],
+                      {i + c for _, c, _ in E for i in rows}))
+
+    def mul(x, step):
+        terms, touched = step
+        y = list(x)
+        for dst, src, v in terms:
+            y[dst] += x[src] * v
+        for dst in touched:
+            y[dst] %= m
+        return tuple(y)
+
+    ident = tuple(int(i == j) % m for i in range(k) for j in range(k))
+    return {tuple(x[i:i + k] for i in rows) for x in closure(ident, steps, mul)}
 
 
 def ia_star_abelian_index(hull: HullResult, gens,

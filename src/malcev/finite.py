@@ -148,10 +148,6 @@ class FiniteGroup:
         """Subgroup generated by all t-th powers (normal by construction)."""
         return self.subgroup_closure({self.power(a, t) for a in range(self.order)})
 
-    def is_normal(self, subgroup_set) -> bool:
-        return all(self.cayley[self.cayley[g][h]][self.inverse[g]] in subgroup_set
-                   for g in range(self.order) for h in subgroup_set)
-
     def quotient(self, normal_set):
         """(quotient group, projection list).  normal_set must be normal."""
         reps, index = cosets(range(self.order), normal_set, self.mul)
@@ -300,7 +296,3 @@ def induced_map(pairs, size: int):
             return None, src
         out[src] = dst
     return tuple(out), None
-
-
-def compose_perms(outer, inner):
-    return tuple(outer[x] for x in inner)

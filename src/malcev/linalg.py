@@ -299,26 +299,3 @@ def mat_mul(A, B):
 def mat_identity(n, one=1):
     zero = 0 * one
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def det(A):
-    """Determinant over Q by fraction-free-ish Gaussian elimination."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        result *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return result * sign
-

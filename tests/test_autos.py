@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,7 @@ from malcev.autos import (IAStarEquations, LieAutomorphism, adapted_matrix,
                           stabilizes_lattice, strong_approx_check,
                           subgroup_closure_mod)
 from malcev.catalog import CSP_SUBGROUPS, build_hull, entry_by_name
+from malcev.finite import closure
 from malcev.hull import GenGroup, lattice_hull
 from malcev.liealg import NilpotentLieAlgebra
 
@@ -53,6 +56,28 @@ def test_is_lie_aut():
     singular = ((F(1), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(1)))
     with pytest.raises(ValueError):
         is_lie_aut(h.algebra, singular)
+
+
+def test_is_lie_aut_rejects_exactly_the_singular_matrices():
+    """The rank test on the denominator-cleared rows against a determinant
+    over Q, on seeded rational matrices with forced rank drops."""
+    from test_linalg import _ref_det
+    h = heis_hull()
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(60):
+        M = [[F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(3)]
+             for _ in range(3)]
+        if rng.random() < 0.4:
+            q = F(rng.randint(-3, 3), 2)
+            M[2] = [q * a + b for a, b in zip(M[0], M[1])]
+        if _ref_det(M) == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                is_lie_aut(h.algebra, M)
+        else:
+            is_lie_aut(h.algebra, M)
+    assert 10 < singular < 50
 
 
 def test_stabilizes_lattice():
@@ -291,7 +316,7 @@ def test_make_ia_star_rejects_shallow_positions():
 
 def _random_unimodular(rng, k):
     """Product of random elementary integer matrices (det +-1)."""
-    import malcev.linalg as lin
+    from test_linalg import _ref_det
     M = [[int(i == j) for j in range(k)] for i in range(k)]
     for _ in range(3 * k):
         i, j = rng.randrange(k), rng.randrange(k)
@@ -300,7 +325,7 @@ def _random_unimodular(rng, k):
         q = rng.randint(-2, 2)
         for t in range(k):
             M[i][t] += q * M[j][t]
-    assert abs(lin.det(M)) == 1
+    assert abs(_ref_det(M)) == 1
     return M
 
 
@@ -349,20 +374,90 @@ def test_mod_m_counts_multiplicative_over_coprime_levels():
 
 
 def test_subgroup_closure_mod_is_closed_under_inverses():
-    h = heis_hull()
+    hulls = {name: build_hull(entry_by_name(name))
+             for name in ("heisenberg", "psi23")}
+    levels = {"heisenberg": range(2, 7), "psi23": (2, 3)}
 
     def reduced(A, m):
         return tuple(tuple(int(x) % m for x in row) for row in A)
 
     for entry, desc, gen_entries, _ in CSP_SUBGROUPS:
-        if entry != "heisenberg":
-            continue
+        h = hulls[entry]
         gens = [make_ia_star(h, e) for e in gen_entries]
-        for m in range(2, 7):
+        for m in levels[entry]:
             image = subgroup_closure_mod(h, [adapted_matrix(h, g) for g in gens], m)
             assert all(reduced(adapted_matrix(h, g), m) in image for g in gens)
             for A in image:
                 assert reduced(linalg.unimodular_inverse(A), m) in image, (desc, m, A)
+
+
+def _ref_subgroup_closure_mod(hull, mats, m):
+    """The closure by dense k x k products reduced mod m (an oracle)."""
+    k = hull.algebra.dim
+    start = [tuple(tuple(x % m for x in row) for row in A) for A in mats]
+    ident = tuple(tuple(int(i == j) % m for j in range(k)) for i in range(k))
+    return set(closure(ident, start, lambda x, g: tuple(
+        tuple(v % m for v in row) for row in linalg.mat_mul(x, g))))
+
+
+def _no_dense_products(*args):
+    raise AssertionError("subgroup_closure_mod made a dense matrix product")
+
+
+def test_subgroup_closure_mod_matches_dense_oracle_on_catalog(monkeypatch):
+    """Every CSP row, at every level up to the one that certifies it."""
+    hulls = {}
+    for entry, desc, gen_entries, index in CSP_SUBGROUPS:
+        h = hulls.setdefault(entry, build_hull(entry_by_name(entry)))
+        gens = [make_ia_star(h, e) for e in gen_entries]
+        top = csp_witness(h, gens, index=index)["m"]
+        mats = [adapted_matrix(h, g) for g in gens]
+        for m in range(1, top + 1):
+            expected = _ref_subgroup_closure_mod(h, mats, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "mat_mul", _no_dense_products)
+                assert subgroup_closure_mod(h, mats, m) == expected, (desc, m)
+    assert {h.algebra.dim for h in hulls.values()} == {3, 5}
+
+
+def _conjugated_small_group(rng, k, m):
+    """Integer generators of T H T^-1 for a random unimodular T, where H is
+    generated by a diagonal D of units mod m and I + a e_rc, I + b e_rd.
+    D scales the two square-zero, commuting e_rc and e_rd, so
+    |H| <= ord(D) * m^2."""
+    T = _random_unimodular(rng, k)
+    Tinv = linalg.unimodular_inverse(T)
+    units = [u for u in range(1, m + 1) if gcd(u, m) == 1]
+    r, c, d = rng.sample(range(k), 3)
+    hs = [[[rng.choice(units) * (i == j) for j in range(k)] for i in range(k)]]
+    for col in (c, d):
+        E = [[int(i == j) for j in range(k)] for i in range(k)]
+        E[r][col] = rng.randint(1, m)
+        hs.append(E)
+    return [linalg.mat_mul(linalg.mat_mul(T, A), Tinv) for A in hs]
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_subgroup_closure_mod_matches_dense_oracle_on_random_sets(
+        monkeypatch, k):
+    """Seeded integer generator sets, not reduced and not unitriangular:
+    one raw matrix (its cyclic monoid, often singular mod m) and conjugates
+    of a small group, whose diagonals are rarely 1 mod m."""
+    rng = random.Random(23 + k)
+    hull = SimpleNamespace(algebra=SimpleNamespace(dim=k))
+    off_diagonal = 0
+    for m in range(1, 7):
+        for _ in range(3):
+            raw = [[rng.randint(-m, 2 * m) for _ in range(k)] for _ in range(k)]
+            for mats in ([raw], _conjugated_small_group(rng, k, m)):
+                off_diagonal += any(A[i][i] % m != 1 % m
+                                    for A in mats for i in range(k))
+                expected = _ref_subgroup_closure_mod(hull, mats, m)
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "mat_mul", _no_dense_products)
+                    assert subgroup_closure_mod(hull, mats, m) == expected, \
+                        (m, mats)
+    assert off_diagonal > 20
 
 
 # -- the lift against a reference lift written out stratum by stratum ---------

@@ -84,7 +84,8 @@ def test_gate_and_workload_names_resolve(filename):
 SMOKE_JOBS = (("hull-ladder", "hull Psi(2,3)"),
               ("congruence", "csp psi23: a1 even"),
               ("fiber-levels", "lifting heis3"),
-              ("element-arith", "central tuples psi(3,2) box 1"))
+              ("element-arith", "central tuples psi(3,2) box 1"),
+              ("congruence", "csp psi23: a2 = 0 mod 3"))
 
 
 @pytest.fixture
