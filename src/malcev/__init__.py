@@ -20,8 +20,8 @@ from .hull import (GenGroup, HullResult, LatticeQuotient, adapted_basis,
                    finite_quotient, group_index_in_hull, hull_of_lattice,
                    lattice_hull)
 from .autos import (IAStarEquations, LieAutomorphism, aut_star_image,
-                    csp_witness, enumerate_ia_star, is_ia_star, is_lie_aut,
-                    make_ia_star, stabilizes_lattice, strong_approx_check)
+                    csp_witness, enumerate_ia_star, is_ia_star, make_ia_star,
+                    strong_approx_check)
 from .finite import FiniteGroup
 from .fiber import (FiberElement, FiberGroup, HullSide, fiber_product_finite,
                     find_t, free_abelianization_check, ia_kernel_enum,

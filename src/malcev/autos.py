@@ -30,7 +30,6 @@ from .compiled import poly_add, poly_scale, poly_sub, _sym_bracket
 from .errors import CapExceeded
 from .finite import closure
 from .hull import HullResult
-from .lattices import Lattice
 from .liealg import NilpotentLieAlgebra, vec
 
 
@@ -50,48 +49,30 @@ class LieAutomorphism:
                                linalg.mat_mul(self.matrix, other.matrix))
 
 
-def is_lie_aut(alg: NilpotentLieAlgebra, matrix):
-    """(ok, witness): do the defining equations hold on all basis pairs?
-
-    Raises ValueError on a singular matrix.  On failure the witness is the
-    offending basis pair.
-    """
-    M = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-    k = alg.dim
-    den = lcm(*(x.denominator for row in M for x in row))
-    if len(linalg.hnf([[x.numerator * (den // x.denominator) for x in row]
-                       for row in M])) < k:
-        raise ValueError("singular matrix is not an automorphism candidate")
-    cols = [tuple(M[r][c] for r in range(k)) for c in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            lhs = alg.bracket(cols[i], cols[j])
-            rhs = linalg.mat_apply(M, alg.bracket_basis(i, j))
-            if lhs != rhs:
-                return False, (i, j)
-    return True, None
-
-
-def stabilizes_lattice(aut, lat: Lattice) -> bool:
-    """True iff the matrix maps the lattice onto itself: its matrix in the
-    lattice basis is integral and unimodular."""
-    M = aut.matrix if isinstance(aut, LieAutomorphism) else aut
-    A = [lat.coords(linalg.mat_apply(M, b)) for b in lat.basis()]
-    return None not in A and linalg.unimodular_inverse(A) is not None
-
-
 def adapted_matrix(hull: HullResult, aut) -> tuple:
     """The integer matrix of the map w.r.t. the adapted basis, a Z-basis of
     the hull lattice.
 
-    This is the one place that decides whether a map sends the hull lattice
-    into itself: raises ValueError when it does not.
+    This is the one place that decides whether a map is an automorphism of
+    the hull: raises ValueError unless it sends the hull lattice onto itself
+    and is a Lie automorphism.  The bracket equations are read on the
+    adapted algebra, which the change of basis makes isomorphic to the
+    working one.
     """
     M = aut.matrix if isinstance(aut, LieAutomorphism) else aut
     cols = [hull.to_adapted_int(linalg.mat_apply(M, b)) for b in hull.basis]
     if None in cols:
         raise ValueError("map does not send the hull lattice into itself")
-    return tuple(zip(*cols))
+    A = tuple(zip(*cols))
+    if linalg.unimodular_inverse(A) is None:
+        raise ValueError("map does not send the hull lattice onto itself")
+    alg = hull.adapted_algebra
+    for i, j in itertools.combinations(range(len(cols)), 2):
+        if alg.bracket(cols[i], cols[j]) != \
+                linalg.mat_apply(A, alg.bracket_basis(i, j)):
+            raise ValueError("map is not a Lie automorphism"
+                             f" (basis pair {(i, j)})")
+    return A
 
 
 def matrix_from_adapted(hull: HullResult, adapted) -> tuple:
@@ -102,39 +83,43 @@ def matrix_from_adapted(hull: HullResult, adapted) -> tuple:
 
 
 def aut_star_image(aut: LieAutomorphism, hull: HullResult):
-    """The induced d x d integer matrix on the abelianized lattice."""
-    d = hull.d
-    out = tuple(row[:d] for row in adapted_matrix(hull, aut)[:d])
-    if linalg.unimodular_inverse(out) is None:
-        raise ValueError("abelianized action is not invertible over Z")
-    return out
+    """The induced d x d integer matrix on the abelianized lattice.
 
-
-def is_ia_star(aut: LieAutomorphism, hull: HullResult) -> bool:
-    """Automorphism + integral adapted matrix + identity on L/L'.
-
-    An automorphism trivial on L/L' is trivial on every lcs layer, so its
-    adapted matrix is unitriangular w.r.t. the adapted ordering (asserted
-    too, as a consistency check).  An integral one has an integral inverse,
-    so the map stabilizes the hull lattice.
+    The adapted matrix is unimodular and block-triangular by layers, so
+    this first diagonal block is unimodular too.
     """
-    ok, _ = is_lie_aut(hull.algebra, aut.matrix)
-    if not ok:
-        return False
+    d = hull.d
+    return tuple(row[:d] for row in adapted_matrix(hull, aut)[:d])
+
+
+def _ia_star_matrix(aut, hull: HullResult):
+    """The adapted matrix of aut when it is an IA* element of the hull,
+    else None: an automorphism of the hull (``adapted_matrix``) that is the
+    identity on L/L', the first d x d adapted block.
+
+    Such an automorphism is trivial on every lcs layer, so its adapted
+    matrix is unitriangular w.r.t. the adapted ordering (checked too, as a
+    consistency check).
+    """
     try:
         A = adapted_matrix(hull, aut)
     except ValueError:
-        return False
+        return None
     d = hull.d
     if any(A[i][j] != int(i == j) for i in range(d) for j in range(d)):
-        return False
-    k = hull.algebra.dim
+        return None
+    k = len(A)
     layers = hull.layers
     if not all(A[i][j] == int(i == j)
                for j in range(k) for i in range(k)
                if layers[i] <= layers[j]):
         raise RuntimeError("IA* element not layer-unitriangular")
-    return True
+    return A
+
+
+def is_ia_star(aut: LieAutomorphism, hull: HullResult) -> bool:
+    """Is aut an automorphism of the hull that is the identity on L/L'?"""
+    return _ia_star_matrix(aut, hull) is not None
 
 
 def ia_star_positions(hull: HullResult):
@@ -371,6 +356,24 @@ class IAStarEquations:
             raise CapExceeded(f"more than {cap} mod-{m} points")
         return count
 
+    def _back_solve(self, s: _Stratum, b, free):
+        """An integer y with (stratum linear part) y = b, or None.
+
+        With the Smith form D = U C V: c = U b must vanish past the rank and
+        be divisible by the diagonal, and y = V w, where w is c / D followed
+        by the free coordinates, drawn from the iterator ``free`` only once
+        the system is known to be solvable.
+        """
+        diag, U, V = s.snf
+        rank = len(diag)
+        c = [sum(x * y for x, y in zip(row, b)) for row in U]
+        if any(c[rank:]) or any(x % d for x, d in zip(c, diag)):
+            return None
+        u = len(s.vars)
+        w = [x // d for x, d in zip(c, diag)] + \
+            [next(free) for _ in range(u - rank)]
+        return [sum(V[t][j] * w[j] for j in range(u)) for t in range(u)]
+
     def lift(self, assignment, m: int):
         """An exact integer solution congruent to the mod-m point, or None.
 
@@ -379,12 +382,7 @@ class IAStarEquations:
         """
         exact = [None] * self.nvars
         for s in self.strata:
-            u = len(s.vars)
             xbar = [assignment[v] % m for v in s.vars]
-            if not s.rows:
-                for v, val in zip(s.vars, xbar):
-                    exact[v] = val
-                continue
             resid = []
             for lin, rem in s.rows:
                 t = self._rem_value(rem, exact) + \
@@ -392,20 +390,11 @@ class IAStarEquations:
                 if t % m:
                     return None
                 resid.append(-(t // m))
-            diag, U, V = s.snf
-            c = [sum(U[i][j] * resid[j] for j in range(len(resid)))
-                 for i in range(len(resid))]
-            rank = len(diag)
-            if any(c[i] for i in range(rank, len(c))):
+            z = self._back_solve(s, resid, itertools.repeat(0))
+            if z is None:
                 return None
-            w = [0] * u
-            for i in range(rank):
-                if c[i] % diag[i]:
-                    return None
-                w[i] = c[i] // diag[i]
-            z = [sum(V[t][j] * w[j] for j in range(u)) for t in range(u)]
-            for t, v in enumerate(s.vars):
-                exact[v] = xbar[t] + m * z[t]
+            for v, x, dz in zip(s.vars, xbar, z):
+                exact[v] = x + m * dz
         return tuple(exact)
 
     def enumerate_integral(self, bound: int, cap: int = 10 ** 6):
@@ -443,28 +432,16 @@ class IAStarEquations:
     def random_point(self, rng: random.Random, spread: int = 3,
                      multiple: int = 1):
         """A random exact integer solution (free coordinates randomized)."""
+        draws = (multiple * rng.randint(-spread, spread)
+                 for _ in itertools.count())
         exact = [None] * self.nvars
         for s in self.strata:
-            u = len(s.vars)
-            diag, U, V = s.snf
-            rank = len(diag)
-            if not s.rows:
-                for v in s.vars:
-                    exact[v] = multiple * rng.randint(-spread, spread)
-                continue
             b = [-self._rem_value(rem, exact) for _, rem in s.rows]
-            c = [sum(U[i][j] * b[j] for j in range(len(b))) for i in range(len(b))]
-            if any(c[i] for i in range(rank, len(c))):
+            y = self._back_solve(s, b, draws)
+            if y is None:
                 return None
-            w = [0] * u
-            for i in range(rank):
-                if c[i] % diag[i]:
-                    return None
-                w[i] = c[i] // diag[i]
-            for i in range(rank, u):
-                w[i] = multiple * rng.randint(-spread, spread)
-            for t, v in enumerate(s.vars):
-                exact[v] = sum(V[t][j] * w[j] for j in range(u))
+            for v, val in zip(s.vars, y):
+                exact[v] = val
         return tuple(exact)
 
     # -- matrices ------------------------------------------------------------
@@ -605,11 +582,14 @@ def ia_star_abelian_index(hull: HullResult, gens,
     (then products simply add adapted entries).  Raises otherwise.
     """
     eq = eq or IAStarEquations(hull)
+    return _abelian_index(eq, (adapted_matrix(hull, g) for g in gens))
+
+
+def _abelian_index(eq: IAStarEquations, mats) -> int:
+    """ia_star_abelian_index on the adapted matrices of the generators."""
     if any(s.rows for s in eq.strata) or len(eq.strata) > 1:
         raise ValueError("IA* is not visibly free abelian; supply the index")
-    vecs = [[A[r][c] for (r, c) in eq.positions]
-            for A in (adapted_matrix(hull, g) for g in gens)]
-    H = linalg.hnf(vecs)
+    H = linalg.hnf([[A[r][c] for (r, c) in eq.positions] for A in mats])
     if len(H) < eq.nvars:
         raise ValueError("generators do not span a finite-index subgroup")
     return prod(row[i] for i, row in enumerate(H))
@@ -626,12 +606,11 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
     works within the cap the result is inconclusive (never a refutation).
     """
     eq = eq or IAStarEquations(hull)
-    for g in gens:
-        if not is_ia_star(g, hull):
-            raise ValueError("subgroup generators must pass is_ia_star")
+    mats = [_ia_star_matrix(g, hull) for g in gens]
+    if None in mats:
+        raise ValueError("subgroup generators must pass is_ia_star")
     if index is None:
-        index = ia_star_abelian_index(hull, gens, eq)
-    mats = [adapted_matrix(hull, g) for g in gens]
+        index = _abelian_index(eq, mats)
     rng = random.Random(seed)
     for m in range(1, level_cap + 1):
         universe = eq.count_mod(m, point_cap)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .autos import LieAutomorphism, adapted_matrix, is_ia_star, is_lie_aut
+from .autos import LieAutomorphism, _ia_star_matrix, adapted_matrix
 from .errors import CapExceeded
 from .finite import (FiniteGroup, check_onto, closure, cosets, extend_hom,
                      induced_map)
@@ -316,13 +316,10 @@ def lift_automorphism(u: FiberGroup, sigma1: LieAutomorphism, sigma2):
     P2-automorphism preserving ker(pi2); their induced maps on Q must agree.
     Incompatibility raises with a witness element of Q.
     """
-    ok, _ = is_lie_aut(u.hull.algebra, sigma1.matrix)
     try:
         A = adapted_matrix(u.hull, sigma1)
     except ValueError:
-        ok = False
-    if not ok or linalg.unimodular_inverse(A) is None:
-        raise ValueError("sigma1 is not a lattice automorphism")
+        raise ValueError("sigma1 is not a lattice automorphism") from None
     if u.p2.hom_from_generators(u.p2.generating_set(),
                                 [sigma2[g] for g in u.p2.generating_set()],
                                 u.p2) != tuple(sigma2) or \
@@ -642,9 +639,9 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
         raise ValueError(f"level {m} is not a multiple of t = {t}")
     lq = level_quotient(u, m)
     coarse = lq.coarse
-    if not is_ia_star(beta, u.hull):
+    A = _ia_star_matrix(beta, u.hull)
+    if A is None:
         raise ValueError("beta must be an IA* element of the hull")
-    A = adapted_matrix(u.hull, beta)
     table = {}
     for key in coarse.keys():
         image = coarse.latq.reduce(linalg.mat_apply(A, key[0]))

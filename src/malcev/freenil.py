@@ -48,15 +48,6 @@ def _mobius(n: int) -> int:
     return out
 
 
-def lyndon_count_bruteforce(n: int, w: int) -> int:
-    """Independent counting oracle: Lyndon words of length w by enumeration."""
-    count = 0
-    for word in itertools.product(range(n), repeat=w):
-        if all(word < word[i:] + word[:i] for i in range(1, w)):
-            count += 1
-    return count
-
-
 def hall_basis(n: int, c: int, cap: int = 200):
     """The Hall set up to weight c, deterministically ordered.
 
@@ -271,11 +262,6 @@ def is_word_automorphism(psi: FreeNilpotent, words) -> bool:
     if any(x.denominator != 1 for row in ab for x in row):
         return False
     return linalg.unimodular_inverse(ab) is not None
-
-
-def abelianized_matrix(psi: FreeNilpotent, words):
-    M = word_endo_matrix(psi, words)
-    return tuple(tuple(int(M[i][j]) for j in range(psi.n)) for i in range(psi.n))
 
 
 def aut_restriction(psi_low: FreeNilpotent, psi_high: FreeNilpotent, words):

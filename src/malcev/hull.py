@@ -32,14 +32,6 @@ class GenGroup:
     gen_logs: tuple
     filtered: bool = False
 
-    @staticmethod
-    def from_elements(algebra, elements, filtered=False) -> "GenGroup":
-        logs = tuple(g.log if isinstance(g, GroupElement) else vec(g)
-                     for g in elements)
-        if not logs:
-            raise ValueError("generator list must be nonempty")
-        return GenGroup(algebra, logs, filtered)
-
     def generators(self):
         return tuple(GroupElement(self.algebra, vec(g)) for g in self.gen_logs)
 
@@ -74,15 +66,6 @@ class HullResult:
                 sizes.append(0)
             sizes[l - 1] += 1
         return tuple(sizes)
-
-    @property
-    def layer_boundaries(self):
-        out = []
-        total = 0
-        for s in self.layer_sizes:
-            total += s
-            out.append(total)
-        return tuple(out)
 
     def to_adapted(self, v):
         """Adapted coordinates of a working vector."""
@@ -285,13 +268,6 @@ class LatticeQuotient:
         for x in rep:
             idx = idx * self.s + x
         return idx
-
-    def rep_of_index(self, idx: int):
-        digits = []
-        for _ in range(self.k):
-            idx, x = divmod(idx, self.s)
-            digits.append(x)
-        return tuple(reversed(digits))
 
     def elements(self):
         """The box [0, s)^k in lexicographic order, which is index order."""

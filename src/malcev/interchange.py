@@ -76,22 +76,6 @@ def lattice_to_doc(lat: Lattice) -> dict:
             "rows": [list(r) for r in lat.rows]}
 
 
-def lattice_from_doc(doc, where: str = "lattice") -> Lattice:
-    try:
-        dim = parse_int(doc["dim"], where + ".dim")
-        den = parse_int(doc["den"], where + ".den")
-        rows = [[parse_int(x, where + ".rows") for x in row]
-                for row in doc["rows"]]
-    except (KeyError, TypeError) as e:
-        raise FormatError(where, str(e)) from None
-    if den < 1:
-        raise FormatError(where, "denominator must be positive")
-    for row in rows:
-        if len(row) != dim:
-            raise FormatError(where, "row length differs from dim")
-    return Lattice.from_den_rows(dim, den, rows)
-
-
 # -- algebra -----------------------------------------------------------------
 
 def algebra_to_doc(alg: NilpotentLieAlgebra) -> dict:

@@ -270,10 +270,6 @@ class GroupElement:
     log: tuple
 
     @staticmethod
-    def from_log(algebra, coords) -> "GroupElement":
-        return GroupElement(algebra, vec(coords))
-
-    @staticmethod
     def identity(algebra) -> "GroupElement":
         return GroupElement(algebra, zero_vec(algebra.dim))
 
@@ -296,6 +292,3 @@ class GroupElement:
         if m < 1:
             raise ValueError("root index must be >= 1")
         return self ** Fraction(1, m)
-
-    def is_identity(self) -> bool:
-        return not any(self.log)

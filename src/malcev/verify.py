@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, unitriangular as ut
-from .autos import (IAStarEquations, adapted_matrix, csp_witness,
-                    enumerate_ia_star, is_ia_star, make_ia_star,
-                    matrix_from_adapted, strong_approx_check, LieAutomorphism)
+from .autos import (IAStarEquations, LieAutomorphism, _ia_star_matrix,
+                    adapted_matrix, csp_witness, enumerate_ia_star,
+                    make_ia_star, matrix_from_adapted, strong_approx_check)
 from .catalog import (CATALOG, CSP_SUBGROUPS, EXPECTED_T, TORSION_NAMES,
                       build_fiber, build_group, build_hull, build_zz2,
                       entry_by_name, finite_fiber_example)
@@ -530,10 +530,10 @@ def suite_free_iso(seed: int = 0, box: int = 2, boxes=((2, 2), (2, 3), (3, 2)),
             tup = [vec((0, 0, a)), vec((0, 0, b))]
             M = endo_matrix(psi22, iso22.backward(tup))
             aut = LieAutomorphism(psi22.algebra, M)
-            if not is_ia_star(aut, psi22.hull):
+            am = _ia_star_matrix(aut, psi22.hull)
+            if am is None:
                 matched = None
                 break
-            am = adapted_matrix(psi22.hull, aut)
             matched.add(tuple(am[r][c2] for (r, c2) in eq.positions))
         if matched is None:
             break

@@ -1,36 +1,67 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
 
 from malcev import linalg, unitriangular as ut
-from malcev.autos import (IAStarEquations, LieAutomorphism, adapted_matrix,
-                          aut_star_image, csp_witness, enumerate_ia_star,
-                          ia_star_abelian_index, ia_star_positions, is_ia_star,
-                          is_lie_aut, make_ia_star, matrix_from_adapted,
-                          mod_m_group,
-                          stabilizes_lattice, strong_approx_check,
-                          subgroup_closure_mod)
-from malcev.catalog import CSP_SUBGROUPS, build_hull, entry_by_name
+from malcev.autos import (IAStarEquations, LieAutomorphism, _Stratum,
+                          adapted_matrix, aut_star_image, csp_witness,
+                          enumerate_ia_star, ia_star_abelian_index,
+                          ia_star_positions, is_ia_star, make_ia_star,
+                          matrix_from_adapted, mod_m_group,
+                          strong_approx_check, subgroup_closure_mod)
+from malcev.catalog import CATALOG, CSP_SUBGROUPS, build_hull, entry_by_name
 from malcev.finite import closure
 from malcev.hull import GenGroup, lattice_hull
 from malcev.liealg import NilpotentLieAlgebra
+from test_hull import _ref_from_elements
+
+
+def _ref_is_lie_aut(alg, matrix):
+    """(ok, witness): do the bracket equations hold on all basis pairs of
+    ``alg``, read in its own coordinates?
+
+    Raises ValueError on a singular matrix.  On failure the witness is the
+    offending basis pair.
+    """
+    M = tuple(tuple(F(x) for x in row) for row in matrix)
+    k = alg.dim
+    den = lcm(*(x.denominator for row in M for x in row))
+    if len(linalg.hnf([[x.numerator * (den // x.denominator) for x in row]
+                       for row in M])) < k:
+        raise ValueError("singular matrix is not an automorphism candidate")
+    cols = [tuple(M[r][c] for r in range(k)) for c in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if alg.bracket(cols[i], cols[j]) != \
+                    linalg.mat_apply(M, alg.bracket_basis(i, j)):
+                return False, (i, j)
+    return True, None
+
+
+def _ref_stabilizes_lattice(aut, lat):
+    """True iff the matrix maps the lattice onto itself: its matrix in the
+    lattice basis is integral and unimodular."""
+    M = aut.matrix if isinstance(aut, LieAutomorphism) else aut
+    A = [lat.coords(linalg.mat_apply(M, b)) for b in lat.basis()]
+    return None not in A and linalg.unimodular_inverse(A) is not None
 
 
 def heis_hull():
     alg, _ = ut.tr0_algebra(3)
-    return lattice_hull(GenGroup.from_elements(
+    return lattice_hull(_ref_from_elements(
         alg, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
 
 # Heisenberg maps by adapted matrix: -1 on part of L/L' (in Aut(Gamma)),
-# a central shift by 3/2 (a Lie automorphism outside Aut(Gamma)), and an
-# integral map of det 4 (not onto the lattice).
+# a central shift by 3/2 (a Lie automorphism outside Aut(Gamma)), an
+# integral map of det 4 (not onto the lattice), and a singular one.
 DIAG = ((-1, 0, 0), (0, 1, 0), (0, 0, -1))
 ODD = ((1, 0, 0), (0, 1, 0), (F(3, 2), 0, 1))
 DOUBLE = ((2, 0, 0), (0, 1, 0), (0, 0, 2))
+SINGULAR = ((1, 0, 0), (1, 0, 0), (0, 0, 1))
 
 
 def adapted_map(h, A):
@@ -42,20 +73,20 @@ def adapted_map(h, A):
 def test_is_lie_aut():
     h = heis_hull()
     ident = tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
-    ok, wit = is_lie_aut(h.algebra, ident)
+    ok, wit = _ref_is_lie_aut(h.algebra, ident)
     assert ok and wit is None
     # the (alpha, beta) family in the adapted basis is always an automorphism
     for a, b in ((1, 0), (2, -3), (0, 0)):
         aut = make_ia_star(h, {(2, 0): a, (2, 1): b})
-        ok, _ = is_lie_aut(h.algebra, aut.matrix)
+        ok, _ = _ref_is_lie_aut(h.algebra, aut.matrix)
         assert ok
     # swapping b1 and b3 breaks the bracket at pair (0, 1)
     swap = ((F(0), F(0), F(1)), (F(0), F(1), F(0)), (F(1), F(0), F(0)))
-    ok, wit = is_lie_aut(h.algebra, swap)
+    ok, wit = _ref_is_lie_aut(h.algebra, swap)
     assert not ok and wit == (0, 1)
     singular = ((F(1), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(1)))
     with pytest.raises(ValueError):
-        is_lie_aut(h.algebra, singular)
+        _ref_is_lie_aut(h.algebra, singular)
 
 
 def test_is_lie_aut_rejects_exactly_the_singular_matrices():
@@ -74,30 +105,30 @@ def test_is_lie_aut_rejects_exactly_the_singular_matrices():
         if _ref_det(M) == 0:
             singular += 1
             with pytest.raises(ValueError, match="singular matrix"):
-                is_lie_aut(h.algebra, M)
+                _ref_is_lie_aut(h.algebra, M)
         else:
-            is_lie_aut(h.algebra, M)
+            _ref_is_lie_aut(h.algebra, M)
     assert 10 < singular < 50
 
 
 def test_stabilizes_lattice():
     h = heis_hull()
     ident = make_ia_star(h, {})
-    assert stabilizes_lattice(ident, h.lattice)
+    assert _ref_stabilizes_lattice(ident, h.lattice)
     a10 = make_ia_star(h, {(2, 0): 1})
-    assert stabilizes_lattice(a10, h.lattice)
+    assert _ref_stabilizes_lattice(a10, h.lattice)
     # alpha = 1/2 in adapted coordinates leaves the lattice
     half_adapted = ((F(1), F(0), F(0)), (F(0), F(1), F(0)),
                     (F(1, 2), F(0), F(1)))
     half = LieAutomorphism(h.algebra, matrix_from_adapted(h, half_adapted))
-    ok, _ = is_lie_aut(h.algebra, half.matrix)
+    ok, _ = _ref_is_lie_aut(h.algebra, half.matrix)
     assert ok
-    assert not stabilizes_lattice(half, h.lattice)
+    assert not _ref_stabilizes_lattice(half, h.lattice)
     # diag(2, 1, 2) sends the lattice into itself, but not onto it
     double = LieAutomorphism(h.algebra, matrix_from_adapted(
         h, ((F(2), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(2)))))
-    assert is_lie_aut(h.algebra, double.matrix)[0]
-    assert not stabilizes_lattice(double, h.lattice)
+    assert _ref_is_lie_aut(h.algebra, double.matrix)[0]
+    assert not _ref_stabilizes_lattice(double, h.lattice)
 
 
 def test_is_ia_star():
@@ -109,15 +140,16 @@ def test_is_ia_star():
     # diag(-1, 1, -1) is an automorphism but acts as -1 on part of L/L'
     diag = ((F(-1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(-1)))
     aut = LieAutomorphism(h.algebra, matrix_from_adapted(h, diag))
-    ok, _ = is_lie_aut(h.algebra, aut.matrix)
-    assert ok and stabilizes_lattice(aut, h.lattice)
+    ok, _ = _ref_is_lie_aut(h.algebra, aut.matrix)
+    assert ok and _ref_stabilizes_lattice(aut, h.lattice)
     assert not is_ia_star(aut, h)
+    assert not is_ia_star(adapted_map(h, SINGULAR), h)
 
     # the definition as an oracle: automorphism, stabilizes the lattice,
     # identity on the first d x d adapted block
     def by_definition(aut, hull):
-        ok, _ = is_lie_aut(hull.algebra, aut.matrix)
-        if not ok or not stabilizes_lattice(aut, hull.lattice):
+        ok, _ = _ref_is_lie_aut(hull.algebra, aut.matrix)
+        if not ok or not _ref_stabilizes_lattice(aut, hull.lattice):
             return False
         A = adapted_matrix(hull, aut)
         return all(A[i][j] == int(i == j)
@@ -136,6 +168,67 @@ def test_is_ia_star():
     assert True in verdicts and False in verdicts
 
 
+def _oracle_accepts(hull, aut):
+    """The working-coordinate definition of a hull automorphism."""
+    try:
+        ok, _ = _ref_is_lie_aut(hull.algebra, aut.matrix)
+    except ValueError:
+        return False
+    return ok and _ref_stabilizes_lattice(aut, hull.lattice)
+
+
+def _seeded_adapted_matrices(hull, rng):
+    """Seeded adapted matrices: IA* points, the same points with one entry
+    moved by +-1, random rational matrices and sign diagonals."""
+    k = hull.algebra.dim
+    eq = IAStarEquations(hull)
+    points = [p for p in (eq.random_point(rng) for _ in range(10))
+              if p is not None]
+    mats = [eq.adapted_matrix(p) for p in points]
+    for A in mats[:]:
+        A = [list(row) for row in A]
+        A[rng.randrange(k)][rng.randrange(k)] += rng.choice((-1, 1))
+        mats.append(A)
+    for _ in range(10):
+        mats.append([[F(rng.randint(-2, 2), rng.choice((1, 1, 1, 2)))
+                      for _ in range(k)] for _ in range(k)])
+    for _ in range(10):
+        mats.append([[rng.choice((-1, 1)) if i == j else 0 for j in range(k)]
+                     for i in range(k)])
+    return mats
+
+
+def test_adapted_matrix_matches_working_coordinate_oracle():
+    """adapted_matrix accepts a map exactly when it is a Lie automorphism in
+    working coordinates that maps the hull lattice onto itself."""
+    rng = random.Random(18)
+    integral_not_onto = integral_not_lie = 0
+    for entry in CATALOG:
+        h = build_hull(entry)
+        mats = _seeded_adapted_matrices(h, rng)
+        if entry.name == "heisenberg":
+            mats += [DOUBLE, SINGULAR]
+        verdicts = []
+        for A in mats:
+            aut = adapted_map(h, A)
+            want = _oracle_accepts(h, aut)
+            try:
+                got = adapted_matrix(h, aut)
+            except ValueError as e:
+                assert not want, (entry.name, A)
+                assert "hull lattice" in str(e) or \
+                    "Lie automorphism" in str(e), str(e)
+                integral_not_onto += "onto" in str(e)
+                integral_not_lie += "Lie automorphism" in str(e)
+                verdicts.append(False)
+                continue
+            assert want, (entry.name, A)
+            assert got == tuple(tuple(row) for row in A)
+            verdicts.append(True)
+        assert True in verdicts and False in verdicts, entry.name
+    assert integral_not_onto and integral_not_lie
+
+
 def test_aut_star_image():
     h = heis_hull()
     ident = make_ia_star(h, {(2, 0): 2, (2, 1): -1})
@@ -143,14 +236,14 @@ def test_aut_star_image():
     # b1 <-> b2, b3 -> -b3 is an automorphism ([b2,b1] = -2 b3)
     perm = ((F(0), F(1), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(-1)))
     aut = LieAutomorphism(h.algebra, matrix_from_adapted(h, perm))
-    ok, _ = is_lie_aut(h.algebra, aut.matrix)
+    ok, _ = _ref_is_lie_aut(h.algebra, aut.matrix)
     assert ok
     assert aut_star_image(aut, h) == ((0, 1), (1, 0))
     # a Lie automorphism outside Aut(Gamma) is rejected, not truncated to
     # its first block
     odd = adapted_map(h, ODD)
-    assert is_lie_aut(h.algebra, odd.matrix)[0]
-    assert not stabilizes_lattice(odd, h.lattice)
+    assert _ref_is_lie_aut(h.algebra, odd.matrix)[0]
+    assert not _ref_stabilizes_lattice(odd, h.lattice)
     with pytest.raises(ValueError, match="hull lattice"):
         aut_star_image(odd, h)
 
@@ -162,7 +255,7 @@ def test_positions_and_enumeration():
     assert len(lst) == 49
     assert {a.adapted_entries for a in lst} == {
         (x, y) for x in range(-3, 4) for y in range(-3, 4)}
-    ab = lattice_hull(GenGroup.from_elements(
+    ab = lattice_hull(_ref_from_elements(
         __import__("malcev.liealg", fromlist=["NilpotentLieAlgebra"])
         .NilpotentLieAlgebra.abelian(2), [(1, 0), (0, 1)]))
     assert len(enumerate_ia_star(ab, 3)) == 1
@@ -263,7 +356,7 @@ def test_csp_witness_converts_each_generator_a_fixed_number_of_times(
         # the Heisenberg index is computed, the psi(2,3) one supplied
         rep = csp_witness(h, gens, index=index if entry == "psi23" else None)
         assert (rep["m"], rep["index"]) == (m, index)
-        assert calls[0] <= 3 * len(gens), (desc, calls[0])
+        assert calls[0] <= 2 * len(gens), (desc, calls[0])
 
 
 def test_mod_m_group_is_a_group():
@@ -337,7 +430,7 @@ def test_mod_m_counts_are_coordinate_independent(builder, counts):
     """The mod-m point counts are invariants of the group, so they must not
     change under a unimodular change of the ambient coordinates."""
     from malcev.freenil import psi_group
-    from malcev.hull import GenGroup, lattice_hull
+    from malcev.hull import lattice_hull
     from malcev.liealg import NilpotentLieAlgebra
     import malcev.linalg as lin
 
@@ -352,7 +445,7 @@ def test_mod_m_counts_are_coordinate_independent(builder, counts):
     rng = random.Random(11)
     T = _random_unimodular(rng, alg.dim)
     twisted, to_new, _ = alg.change_basis(T)
-    hull = lattice_hull(GenGroup.from_elements(
+    hull = lattice_hull(_ref_from_elements(
         twisted, [to_new(tuple(map(F, g))) for g in gen_logs]))
     eq = IAStarEquations(hull)
     for m, expected in counts.items():
@@ -505,7 +598,7 @@ def filiform_hull():
 
     alg = NilpotentLieAlgebra(5, {(0, 1): e(2), (0, 2): e(3), (0, 3): e(4),
                                   (1, 2): e(4)})
-    return lattice_hull(GenGroup.from_elements(alg, [e(0), e(1)]))
+    return lattice_hull(_ref_from_elements(alg, [e(0), e(1)]))
 
 
 def _oracle_equations(name):
@@ -565,6 +658,73 @@ def test_lift_matches_reference_across_alternating_moduli(name):
         _assert_lifts_match(eq, [a2], m2)
 
 
+def _ref_random_point(eq, rng, spread=3, multiple=1):
+    """random_point with the Smith back-solve written out per stratum."""
+    exact = [None] * eq.nvars
+    for s in eq.strata:
+        u = len(s.vars)
+        diag, U, V = s.snf
+        rank = len(diag)
+        if not s.rows:
+            for v in s.vars:
+                exact[v] = multiple * rng.randint(-spread, spread)
+            continue
+        b = [-eq._rem_value(rem, exact) for _, rem in s.rows]
+        c = [sum(U[i][j] * b[j] for j in range(len(b)))
+             for i in range(len(b))]
+        if any(c[i] for i in range(rank, len(c))):
+            return None
+        w = [0] * u
+        for i in range(rank):
+            if c[i] % diag[i]:
+                return None
+            w[i] = c[i] // diag[i]
+        for i in range(rank, u):
+            w[i] = multiple * rng.randint(-spread, spread)
+        for t, v in enumerate(s.vars):
+            exact[v] = sum(V[t][j] * w[j] for j in range(u))
+    return tuple(exact)
+
+
+def _parity_equations():
+    """Two unknowns: x free, then 2y + x = 0, so only an even x extends."""
+    eq = object.__new__(IAStarEquations)
+    eq.nvars = 2
+    free, bound = _Stratum(1, [0]), _Stratum(2, [1])
+    free.snf = ([], [], [(1,)])
+    bound.rows = [((2,), (((0,), 1),))]
+    bound.snf = linalg.snf_with_transforms([[2]], 1)
+    eq.strata = [free, bound]
+    return eq
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES + ["abelian2", "heisenberg",
+                                                 "parity"])
+def test_random_point_matches_reference_draws(name):
+    """Same points and the same random draws, failed points included, so
+    a generator shared across calls stays in step."""
+    if name == "abelian2":
+        eq = _abelian2_equations()
+    elif name == "heisenberg":
+        eq = IAStarEquations(heis_hull())
+    elif name == "parity":
+        eq = _parity_equations()
+    else:
+        eq = _oracle_equations(name)[0]
+    got_rng, want_rng = random.Random(7), random.Random(7)
+    points = failed = 0
+    for spread, multiple in ((3, 1), (2, 3), (5, 2)) * 10:
+        got = eq.random_point(got_rng, spread, multiple)
+        assert got == _ref_random_point(eq, want_rng, spread, multiple)
+        assert got_rng.getstate() == want_rng.getstate()
+        if got is None:
+            failed += 1
+        else:
+            points += 1
+            assert eq.check_assignment(got)
+    assert points and (failed or name != "parity")
+
+
 def test_raw_psi23_lifts_64_of_256_points_at_level_2():
     """Raw psi(2,3) equations at m = 2: 256 points of which 64 lift; the
     other 192 share prefixes that have no exact lift."""
@@ -579,8 +739,8 @@ def test_raw_psi23_lifts_64_of_256_points_at_level_2():
 
 
 def test_lift_with_no_strata():
-    ab = lattice_hull(GenGroup.from_elements(NilpotentLieAlgebra.abelian(2),
-                                             [(1, 0), (0, 1)]))
+    ab = lattice_hull(_ref_from_elements(NilpotentLieAlgebra.abelian(2),
+                                         [(1, 0), (0, 1)]))
     eq = IAStarEquations(ab)
     assert eq.strata == [] and eq.lift((), 3) == ()
     for m in (1, 2, 5):
@@ -623,7 +783,7 @@ def enumerated_check(eq, m, witness_cap=5):
 
 
 def _abelian2_equations():
-    return IAStarEquations(lattice_hull(GenGroup.from_elements(
+    return IAStarEquations(lattice_hull(_ref_from_elements(
         NilpotentLieAlgebra.abelian(2), [(1, 0), (0, 1)])))
 
 

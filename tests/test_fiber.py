@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from malcev.autos import (LieAutomorphism, is_ia_star, is_lie_aut, make_ia_star,
+from malcev.autos import (LieAutomorphism, is_ia_star, make_ia_star,
                           matrix_from_adapted)
 from malcev.catalog import TORSION_NAMES, build_fiber, build_zz2
 from malcev.errors import CapExceeded
@@ -16,6 +16,7 @@ from malcev.fiber import (FiberElement, FiberGroup, FiberQuotient, HullSide,
 from malcev.finite import FiniteGroup, closure, cosets
 from malcev.hull import GenGroup, LatticeQuotient, lattice_hull
 from malcev.liealg import NilpotentLieAlgebra
+from test_autos import _ref_is_lie_aut
 
 
 def test_fiber_product_finite_direct_product():
@@ -148,10 +149,15 @@ def test_lift_automorphism_examples():
         A = tuple(tuple(F(x) for x in row) for row in A)
         sigma1 = LieAutomorphism(heis.hull.algebra,
                                  matrix_from_adapted(heis.hull, A))
-        assert is_lie_aut(heis.hull.algebra, sigma1.matrix)[0]
+        assert _ref_is_lie_aut(heis.hull.algebra, sigma1.matrix)[0]
         with pytest.raises(ValueError,
                            match="sigma1 is not a lattice automorphism"):
             lift_automorphism(heis, sigma1, ident_p2)
+    singular = LieAutomorphism(heis.hull.algebra, matrix_from_adapted(
+        heis.hull, ((F(1), F(0), F(0)), (F(1), F(0), F(0)),
+                    (F(0), F(0), F(1)))))
+    with pytest.raises(ValueError, match="sigma1 is not a lattice automorphism"):
+        lift_automorphism(heis, singular, ident_p2)
 
 
 def test_lift_automorphism_finite():

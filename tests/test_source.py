@@ -1,12 +1,15 @@
 """Checks on the library source itself."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "malcev")
-             .glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "malcev").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
@@ -42,3 +45,19 @@ def test_no_redundant_local_imports(path):
     lines = [node.lineno for node in ast.walk(tree)
              if node not in tree.body and _relative_modules(node) & top]
     assert not lines, f"{path.name}: redundant local import at lines {lines}"
+
+
+def test_every_definition_is_used():
+    """Each function, class and method of the library is named somewhere
+    in the library or the benchmark beyond its own definition; one that only
+    tests call belongs in the tests, as a reference oracle."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = Counter(
+        node.name for path in SRC
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__")))
+    text = "\n".join(path.read_text() for path in SRC + BENCH)
+    unused = sorted(name for name, n in defined.items()
+                    if len(re.findall(rf"\b{name}\b", text)) <= n)
+    assert not unused, f"defined but never used: {unused}"
