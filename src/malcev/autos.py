@@ -27,7 +27,7 @@ from math import gcd, lcm, prod
 
 from . import linalg
 from .compiled import poly_add, poly_scale, poly_sub, _sym_bracket
-from .errors import CapExceeded
+from .errors import CapExceeded, DimensionMismatch
 from .finite import closure
 from .hull import HullResult
 from .liealg import NilpotentLieAlgebra, vec
@@ -55,30 +55,60 @@ def adapted_matrix(hull: HullResult, aut) -> tuple:
 
     This is the one place that decides whether a map is an automorphism of
     the hull: raises ValueError unless it sends the hull lattice onto itself
-    and is a Lie automorphism.  The bracket equations are read on the
-    adapted algebra, which the change of basis makes isomorphic to the
-    working one.
+    and is a Lie automorphism (DimensionMismatch unless it is k x k).  The
+    bracket equations are read on the adapted algebra, which the change of
+    basis makes isomorphic to the working one.  Only nonzero data is read:
+    M b runs over the nonzero entries of each basis vector b, and
+    A [e_i, e_j] sums the columns of A picked by the nonzero structure
+    constants of [e_i, e_j].
     """
     M = aut.matrix if isinstance(aut, LieAutomorphism) else aut
-    cols = [hull.to_adapted_int(linalg.mat_apply(M, b)) for b in hull.basis]
+    k = hull.algebra.dim
+    if len(M) != k or any(len(row) != k for row in M):
+        raise DimensionMismatch(f"map must be a {k} x {k} matrix")
+    cols = [hull.to_adapted_int(tuple(sum(row[j] * x for j, x in b)
+                                      for row in M))
+            for b in _nonzero_rows(hull.basis)]
     if None in cols:
         raise ValueError("map does not send the hull lattice into itself")
     A = tuple(zip(*cols))
     if linalg.unimodular_inverse(A) is None:
         raise ValueError("map does not send the hull lattice onto itself")
     alg = hull.adapted_algebra
-    for i, j in itertools.combinations(range(len(cols)), 2):
-        if alg.bracket(cols[i], cols[j]) != \
-                linalg.mat_apply(A, alg.bracket_basis(i, j)):
+    sparse_cols = _nonzero_rows(cols)
+    for i, j in itertools.combinations(range(k), 2):
+        rhs = [0] * k
+        for l, c in _nonzero(alg.brackets.get((i, j), ())):
+            for r, a in sparse_cols[l]:
+                rhs[r] += c * a
+        if alg.bracket(cols[i], cols[j]) != tuple(rhs):
             raise ValueError("map is not a Lie automorphism"
                              f" (basis pair {(i, j)})")
     return A
 
 
+def _nonzero(v):
+    """The (index, entry) pairs of the nonzero entries of v."""
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def _nonzero_rows(rows):
+    return [_nonzero(row) for row in rows]
+
+
 def matrix_from_adapted(hull: HullResult, adapted) -> tuple:
-    """Convert an adapted-coordinates matrix back to working coordinates."""
-    cols = [hull.to_working(linalg.mat_apply(adapted, hull.to_adapted(e)))
-            for e in linalg.mat_identity(hull.algebra.dim, Fraction(1))]
+    """Convert an adapted-coordinates matrix back to working coordinates.
+
+    Column j is the working vector with adapted coordinates A u, where u
+    holds the adapted coordinates of the j-th unit vector; only nonzero
+    entries of A and of the basis are read.
+    """
+    rows = _nonzero_rows(adapted)
+    cols = []
+    for e in linalg.mat_identity(hull.algebra.dim, Fraction(1)):
+        u = hull.to_adapted(e)
+        cols.append(hull.to_working([sum(x * u[c] for c, x in row)
+                                     for row in rows]))
     return tuple(zip(*cols))
 
 
@@ -604,6 +634,11 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
     mod-m point group has index equal to [IA* : <gens>], then the reduction
     kernel is contained in the subgroup.  Returns a report dict; if no level
     works within the cap the result is inconclusive (never a refutation).
+
+    At the certified level, ``samples`` seeded integral IA* points are drawn
+    with multiple-of-m free coordinates; ``kernel_samples`` counts those
+    that exist and reduce to the identity mod m (every value 0 mod m), each
+    checked to lie in the image.
     """
     eq = eq or IAStarEquations(hull)
     mats = [_ia_star_matrix(g, hull) for g in gens]
@@ -623,12 +658,11 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
         ident = eq.adapted_matrix((0,) * eq.nvars, mod=m)
         for _ in range(samples):
             point = eq.random_point(rng, spread=3, multiple=m)
-            if point is None:
+            # the IA* positions are distinct and off the diagonal, so the
+            # point reduces to the identity exactly when it is 0 mod m
+            if point is None or any(v % m for v in point):
                 continue
-            reduced = eq.adapted_matrix(point, mod=m)
-            if reduced != ident:
-                continue
-            if reduced not in image:
+            if ident not in image:
                 raise RuntimeError("kernel element escapes the image")
             kernel_checked += 1
         return {"m": m, "index": index, "universe": universe,

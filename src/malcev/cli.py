@@ -191,8 +191,10 @@ def _verify_subgroup(args) -> int:
     gens = doc.get("generators", [])
     if not isinstance(gens, list):
         raise io.FormatError(args.subgroup, "generators must be a list")
-    gens = [LieAutomorphism(hull.algebra, io.automorphism_from_doc(g, args.subgroup))
-            for g in gens]
+    mats = [io.automorphism_from_doc(g, args.subgroup) for g in gens]
+    if any(len(mat) != hull.algebra.dim for mat in mats):
+        raise io.FormatError(args.subgroup, f"need k = {hull.algebra.dim}")
+    gens = [LieAutomorphism(hull.algebra, mat) for mat in mats]
     index = doc.get("index")
     if index is not None and (type(index) is not int or index < 1):
         raise io.FormatError(args.subgroup, "index must be a positive integer")

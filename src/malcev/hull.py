@@ -23,6 +23,8 @@ from .lattices import (Coordinates, Lattice, hnf_lattice, intersect_subspace,
                        lattice_sum)
 from .liealg import GroupElement, NilpotentLieAlgebra, scale_vec, vec
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class GenGroup:
@@ -72,9 +74,15 @@ class HullResult:
         return self._coordinates(v)
 
     def to_working(self, u):
-        """The working vector with adapted coordinates u."""
-        return tuple(sum(x * b[j] for x, b in zip(u, self.basis))
-                     for j in range(self.algebra.dim))
+        """The working vector with adapted coordinates u, summed over the
+        nonzero coordinates and basis entries only."""
+        out = [_ZERO] * self.algebra.dim
+        for x, b in zip(u, self.basis):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[j] += x * y
+        return tuple(out)
 
     def to_adapted_int(self, v):
         """Integer adapted coordinates of v, or None when v is outside the

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -12,10 +14,13 @@ from malcev.autos import (IAStarEquations, LieAutomorphism, _Stratum,
                           ia_star_positions, is_ia_star, make_ia_star,
                           matrix_from_adapted, mod_m_group,
                           strong_approx_check, subgroup_closure_mod)
+from malcev import autos
 from malcev.catalog import CATALOG, CSP_SUBGROUPS, build_hull, entry_by_name
+from malcev.errors import DimensionMismatch
 from malcev.finite import closure
 from malcev.hull import GenGroup, lattice_hull
 from malcev.liealg import NilpotentLieAlgebra
+from test_cli_outputs import sheared_group
 from test_hull import _ref_from_elements
 
 
@@ -198,35 +203,184 @@ def _seeded_adapted_matrices(hull, rng):
     return mats
 
 
+def _ref_adapted_matrix(hull, aut):
+    """The dense hull-automorphism test (an oracle): M b and A [e_i, e_j]
+    through linalg.mat_apply over every entry, zero or not."""
+    M = aut.matrix if isinstance(aut, LieAutomorphism) else aut
+    cols = [hull.to_adapted_int(linalg.mat_apply(M, b)) for b in hull.basis]
+    if None in cols:
+        raise ValueError("map does not send the hull lattice into itself")
+    A = tuple(zip(*cols))
+    if linalg.unimodular_inverse(A) is None:
+        raise ValueError("map does not send the hull lattice onto itself")
+    alg = hull.adapted_algebra
+    for i, j in itertools.combinations(range(len(cols)), 2):
+        if alg.bracket(cols[i], cols[j]) != \
+                linalg.mat_apply(A, alg.bracket_basis(i, j)):
+            raise ValueError("map is not a Lie automorphism"
+                             f" (basis pair {(i, j)})")
+    return A
+
+
+def _ref_matrix_from_adapted(hull, adapted):
+    """The dense conversion to working coordinates (an oracle)."""
+    k = hull.algebra.dim
+    cols = []
+    for e in linalg.mat_identity(k, F(1)):
+        w = linalg.mat_apply(adapted, hull.to_adapted(e))
+        cols.append(tuple(sum(x * b[j] for x, b in zip(w, hull.basis))
+                          for j in range(k)))
+    return tuple(zip(*cols))
+
+
+def _outcome(test, hull, aut):
+    """The matrix a hull-automorphism test returns, or its ValueError text."""
+    try:
+        return test(hull, aut)
+    except ValueError as e:
+        return str(e)
+
+
+def _scaled(hull, t=F(2, 3)):
+    """The hull with every adapted structure constant multiplied by t.
+
+    x -> t x is an isomorphism onto the original bracket, and scalars
+    commute with every map, so the automorphisms (and the first basis pair
+    a map breaks) are unchanged while the constants stop being integers.
+    """
+    alg = hull.adapted_algebra
+    scaled = NilpotentLieAlgebra(
+        alg.dim, {ij: tuple(t * x for x in v) for ij, v in alg.brackets.items()})
+    return dataclasses.replace(hull, adapted_algebra=scaled)
+
+
+def _broken_pairs(hull, A):
+    """The basis pairs whose bracket equation the adapted matrix A breaks."""
+    alg = hull.adapted_algebra
+    cols = list(zip(*A))
+    return [(i, j) for i, j in itertools.combinations(range(len(A)), 2)
+            if alg.bracket(cols[i], cols[j]) !=
+            linalg.mat_apply(A, alg.bracket_basis(i, j))]
+
+
+def _top_layer_flips(hull, A):
+    """A with the sign of one top-layer column flipped, for each such
+    column: unimodular and integral, breaking the pairs whose bracket
+    reaches that column."""
+    top = max(hull.layers)
+    out = []
+    for l in range(len(A)):
+        if hull.layers[l] == top:
+            B = [list(row) for row in A]
+            for row in B:
+                row[l] = -row[l]
+            out.append(B)
+    return out
+
+
+def _oracle_hulls():
+    """The catalog hulls and seeded rational shears of two of them."""
+    hulls = [(entry.name, build_hull(entry)) for entry in CATALOG]
+    hulls += [(f"{name} shear {seed}", lattice_hull(sheared_group(name, seed)))
+              for name in ("heisenberg", "psi23") for seed in (0, 1)]
+    return hulls
+
+
 def test_adapted_matrix_matches_working_coordinate_oracle():
     """adapted_matrix accepts a map exactly when it is a Lie automorphism in
-    working coordinates that maps the hull lattice onto itself."""
+    working coordinates that maps the hull lattice onto itself, and returns
+    the dense routine's matrix or its exact ValueError text, also with
+    non-integer adapted structure constants."""
     rng = random.Random(18)
-    integral_not_onto = integral_not_lie = 0
-    for entry in CATALOG:
-        h = build_hull(entry)
+    integral_not_onto = integral_not_lie = single_pair = 0
+    for name, h in _oracle_hulls():
         mats = _seeded_adapted_matrices(h, rng)
-        if entry.name == "heisenberg":
+        mats += _top_layer_flips(h, mats[0]) + _top_layer_flips(
+            h, linalg.mat_identity(h.algebra.dim))
+        if name == "heisenberg":
             mats += [DOUBLE, SINGULAR]
+        scaled = _scaled(h)
         verdicts = []
         for A in mats:
             aut = adapted_map(h, A)
             want = _oracle_accepts(h, aut)
-            try:
-                got = adapted_matrix(h, aut)
-            except ValueError as e:
-                assert not want, (entry.name, A)
-                assert "hull lattice" in str(e) or \
-                    "Lie automorphism" in str(e), str(e)
-                integral_not_onto += "onto" in str(e)
-                integral_not_lie += "Lie automorphism" in str(e)
+            got = _outcome(adapted_matrix, h, aut)
+            assert got == _outcome(_ref_adapted_matrix, h, aut), (name, A)
+            assert _outcome(adapted_matrix, scaled, aut) == got == \
+                _outcome(_ref_adapted_matrix, scaled, aut), (name, A)
+            if isinstance(got, str):
+                assert not want, (name, A)
+                assert "hull lattice" in got or "Lie automorphism" in got, got
+                integral_not_onto += "onto" in got
+                integral_not_lie += "Lie automorphism" in got
+                broken = _broken_pairs(h, A) if "Lie" in got else []
+                single_pair += len(broken) == 1 and broken[0] != (0, 1)
                 verdicts.append(False)
                 continue
-            assert want, (entry.name, A)
+            assert want, (name, A)
             assert got == tuple(tuple(row) for row in A)
+            assert all(type(x) is int for row in got for x in row)
             verdicts.append(True)
-        assert True in verdicts and False in verdicts, entry.name
-    assert integral_not_onto and integral_not_lie
+        assert True in verdicts and False in verdicts, name
+    assert integral_not_onto and integral_not_lie and single_pair
+
+
+def test_matrix_from_adapted_matches_dense_conversion():
+    """Bit-identical Fraction entries, on the oracle maps and the CSP
+    generators."""
+    rng = random.Random(19)
+    for name, h in _oracle_hulls():
+        mats = [tuple(tuple(F(x) for x in row) for row in A)
+                for A in _seeded_adapted_matrices(h, rng)]
+        mats += [_adapted_entries(h, e)
+                 for entry, _, gens, _ in CSP_SUBGROUPS if entry == name
+                 for e in gens]
+        for A in mats:
+            got = matrix_from_adapted(h, A)
+            assert got == _ref_matrix_from_adapted(h, A), (name, A)
+            assert all(type(x) is F for row in got for x in row), (name, A)
+
+
+def _adapted_entries(h, entries):
+    """The Fraction adapted matrix make_ia_star builds from its entries."""
+    k = h.algebra.dim
+    A = [[F(int(i == j)) for j in range(k)] for i in range(k)]
+    for (r, c), v in entries.items():
+        A[r][c] = F(v)
+    return tuple(tuple(row) for row in A)
+
+
+def test_adapted_matrix_rejects_maps_that_are_not_k_by_k():
+    """A 3 x 4 map used to pass: mat_apply's zip dropped the extra column."""
+    h = heis_hull()
+    ident = linalg.mat_identity(3)
+    for M in (tuple(row + (0,) for row in ident),
+              (ident[0], ident[1] + (0,), ident[2]),
+              ident[:2], linalg.mat_identity(4), linalg.mat_identity(2)):
+        with pytest.raises(DimensionMismatch, match="3 x 3"):
+            adapted_matrix(h, M)
+        assert not is_ia_star(LieAutomorphism(h.algebra, M), h)
+
+
+def test_adapted_matrix_applies_only_the_coordinate_maps(monkeypatch):
+    """Only the k to_adapted_int calls go through linalg.mat_apply: the
+    columns and the bracket check read nonzero entries themselves (the dense
+    routine made 2k + k(k-1)/2 calls)."""
+    h = build_hull(entry_by_name("psi23"))
+    gens = [make_ia_star(h, e) for entry, _, gen_entries, _ in CSP_SUBGROUPS
+            if entry == "psi23" for e in gen_entries]
+    calls = [0]
+    apply = linalg.mat_apply
+
+    def counted(A, v):
+        calls[0] += 1
+        return apply(A, v)
+
+    monkeypatch.setattr(linalg, "mat_apply", counted)
+    for g in gens:
+        calls[0] = 0
+        adapted_matrix(h, g)
+        assert 0 < calls[0] <= h.algebra.dim, calls[0]
 
 
 def test_aut_star_image():
@@ -357,6 +511,84 @@ def test_csp_witness_converts_each_generator_a_fixed_number_of_times(
         rep = csp_witness(h, gens, index=index if entry == "psi23" else None)
         assert (rep["m"], rep["index"]) == (m, index)
         assert calls[0] <= 2 * len(gens), (desc, calls[0])
+
+
+def _ref_csp_witness(hull, gens, index=None, level_cap=16, eq=None,
+                     point_cap=200_000, samples=100, seed=0):
+    """csp_witness with the reduced matrix of every kernel sample built and
+    compared with the identity (an oracle)."""
+    eq = eq or IAStarEquations(hull)
+    mats = [autos._ia_star_matrix(g, hull) for g in gens]
+    if None in mats:
+        raise ValueError("subgroup generators must pass is_ia_star")
+    if index is None:
+        index = autos._abelian_index(eq, mats)
+    rng = random.Random(seed)
+    for m in range(1, level_cap + 1):
+        universe = eq.count_mod(m, point_cap)
+        image = subgroup_closure_mod(hull, mats, m)
+        if universe % len(image) or universe // len(image) != index:
+            continue
+        kernel_checked = 0
+        ident = eq.adapted_matrix((0,) * eq.nvars, mod=m)
+        for _ in range(samples):
+            point = eq.random_point(rng, spread=3, multiple=m)
+            if point is None:
+                continue
+            reduced = eq.adapted_matrix(point, mod=m)
+            if reduced != ident:
+                continue
+            if reduced not in image:
+                raise RuntimeError("kernel element escapes the image")
+            kernel_checked += 1
+        return {"m": m, "index": index, "universe": universe,
+                "image": len(image), "kernel_samples": kernel_checked,
+                "status": "certified"}
+    return {"m": None, "index": index, "status": "inconclusive",
+            "level_cap": level_cap}
+
+
+def _off_kernel_draws(monkeypatch):
+    """Make random_point return None or move one seeded coordinate by +-1
+    for about two thirds of the draws, from the same generator, so that
+    some samples are absent or do not reduce to the identity."""
+    real = IAStarEquations.random_point
+
+    def draw(self, rng, spread=3, multiple=1):
+        point = real(self, rng, spread, multiple)
+        kind = rng.randrange(3)
+        if point is None or kind == 0:
+            return point
+        if kind == 1:
+            return None
+        i = rng.randrange(self.nvars)
+        return point[:i] + (point[i] + rng.choice((-1, 1)),) + point[i + 1:]
+
+    monkeypatch.setattr(IAStarEquations, "random_point", draw)
+
+
+@pytest.mark.parametrize("off_kernel", [False, True])
+def test_csp_witness_matches_per_sample_matrix_oracle(monkeypatch, off_kernel):
+    """Testing each kernel sample's point mod m gives the report of building
+    its reduced matrix, on every CSP row at seeds 0-3.  The exact draws all
+    reduce to the identity; the off-kernel ones mostly do not."""
+    if off_kernel:
+        _off_kernel_draws(monkeypatch)
+    hulls = {n: build_hull(entry_by_name(n)) for n in ("heisenberg", "psi23")}
+    eqs = {n: IAStarEquations(h) for n, h in hulls.items()}
+    counts = set()
+    for entry, desc, gen_entries, index in CSP_SUBGROUPS:
+        h, eq = hulls[entry], eqs[entry]
+        gens = [make_ia_star(h, e) for e in gen_entries]
+        for seed in range(4):
+            rep = csp_witness(h, gens, index=index, eq=eq, seed=seed)
+            assert rep == _ref_csp_witness(h, gens, index=index, eq=eq,
+                                           seed=seed), (desc, seed)
+            counts.add(rep["kernel_samples"])
+    if off_kernel:
+        assert 0 < min(counts) and max(counts) < 60, counts
+    else:
+        assert counts == {100}, counts
 
 
 def test_mod_m_group_is_a_group():

@@ -231,6 +231,9 @@ _Z2Z4_FIBER = io.fiber_to_doc(build_fiber("z2z4"))
     (("quotient", "--entry", "heisenberg", "--m", " 2"), None),
     (("verify", "hull", "--seed", "1_0"), None),
     (("verify", "hull", "--seed", "\u0663"), None),
+    # a subgroup generator of the wrong size
+    (_SUBGROUP_ARGS, {"entry": "heisenberg", "generators": [
+        {"k": 2, "matrix": [["1", "0"], ["0", "1"]]}]}),
 ])
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
     if doc is not None:
