@@ -7,14 +7,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from malcev import linalg, unitriangular as ut
+from malcev import autos, linalg, unitriangular as ut
 from malcev.autos import (IAStarEquations, LieAutomorphism, _Stratum,
                           adapted_matrix, aut_star_image, csp_witness,
                           enumerate_ia_star, ia_star_abelian_index,
                           ia_star_positions, is_ia_star, make_ia_star,
                           matrix_from_adapted, mod_m_group,
                           strong_approx_check, subgroup_closure_mod)
-from malcev import autos
 from malcev.catalog import CATALOG, CSP_SUBGROUPS, build_hull, entry_by_name
 from malcev.errors import DimensionMismatch
 from malcev.finite import closure
@@ -213,13 +212,21 @@ def _ref_adapted_matrix(hull, aut):
     A = tuple(zip(*cols))
     if linalg.unimodular_inverse(A) is None:
         raise ValueError("map does not send the hull lattice onto itself")
-    alg = hull.adapted_algebra
-    for i, j in itertools.combinations(range(len(cols)), 2):
-        if alg.bracket(cols[i], cols[j]) != \
-                linalg.mat_apply(A, alg.bracket_basis(i, j)):
-            raise ValueError("map is not a Lie automorphism"
-                             f" (basis pair {(i, j)})")
+    broken = _broken_pairs(hull, A)
+    if broken:
+        raise ValueError("map is not a Lie automorphism"
+                         f" (basis pair {broken[0]})")
     return A
+
+
+def _broken_pairs(hull, A):
+    """The basis pairs, in order, whose bracket equation the adapted matrix
+    A breaks: A [e_i, e_j] through a dense linalg.mat_apply."""
+    alg = hull.adapted_algebra
+    cols = list(zip(*A))
+    return [(i, j) for i, j in itertools.combinations(range(len(A)), 2)
+            if alg.bracket(cols[i], cols[j]) !=
+            linalg.mat_apply(A, alg.bracket_basis(i, j))]
 
 
 def _ref_matrix_from_adapted(hull, adapted):
@@ -252,15 +259,6 @@ def _scaled(hull, t=F(2, 3)):
     scaled = NilpotentLieAlgebra(
         alg.dim, {ij: tuple(t * x for x in v) for ij, v in alg.brackets.items()})
     return dataclasses.replace(hull, adapted_algebra=scaled)
-
-
-def _broken_pairs(hull, A):
-    """The basis pairs whose bracket equation the adapted matrix A breaks."""
-    alg = hull.adapted_algebra
-    cols = list(zip(*A))
-    return [(i, j) for i, j in itertools.combinations(range(len(A)), 2)
-            if alg.bracket(cols[i], cols[j]) !=
-            linalg.mat_apply(A, alg.bracket_basis(i, j))]
 
 
 def _top_layer_flips(hull, A):
@@ -330,13 +328,13 @@ def test_matrix_from_adapted_matches_dense_conversion():
     generators."""
     rng = random.Random(19)
     for name, h in _oracle_hulls():
-        mats = [tuple(tuple(F(x) for x in row) for row in A)
-                for A in _seeded_adapted_matrices(h, rng)]
-        mats += [_adapted_entries(h, e)
-                 for entry, _, gens, _ in CSP_SUBGROUPS if entry == name
-                 for e in gens]
-        for A in mats:
-            got = matrix_from_adapted(h, A)
+        cases = [(A, matrix_from_adapted(h, A)) for A in (
+            tuple(tuple(F(x) for x in row) for row in A)
+            for A in _seeded_adapted_matrices(h, rng))]
+        cases += [(_adapted_entries(h, e), make_ia_star(h, e).matrix)
+                  for entry, _, gens, _ in CSP_SUBGROUPS if entry == name
+                  for e in gens]
+        for A, got in cases:
             assert got == _ref_matrix_from_adapted(h, A), (name, A)
             assert all(type(x) is F for row in got for x in row), (name, A)
 
