@@ -3,8 +3,9 @@
 BCH is expanded once per algebra into polynomials in the 2k coordinates of
 its two arguments, with denominators cleared; this compiled map is the only
 runtime evaluator of the group law.  ``eval_int`` evaluates it on integer
-arguments (lattice points, finite quotients, tuple boxes) and ``eval_rat``
-on rational ones, both in plain int arithmetic.
+arguments (central tuple boxes), ``eval_mod`` does the same and reduces each
+coordinate mod m in the same pass (the product of a congruence quotient),
+and ``eval_rat`` evaluates it on rational ones, all in plain int arithmetic.
 """
 
 from __future__ import annotations
@@ -68,7 +69,12 @@ def _sym_bracket(alg, x, y):
 
 
 class CompiledPolyMap:
-    """A tuple of integer-cleared polynomials, evaluated in int arithmetic."""
+    """A tuple of integer-cleared polynomials, evaluated in int arithmetic.
+
+    ``eval_int`` and ``eval_mod`` raise ``ArithmeticError`` at an integer
+    point where some coordinate is not integral; ``eval_mod`` makes that
+    check before it reduces, so both raise at the same points.
+    """
 
     def __init__(self, coords):
         # coords: list of (den, ((num, mono), ...)) per output coordinate
@@ -91,6 +97,24 @@ class CompiledPolyMap:
                     raise ArithmeticError("compiled map value is not integral here")
                 s = q
             out.append(s)
+        return tuple(out)
+
+    def eval_mod(self, args, m: int):
+        """``eval_int`` with every coordinate reduced mod m, in one pass."""
+        out = []
+        for den, terms in self.coords:
+            s = 0
+            for num, mono in terms:
+                v = num
+                for idx in mono:
+                    v *= args[idx]
+                s += v
+            if den != 1:
+                q, r = divmod(s, den)
+                if r:
+                    raise ArithmeticError("compiled map value is not integral here")
+                s = q
+            out.append(s % m)
         return tuple(out)
 
     def eval_rat(self, args):
@@ -186,8 +210,8 @@ def binomial_vectors(polys):
 def compile_bch(alg) -> CompiledPolyMap:
     """bch as a compiled map; args are the 2k concatenated coords.
 
-    ``eval_rat`` is exact on any rational arguments.  ``eval_int`` is
-    guaranteed integral only on inputs from a BCH-closed lattice expressed
-    in a basis of that lattice.
+    ``eval_rat`` is exact on any rational arguments.  ``eval_int`` and
+    ``eval_mod`` are guaranteed integral only on inputs from a BCH-closed
+    lattice expressed in a basis of that lattice.
     """
     return compile_polys(bch_symbolic(alg))

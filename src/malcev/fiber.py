@@ -202,8 +202,15 @@ class FiberQuotient:
         return (self.latq.power(a[0], n), self.u.p2.power(a[1], n))
 
     def verbal_power_subgroup(self, t: int):
-        """Closure of all t-th powers; a normal subgroup, as a key set."""
-        gens = {self.power(key, t) for key in self.keys()}
+        """Closure of all t-th powers; a normal subgroup, as a key set.
+
+        The power of a key is taken componentwise, so each distinct rep and
+        each P2 index is raised once.
+        """
+        keys = self.keys()
+        rep_pow = {rep: self.latq.power(rep, t) for rep in {r for r, _ in keys}}
+        y_pow = {y: self.u.p2.power(y, t) for y in {y for _, y in keys}}
+        gens = {(rep_pow[rep], y_pow[y]) for rep, y in keys}
         return set(closure(self.identity_key(), tuple(gens), self.mul))
 
 

@@ -233,6 +233,9 @@ class LatticeQuotient:
 
     The adapted basis is a Z-basis of lat, so s*lat is s*Z^k there and the
     elements are the points of the box [0, s)^k, reduced entrywise mod s.
+    Every operation works on the reps mod s: a product is one compiled-BCH
+    ``eval_mod`` of the concatenated reps, and since these are exp
+    coordinates, a power scales the rep by n and the inverse negates it.
     """
 
     def __init__(self, hull: HullResult, s: int):
@@ -268,7 +271,7 @@ class LatticeQuotient:
     def reduce(self, v):
         """Canonical coset representative of an integer adapted vector."""
         s = self.s
-        return tuple(x % s for x in v)
+        return tuple([x % s for x in v])
 
     def index_of(self, rep) -> int:
         """rep read as base-s digits, most significant first."""
@@ -282,14 +285,15 @@ class LatticeQuotient:
         return itertools.product(range(self.s), repeat=self.k)
 
     def mul(self, a, b):
-        return self.reduce(self._bch.eval_int(a + b))
+        return self._bch.eval_mod(a + b, self.s)
 
     def inv(self, a):
-        return self.reduce(tuple(-x for x in a))
+        s = self.s
+        return tuple([-x % s for x in a])
 
     def power(self, a, n: int):
-        # exp coordinates: powers are scalar multiples of the log
-        return self.reduce(tuple(n * x for x in a))
+        s = self.s
+        return tuple([n * x % s for x in a])
 
     def reduce_working(self, v):
         """Reduce a working-coordinate lattice vector to its representative."""

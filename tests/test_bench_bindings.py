@@ -7,7 +7,7 @@ A deletion in ``src/`` that would break ``--trace 1`` or the output gate
 fails here.  A change of shape behind a name that still resolves (a return
 value or an argument) fails the smoke test, which imports ``workloads`` the
 way ``perfbench/run.py`` does and runs one small job of each workload.
-A memory guard bounds what one hull-ladder pass keeps alive.
+Memory guards bound what one hull-ladder or fiber-levels pass keeps alive.
 """
 
 import ast
@@ -107,12 +107,8 @@ def test_one_job_per_workload_passes_the_gate(bench_workloads, workload,
     assert job.problems(job.run()) == []
 
 
-def test_a_hull_ladder_pass_keeps_under_100_kib(bench_workloads):
-    """The benchmark keeps every pass's results until its run ends, so what
-    one pass keeps grows ``peak_rss_mib`` with the number of passes.  One
-    seed-1 hull-ladder pass, run after a warm-up pass, keeps under 100 KiB."""
-    wl = bench_workloads.WORKLOADS["hull-ladder"]
-    jobs = wl.jobs(wl.setup(1))
+def _retained_by_one_pass(jobs):
+    """Bytes that one warm pass of ``jobs`` keeps alive through its results."""
     for job in jobs:
         job.run()
     gc.collect()
@@ -124,4 +120,22 @@ def test_a_hull_ladder_pass_keeps_under_100_kib(bench_workloads):
     finally:
         tracemalloc.stop()
     assert len(kept) == len(jobs)
+    return retained
+
+
+def test_a_hull_ladder_pass_keeps_under_100_kib(bench_workloads):
+    """The benchmark keeps every pass's results until its run ends, so what
+    one pass keeps grows ``peak_rss_mib`` with the number of passes.  One
+    seed-1 hull-ladder pass, run after a warm-up pass, keeps under 100 KiB."""
+    wl = bench_workloads.WORKLOADS["hull-ladder"]
+    retained = _retained_by_one_pass(wl.jobs(wl.setup(1)))
     assert retained < 100 * 1024, f"{retained / 1024:.1f} KiB"
+
+
+def test_a_fiber_levels_pass_keeps_under_64_kib(bench_workloads):
+    """One warm seed-1 fiber-levels pass keeps under 64 KiB (about 28 KiB
+    when the bound was set): a faster pass runs more often in a timed run,
+    so larger results would turn a speed-up into a larger ``peak_rss_mib``."""
+    wl = bench_workloads.WORKLOADS["fiber-levels"]
+    retained = _retained_by_one_pass(wl.jobs(wl.setup(1)))
+    assert retained < 64 * 1024, f"{retained / 1024:.1f} KiB"

@@ -398,12 +398,17 @@ def test_level_lift_matches_transported_oracle():
             lift(u, 4, tuple(perm), beta_id)
 
 
+def _ref_verbal_power_subgroup(fq, t):
+    """Test oracle: the closure of the t-th power of every key, one power
+    per key."""
+    gens = {fq.power(key, t) for key in fq.keys()}
+    return set(closure(fq.identity_key(), tuple(gens), fq.mul))
+
+
 def reference_level_quotient(fq, m):
     """Test oracle: the coset table of the closure of every fine m-th power,
     built with one product per fine key."""
-    powers = tuple({fq.power(key, m) for key in fq.keys()})
-    normal = closure(fq.identity_key(), powers, fq.mul)
-    return cosets(fq.keys(), normal, fq.mul)
+    return cosets(fq.keys(), _ref_verbal_power_subgroup(fq, m), fq.mul)
 
 
 def reference_reconstruction_check(u, m):
@@ -514,3 +519,29 @@ def test_fiber_quotient_order_counts_keys(name):
     for level in (hom_test_scale(u),) + tuple(u.side.scale * m for m in range(1, 7)):
         fq = FiberQuotient(u, level)
         assert fq.order == len(fq.keys()), (name, level)
+
+
+@pytest.mark.parametrize("name", TORSION_NAMES + ("zz2",))
+def test_verbal_power_subgroup_matches_per_key_oracle(name):
+    u = build_zz2() if name == "zz2" else build_fiber(name)
+    for level in (u.side.scale, 2 * u.side.scale, hom_test_scale(u)):
+        fq = FiberQuotient(u, level)
+        for t in range(1, 7):
+            assert fq.verbal_power_subgroup(t) == \
+                _ref_verbal_power_subgroup(fq, t), (name, level, t)
+
+
+@pytest.mark.parametrize("name,levels", [("z2z4", range(2, 13, 2)),
+                                         ("heis3", range(3, 16, 3))])
+def test_level_quotient_cosets_match_per_key_powers(name, levels, monkeypatch):
+    """QuotientGroup.reps and coset_of at the benchmark's reconstruction
+    levels are the ones the per-key powers give."""
+    u = build_fiber(name)
+    got = [level_quotient(u, m) for m in levels]
+    monkeypatch.setattr(FiberQuotient, "verbal_power_subgroup",
+                        _ref_verbal_power_subgroup)
+    for m, lq in zip(levels, got):
+        ref = level_quotient(u, m)
+        assert lq.reps == ref.reps, (name, m)
+        assert list(lq.coset_of.items()) == list(ref.coset_of.items()), \
+            (name, m)

@@ -7,7 +7,7 @@ import pytest
 
 from malcev import linalg, unitriangular as ut
 from malcev.catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
-                            build_hull)
+                            build_hull, entry_by_name)
 from malcev.errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from malcev.freenil import _commutator, _expand, free_algebra, hall_basis, psi_group
 from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
@@ -823,3 +823,50 @@ def test_layer_basis_matches_the_greedy_rebuild():
             assert got == _ref_layer_basis(upper, gammas[j])
             basis += got
         assert tuple(basis) == h.basis
+
+
+def _ref_reduce(q, v):
+    return tuple(x % q.s for x in v)
+
+
+def _ref_mul(q, a, b):
+    """Test oracle: the integer BCH, then a reduction of its tuple."""
+    return _ref_reduce(q, q._bch.eval_int(a + b))
+
+
+def _ref_inv(q, a):
+    return _ref_reduce(q, tuple(-x for x in a))
+
+
+def _ref_power(q, a, n):
+    return _ref_reduce(q, tuple(n * x for x in a))
+
+
+def _check_quotient_arithmetic(q, pairs):
+    for a, b in pairs:
+        assert q.mul(a, b) == _ref_mul(q, a, b), (q.s, a, b)
+    for a in {a for a, _ in pairs}:
+        assert q.inv(a) == _ref_inv(q, a), (q.s, a)
+        for n in range(-3, 4):
+            assert q.power(a, n) == _ref_power(q, a, n), (q.s, a, n)
+
+
+def test_quotient_arithmetic_matches_reduced_tuples():
+    """mul (one eval_mod), inv and power agree with the integer BCH and the
+    scaled rep reduced afterwards: on every pair of two small quotients and
+    on seeded pairs of the heisenberg quotient at level 15."""
+    heis = build_hull(entry_by_name("heisenberg"))
+    psi23 = build_hull(entry_by_name("psi23"))
+    for h, m, order in ((heis, 3, 27), (psi23, 2, 32)):
+        _, q = congruence_quotient(h, m)
+        assert q.order == order
+        reps = list(q.elements())
+        _check_quotient_arithmetic(q, [(a, b) for a in reps for b in reps])
+    _, q = congruence_quotient(heis, 15)
+    assert q.order == 3375
+    rng = random.Random(15)
+    reps = list(q.elements())
+    _check_quotient_arithmetic(q, [(rng.choice(reps), rng.choice(reps))
+                                   for _ in range(2000)])
+    vs = [tuple(rng.randint(-100, 100) for _ in range(3)) for _ in range(200)]
+    assert [q.reduce(v) for v in vs] == [_ref_reduce(q, v) for v in vs]

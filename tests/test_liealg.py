@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from malcev import bch, compiled, unitriangular as ut
+from malcev.catalog import build_hull, entry_by_name
 from malcev.errors import AlgebraMismatch
 from malcev.freenil import free_algebra, psi_group
 from malcev.liealg import (GroupElement, NilpotentLieAlgebra, add_vec,
@@ -257,3 +258,57 @@ def test_eval_rat_matches_reference(name):
         assert comp.eval_rat(x + y) == expect
         assert alg.bch(x, y) == expect
     assert alg.bch(zero, zero) == zero
+
+
+def _outcome_mod(f, *args):
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return ArithmeticError, str(exc)
+
+
+@pytest.mark.parametrize("name", ["tr0(3)", "tr0(4)", "free(2,4)", "free(3,3)",
+                                  "heisenberg hull", "psi23 hull"])
+def test_eval_mod_matches_eval_int_reduced(name):
+    """eval_mod(args, m) is eval_int(args) reduced mod m, and raises the same
+    ArithmeticError wherever eval_int finds a value that is not integral:
+    the standard-basis BCH of the first four algebras has denominators, the
+    adapted BCH of a hull has none."""
+    alg = {"tr0(3)": lambda: ut.tr0_algebra(3)[0],
+           "tr0(4)": lambda: ut.tr0_algebra(4)[0],
+           "free(2,4)": lambda: free_algebra(2, 4),
+           "free(3,3)": lambda: free_algebra(3, 3),
+           "heisenberg hull": lambda: build_hull(
+               entry_by_name("heisenberg")).adapted_algebra,
+           "psi23 hull": lambda: build_hull(
+               entry_by_name("psi23")).adapted_algebra}[name]()
+    comp = alg.bch_compiled()
+    rng = random.Random(sum(map(ord, name)))
+    points = [tuple(rng.randint(-20, 20) for _ in range(2 * alg.dim))
+              for _ in range(60)]
+    points.append((0,) * (2 * alg.dim))
+    raised = 0
+    for args in points:
+        ref = _outcome_mod(comp.eval_int, args)
+        raised += ref[0] is ArithmeticError
+        for m in (1, 2, 15, 10 ** 6):
+            want = ref if ref[0] is ArithmeticError else \
+                tuple(x % m for x in ref)
+            assert _outcome_mod(comp.eval_mod, args, m) == want, (args, m)
+    assert (raised > 0) == (name not in ("heisenberg hull", "psi23 hull"))
+
+
+def test_eval_mod_raises_where_the_heisenberg_bch_has_a_half():
+    """[x, y] = z in the standard basis: the z coordinate of bch(u, v) is
+    z1 + z2 + (x1 y2 - x2 y1) / 2, not integral when x1 y2 - x2 y1 is odd."""
+    alg, _ = ut.tr0_algebra(3)
+    assert alg.brackets == {(0, 1): (0, 0, 1)}
+    comp = alg.bch_compiled()
+    for args in [(1, 0, 0, 0, 1, 0), (3, 2, 5, -1, 1, 4), (-1, 1, 0, 2, -3, 7)]:
+        assert (args[0] * args[4] - args[1] * args[3]) % 2 == 1
+        for f, extra in ((comp.eval_int, ()), (comp.eval_mod, (15,))):
+            with pytest.raises(ArithmeticError, match="not integral"):
+                f(args, *extra)
+    args = (1, 0, 0, 0, 2, 0)
+    assert comp.eval_int(args) == (1, 2, 1)
+    assert comp.eval_mod(args, 2) == (1, 0, 1)
