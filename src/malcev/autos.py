@@ -21,30 +21,45 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from . import linalg
 from .compiled import poly_add, poly_scale, poly_sub, _sym_bracket
-from .errors import CapExceeded, DimensionMismatch
+from .errors import CapExceeded, DimensionMismatch, IndexMismatch
 from .finite import closure
 from .hull import HullResult
 from .liealg import NilpotentLieAlgebra, vec
 
 
-@dataclass(frozen=True)
 class LieAutomorphism:
-    """A k x k rational matrix satisfying the automorphism equations."""
+    """A k x k rational matrix satisfying the automorphism equations.  One
+    built from adapted data (``make_ia_star``) keeps its hull and integer
+    adapted matrix, and builds the working ``matrix`` on first use."""
 
-    algebra: NilpotentLieAlgebra
-    matrix: tuple
-    adapted_entries: tuple | None = None
+    def __init__(self, algebra, matrix=None, hull=None, adapted=None):
+        self.algebra, self.hull, self.adapted = algebra, hull, adapted
+        if matrix is not None:
+            self.matrix = matrix
+
+    @cached_property
+    def matrix(self):
+        return matrix_from_adapted(self.hull, self.adapted)
+
+    @property
+    def adapted_entries(self):
+        if self.adapted is not None:
+            return tuple(self.adapted[r][c]
+                         for r, c in ia_star_positions(self.hull))
 
     def apply(self, v):
         return linalg.mat_apply(self.matrix, vec(v))
 
     def compose(self, other: "LieAutomorphism") -> "LieAutomorphism":
+        if self.adapted and other.adapted and self.hull is other.hull:
+            return LieAutomorphism(self.algebra, hull=self.hull, adapted=(
+                linalg.mat_mul(self.adapted, other.adapted)))
         return LieAutomorphism(self.algebra,
                                linalg.mat_mul(self.matrix, other.matrix))
 
@@ -57,18 +72,20 @@ def adapted_matrix(hull: HullResult, aut) -> tuple:
     the hull: raises ValueError unless it sends the hull lattice onto itself
     and is a Lie automorphism (DimensionMismatch unless it is k x k).  The
     bracket equations are read on the adapted algebra, which the change of
-    basis makes isomorphic to the working one.  Only nonzero data is read:
-    M b runs over the nonzero entries of each basis vector b, and
-    A [e_i, e_j] sums the columns of A picked by the nonzero structure
+    basis makes isomorphic to the working one.  An aut that keeps its
+    adapted matrix on this hull skips the conversion; otherwise only nonzero
+    data is read: M b runs over the nonzero entries of each basis vector b,
+    and A [e_i, e_j] sums the columns of A picked by the nonzero structure
     constants of [e_i, e_j].
     """
-    M = aut.matrix if isinstance(aut, LieAutomorphism) else aut
+    own = getattr(aut, "hull", None) is hull
+    M = aut.adapted if own else getattr(aut, "matrix", aut)
     k = hull.algebra.dim
     if len(M) != k or any(len(row) != k for row in M):
         raise DimensionMismatch(f"map must be a {k} x {k} matrix")
-    cols = [hull.to_adapted_int(tuple(sum(row[j] * x for j, x in b)
-                                      for row in M))
-            for b in _nonzero_rows(hull.basis)]
+    cols = list(zip(*M)) if own else [hull.to_adapted_int(
+        tuple(sum(row[j] * x for j, x in b) for row in M))
+        for b in _nonzero_rows(hull.basis)]
     if None in cols:
         raise ValueError("map does not send the hull lattice into itself")
     A = tuple(zip(*cols))
@@ -165,17 +182,15 @@ def ia_star_positions(hull: HullResult):
 def make_ia_star(hull: HullResult, entries: dict) -> LieAutomorphism:
     """Build the IA* candidate with the given adapted entries (others zero)."""
     k = hull.algebra.dim
-    layers = hull.layers
-    A = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    A = [[int(i == j) for j in range(k)] for i in range(k)]
     for (r, c), value in entries.items():
-        if layers[r] <= layers[c]:
+        if hull.layers[r] <= hull.layers[c]:
             raise ValueError(f"position ({r},{c}) is not strictly deeper")
-        A[r][c] = Fraction(value)
-        if A[r][c].denominator != 1:
+        if Fraction(value).denominator != 1:
             raise ValueError("IA* entries must be integers")
-    working = matrix_from_adapted(hull, tuple(tuple(row) for row in A))
-    ents = tuple(A[r][c].numerator for r, c in ia_star_positions(hull))
-    return LieAutomorphism(hull.algebra, working, adapted_entries=ents)
+        A[r][c] = int(value)
+    return LieAutomorphism(hull.algebra, hull=hull,
+                           adapted=tuple(map(tuple, A)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +500,6 @@ class IAStarEquations:
             A = [[x % mod for x in row] for row in A]
         return tuple(tuple(row) for row in A)
 
-    def automorphism(self, values) -> LieAutomorphism:
-        entries = {p: v for p, v in zip(self.positions, values)}
-        return make_ia_star(self.hull, entries)
-
 
 def enumerate_ia_star(hull: HullResult, bound: int, cap: int = 10 ** 6,
                       eq: IAStarEquations | None = None):
@@ -505,7 +516,7 @@ def enumerate_ia_star(hull: HullResult, bound: int, cap: int = 10 ** 6,
     sols = sorted(eq.enumerate_integral(bound, cap))
     out = []
     for values in sols:
-        aut = eq.automorphism(values)
+        aut = make_ia_star(hull, dict(zip(eq.positions, values)))
         if not is_ia_star(aut, hull):
             raise RuntimeError("equation solution failed is_ia_star validation")
         out.append(aut)
@@ -604,25 +615,20 @@ def subgroup_closure_mod(hull: HullResult, mats, m: int):
     return {tuple(x[i:i + k] for i in rows) for x in closure(ident, steps, mul)}
 
 
-def ia_star_abelian_index(hull: HullResult, gens,
-                          eq: IAStarEquations | None = None) -> int:
-    """[IA* : <gens>] when IA* is free abelian on its positions.
-
-    That holds when the equations are empty and there is a single depth
-    (then products simply add adapted entries).  Raises otherwise.
-    """
-    eq = eq or IAStarEquations(hull)
-    return _abelian_index(eq, (adapted_matrix(hull, g) for g in gens))
-
-
 def _abelian_index(eq: IAStarEquations, mats) -> int:
-    """ia_star_abelian_index on the adapted matrices of the generators."""
-    if any(s.rows for s in eq.strata) or len(eq.strata) > 1:
+    """[IA* : <gens>] from their adapted matrices, when IA* is Z^positions."""
+    if not _visibly_free_abelian(eq):
         raise ValueError("IA* is not visibly free abelian; supply the index")
     H = linalg.hnf([[A[r][c] for (r, c) in eq.positions] for A in mats])
     if len(H) < eq.nvars:
         raise ValueError("generators do not span a finite-index subgroup")
     return prod(row[i] for i, row in enumerate(H))
+
+
+def _visibly_free_abelian(eq: IAStarEquations) -> bool:
+    """No equations and at most one depth: IA* is Z^positions, and products
+    add adapted entries."""
+    return not any(s.rows for s in eq.strata) and len(eq.strata) <= 1
 
 
 def csp_witness(hull: HullResult, gens, index: int | None = None,
@@ -635,6 +641,13 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
     kernel is contained in the subgroup.  Returns a report dict; if no level
     works within the cap the result is inconclusive (never a refutation).
 
+    When IA* is visibly free abelian the index is computed, and a supplied
+    one that differs raises IndexMismatch.  When the system is not certified
+    (``eq.free_rank`` is None) a level counts only if every mod-m point
+    lifts to an integral solution.  A level with more than ``point_cap``
+    points ends the search as inconclusive, with that level as
+    ``capped_at``.
+
     At the certified level, ``samples`` seeded integral IA* points are drawn
     with multiple-of-m free coordinates; ``kernel_samples`` counts those
     that exist and reduce to the identity mod m (every value 0 mod m), each
@@ -644,15 +657,30 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
     mats = [_ia_star_matrix(g, hull) for g in gens]
     if None in mats:
         raise ValueError("subgroup generators must pass is_ia_star")
-    if index is None:
-        index = _abelian_index(eq, mats)
+    if index is None or _visibly_free_abelian(eq):
+        computed = _abelian_index(eq, mats)
+        if index not in (None, computed):
+            raise IndexMismatch(f"supplied index {index} is not"
+                                f" [IA* : <gens>] = {computed}")
+        index = computed
     rng = random.Random(seed)
+    inconclusive = {"m": None, "index": index, "status": "inconclusive",
+                    "level_cap": level_cap}
     for m in range(1, level_cap + 1):
-        universe = eq.count_mod(m, point_cap)
+        try:
+            if eq.free_rank is None:
+                points = eq.solutions_mod(m, point_cap)
+                universe = len(points)
+            else:
+                points, universe = (), eq.count_mod(m, point_cap)
+        except CapExceeded:
+            return {**inconclusive, "capped_at": m}
         image = subgroup_closure_mod(hull, mats, m)
         if universe % len(image):
             continue
         if universe // len(image) != index:
+            continue
+        if any(eq.lift(a, m) is None for a in points):
             continue
         kernel_checked = 0
         ident = eq.adapted_matrix((0,) * eq.nvars, mod=m)
@@ -668,5 +696,4 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
         return {"m": m, "index": index, "universe": universe,
                 "image": len(image), "kernel_samples": kernel_checked,
                 "status": "certified"}
-    return {"m": None, "index": index, "status": "inconclusive",
-            "level_cap": level_cap}
+    return inconclusive

@@ -16,7 +16,7 @@ from .autos import (IAStarEquations, csp_witness, enumerate_ia_star,
                     strong_approx_check, LieAutomorphism)
 from .catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
                       entry_by_name)
-from .errors import CapExceeded, UnsupportedInputForm
+from .errors import CapExceeded, IndexMismatch, UnsupportedInputForm
 from .fiber import find_t, ia_kernel_enum, lift_automorphism, torsion_subgroup
 from .freenil import central_tuple_iso, center, free_algebra, psi_group
 from .hull import GenGroup, congruence_quotient, finite_quotient, lattice_hull
@@ -198,9 +198,12 @@ def _verify_subgroup(args) -> int:
     index = doc.get("index")
     if index is not None and (type(index) is not int or index < 1):
         raise io.FormatError(args.subgroup, "index must be a positive integer")
-    rep = csp_witness(hull, gens, index=index,
-                      level_cap=16 if args.cap_level is None else args.cap_level,
-                      seed=args.seed)
+    try:
+        rep = csp_witness(hull, gens, index=index, level_cap=16
+                          if args.cap_level is None else args.cap_level,
+                          seed=args.seed)
+    except IndexMismatch as e:
+        raise io.FormatError(args.subgroup, str(e)) from None
     _emit(rep, args.format, [f"status {rep['status']}, m={rep.get('m')}"])
     if rep["status"] == "certified":
         return EXIT_OK

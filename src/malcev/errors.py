@@ -13,6 +13,10 @@ class AlgebraMismatch(ValueError):
     """Operands belong to different Lie algebras."""
 
 
+class IndexMismatch(ValueError):
+    """A supplied subgroup index differs from the one computed."""
+
+
 class CapExceeded(RuntimeError):
     """A bounded search or enumeration hit its configured cap.
 

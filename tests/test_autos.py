@@ -10,12 +10,11 @@ import pytest
 from malcev import autos, linalg, unitriangular as ut
 from malcev.autos import (IAStarEquations, LieAutomorphism, _Stratum,
                           adapted_matrix, aut_star_image, csp_witness,
-                          enumerate_ia_star, ia_star_abelian_index,
-                          ia_star_positions, is_ia_star, make_ia_star,
-                          matrix_from_adapted, mod_m_group,
+                          enumerate_ia_star, ia_star_positions, is_ia_star,
+                          make_ia_star, matrix_from_adapted, mod_m_group,
                           strong_approx_check, subgroup_closure_mod)
 from malcev.catalog import CATALOG, CSP_SUBGROUPS, build_hull, entry_by_name
-from malcev.errors import DimensionMismatch
+from malcev.errors import CapExceeded, DimensionMismatch, IndexMismatch
 from malcev.finite import closure
 from malcev.hull import GenGroup, lattice_hull
 from malcev.liealg import NilpotentLieAlgebra
@@ -360,13 +359,7 @@ def test_adapted_matrix_rejects_maps_that_are_not_k_by_k():
         assert not is_ia_star(LieAutomorphism(h.algebra, M), h)
 
 
-def test_adapted_matrix_applies_only_the_coordinate_maps(monkeypatch):
-    """Only the k to_adapted_int calls go through linalg.mat_apply: the
-    columns and the bracket check read nonzero entries themselves (the dense
-    routine made 2k + k(k-1)/2 calls)."""
-    h = build_hull(entry_by_name("psi23"))
-    gens = [make_ia_star(h, e) for entry, _, gen_entries, _ in CSP_SUBGROUPS
-            if entry == "psi23" for e in gen_entries]
+def _count_mat_apply(monkeypatch):
     calls = [0]
     apply = linalg.mat_apply
 
@@ -375,10 +368,177 @@ def test_adapted_matrix_applies_only_the_coordinate_maps(monkeypatch):
         return apply(A, v)
 
     monkeypatch.setattr(linalg, "mat_apply", counted)
-    for g in gens:
+    return calls
+
+
+def _psi23_csp_generators():
+    h = build_hull(entry_by_name("psi23"))
+    return h, [make_ia_star(h, e) for entry, _, gen_entries, _ in CSP_SUBGROUPS
+               if entry == "psi23" for e in gen_entries]
+
+
+def test_adapted_matrix_applies_only_the_coordinate_maps(monkeypatch):
+    """On a map given by its working matrix, only the k to_adapted_int
+    calls go through linalg.mat_apply: the columns and the bracket check
+    read nonzero entries themselves (the dense routine made 2k + k(k-1)/2
+    calls)."""
+    h, gens = _psi23_csp_generators()
+    maps = [LieAutomorphism(h.algebra, g.matrix) for g in gens]
+    calls = _count_mat_apply(monkeypatch)
+    for g in maps:
         calls[0] = 0
         adapted_matrix(h, g)
         assert 0 < calls[0] <= h.algebra.dim, calls[0]
+
+
+def test_adapted_matrix_of_an_adapted_built_map_converts_nothing(
+        monkeypatch):
+    """A make_ia_star element keeps its integer adapted matrix: testing it
+    on its own hull makes no mat_apply call and never builds the working
+    matrix."""
+    h, gens = _psi23_csp_generators()
+    calls = _count_mat_apply(monkeypatch)
+    for g in gens:
+        assert adapted_matrix(h, g) == g.adapted
+        assert "matrix" not in vars(g)
+    assert calls[0] == 0
+
+
+def test_csp_suite_builds_no_working_matrix(monkeypatch):
+    """verify's csp suite certifies every row without converting a single
+    IA* element to working coordinates."""
+    from malcev import verify
+    calls = [0]
+    convert = autos.matrix_from_adapted
+
+    def counted(hull, adapted):
+        calls[0] += 1
+        return convert(hull, adapted)
+
+    monkeypatch.setattr(autos, "matrix_from_adapted", counted)
+    monkeypatch.setattr(verify, "matrix_from_adapted", counted)
+    assert verify.SUITE_FUNCS["csp"](seed=0).passed
+    assert calls[0] == 0
+
+
+def _ia_star_points(h, rng):
+    """Seeded IA* entry dicts on h: exact integral points, and the same
+    points with one entry moved by +-1 (most then break the equations)."""
+    eq = IAStarEquations(h)
+    points = [p for p in (eq.random_point(rng) for _ in range(10))
+              if p is not None]
+    moved = []
+    for p in points if eq.nvars else ():
+        i = rng.randrange(eq.nvars)
+        moved.append(p[:i] + (p[i] + rng.choice((-1, 1)),) + p[i + 1:])
+    return [dict(zip(eq.positions, p)) for p in points + moved]
+
+
+def test_lazy_matrix_is_the_fraction_conversion():
+    """The working matrix a make_ia_star element builds on first use equals
+    matrix_from_adapted of its Fraction adapted matrix, Fraction for
+    Fraction, on seeded points of every oracle hull, the CSP generators and
+    the Heisenberg bound-2 enumeration; adapted_entries reads the entries
+    back in ia_star_positions order."""
+    rng = random.Random(21)
+    heis = build_hull(entry_by_name("heisenberg"))
+    cases = [(heis, dict(zip(ia_star_positions(heis), a.adapted_entries)))
+             for a in enumerate_ia_star(heis, 2)]
+    for name, h in _oracle_hulls():
+        cases += [(h, e) for e in _ia_star_points(h, rng)]
+        cases += [(h, e) for entry, _, gens, _ in CSP_SUBGROUPS
+                  if entry == name for e in gens]
+    for h, e in cases:
+        aut = make_ia_star(h, e)
+        assert "matrix" not in vars(aut)
+        want = matrix_from_adapted(h, _adapted_entries(h, e))
+        assert aut.matrix == want == _ref_matrix_from_adapted(
+            h, _adapted_entries(h, e))
+        assert all(type(x) is F for row in aut.matrix for x in row)
+        assert aut.matrix is aut.matrix
+        assert aut.adapted_entries == tuple(
+            e.get(p, 0) for p in ia_star_positions(h))
+        assert all(type(x) is int for row in aut.adapted for x in row)
+
+
+def _ia_star_shaped(h, A):
+    """The IA* entries of A when A is I plus integers at IA* positions,
+    else None."""
+    k = h.algebra.dim
+    pos = set(ia_star_positions(h))
+    if any(F(A[i][j]) != int(i == j) for i in range(k) for j in range(k)
+           if (i, j) not in pos) or \
+            any(F(A[r][c]).denominator != 1 for r, c in pos):
+        return None
+    return {(r, c): int(A[r][c]) for r, c in pos}
+
+
+def test_adapted_matrix_gives_one_verdict_for_kept_and_working_matrices():
+    """The same matrix or the same ValueError text, whether the map keeps
+    its integer adapted matrix or is given by its working matrix, on every
+    integral map of the working-coordinate oracle test (the same seeded
+    draws) and on seeded IA* entry sets that break the equations.  On
+    another hull object, even an equal copy, the map is tested through its
+    working matrix."""
+    rng, extra = random.Random(18), random.Random(23)
+    shaped = broken = moved_verdicts = 0
+    seen = set()
+    hulls = _oracle_hulls()
+    for name, h in hulls:
+        # another hull of the same dimension, where A means another map
+        away = next((g for _, g in hulls if g is not h and
+                     g.algebra.dim == h.algebra.dim), dataclasses.replace(h))
+        mats = _seeded_adapted_matrices(h, rng)
+        mats += _top_layer_flips(h, mats[0]) + _top_layer_flips(
+            h, linalg.mat_identity(h.algebra.dim))
+        if name == "heisenberg":
+            mats += [DOUBLE, SINGULAR]
+        entries = [_ia_star_shaped(h, A) for A in mats]
+        kept = [make_ia_star(h, e) for e in entries if e is not None]
+        shaped += len(kept)
+        kept += [LieAutomorphism(h.algebra, hull=h, adapted=tuple(
+            tuple(int(x) for x in row) for row in A))
+            for A, e in zip(mats, entries) if e is None
+            and all(F(x).denominator == 1 for row in A for x in row)]
+        moved = [make_ia_star(h, e) for e in _ia_star_points(h, extra)]
+        for aut in kept + moved:
+            working = LieAutomorphism(h.algebra, aut.matrix)
+            got = _outcome(adapted_matrix, h, aut)
+            assert got == _outcome(adapted_matrix, h, working), (name, aut)
+            assert got == _outcome(_ref_adapted_matrix, h, working)
+            seen.add(got if isinstance(got, str) else "ok")
+            broken += aut in moved and "(basis pair" in str(got)
+            there = _outcome(adapted_matrix, away, aut)
+            assert there == _outcome(adapted_matrix, away, LieAutomorphism(
+                away.algebra, aut.matrix)), (name, aut)
+            moved_verdicts += there != got
+            assert _outcome(adapted_matrix, dataclasses.replace(h), aut) == got
+    assert shaped and broken and moved_verdicts
+    assert "ok" in seen and any("onto" in x for x in seen) and \
+        any("Lie automorphism (basis pair" in x for x in seen), seen
+
+
+def test_compose_multiplies_the_kept_adapted_matrices():
+    """compose of two elements on one hull multiplies their integer adapted
+    matrices and agrees with the working-matrix product; with a working
+    factor, or factors on different hull objects, it multiplies the
+    working matrices."""
+    rng = random.Random(22)
+    for name, h in _oracle_hulls():
+        auts = [make_ia_star(h, e) for e in _ia_star_points(h, rng)[:4]]
+        for a, b in itertools.product(auts, repeat=2):
+            ab = a.compose(b)
+            assert ab.hull is h and "matrix" not in vars(ab)
+            assert ab.adapted == linalg.mat_mul(a.adapted, b.adapted)
+            assert all(type(x) is int for row in ab.adapted for x in row)
+            product = linalg.mat_mul(a.matrix, b.matrix)
+            assert ab.matrix == product, name
+            mixed = a.compose(LieAutomorphism(h.algebra, b.matrix))
+            assert mixed.adapted is None and mixed.matrix == product
+            apart = make_ia_star(dataclasses.replace(h), dict(
+                zip(ia_star_positions(h), b.adapted_entries)))
+            assert a.compose(apart).adapted is None
+            assert a.compose(apart).matrix == product
 
 
 def test_aut_star_image():
@@ -478,11 +638,80 @@ def test_csp_witness_examples():
     # a map outside Aut(Gamma) has no integer adapted matrix to reduce
     odd = adapted_map(h, ODD)
     with pytest.raises(ValueError, match="hull lattice"):
-        ia_star_abelian_index(h, [odd, make_ia_star(h, {(2, 1): 1})], eq)
+        autos._abelian_index(eq, [adapted_matrix(h, g) for g in
+                                  (odd, make_ia_star(h, {(2, 1): 1}))])
     with pytest.raises(ValueError, match="hull lattice"):
         subgroup_closure_mod(h, [adapted_matrix(h, odd)], 2)
     with pytest.raises(ValueError, match="must pass is_ia_star"):
         csp_witness(h, [odd, make_ia_star(h, {(2, 1): 1})], eq=eq)
+
+
+def test_csp_witness_rejects_a_wrong_supplied_index():
+    """IA* of the Heisenberg hull is Z^2, so the index is computed even when
+    one is supplied, and a different one raises instead of certifying."""
+    h = build_hull(entry_by_name("heisenberg"))
+    eq = IAStarEquations(h)
+    rows = [row for row in CSP_SUBGROUPS if row[0] == "heisenberg"]
+    assert len(rows) == 10
+    for _, desc, gen_entries, index in rows:
+        gens = [make_ia_star(h, e) for e in gen_entries]
+        assert csp_witness(h, gens, eq=eq)["index"] == index, desc
+        assert csp_witness(h, gens, index=index, eq=eq)["status"] == \
+            "certified"
+        for wrong in (index - 1, index + 1, 2 * index):
+            with pytest.raises(IndexMismatch, match=(
+                    rf"supplied index {wrong} is not \[IA\* : <gens>\]"
+                    rf" = {index}$")):
+                csp_witness(h, gens, index=wrong, eq=eq)
+    assert issubclass(IndexMismatch, ValueError)
+
+
+def _csp_row(entry, desc):
+    return next(row for row in CSP_SUBGROUPS if row[:2] == (entry, desc))
+
+
+def test_a_point_cap_inside_the_level_loop_is_inconclusive():
+    """Twice the true index of psi23 "a1 even" matches no level, and the
+    level whose points pass the cap ends the search as inconclusive instead
+    of raising CapExceeded (4^6 points fit the cap, 5^6 do not)."""
+    h = build_hull(entry_by_name("psi23"))
+    eq = IAStarEquations(h)
+    gens = [make_ia_star(h, e) for e in _csp_row("psi23", "a1 even")[2]]
+    with pytest.raises(CapExceeded):
+        eq.count_mod(5, 4 ** 6)
+    assert csp_witness(h, gens, index=4, eq=eq, point_cap=4 ** 6) == {
+        "m": None, "index": 4, "status": "inconclusive", "level_cap": 16,
+        "capped_at": 5}
+    # below the capped level the report keeps its shape
+    assert csp_witness(h, gens, index=4, eq=eq, point_cap=4 ** 6,
+                       level_cap=4) == {
+        "m": None, "index": 4, "status": "inconclusive", "level_cap": 4}
+
+
+def test_uncertified_levels_count_only_points_that_lift():
+    """On the raw psi23 equations (free_rank None) only 64 of the 256 mod-2
+    points lift, so U_2 overcounts the image of IA*(Z): the index that
+    256 / |image| gives at m = 2 must not certify there.  Every mod-3 point
+    lifts, so "a2 = 0 mod 3" still certifies at m = 3 with its true index."""
+    h = build_hull(entry_by_name("psi23"))
+    raw = IAStarEquations(h, saturate=False)
+    assert raw.free_rank is None
+    points = raw.solutions_mod(2)
+    assert len(points) == 256
+    assert sum(raw.lift(a, 2) is not None for a in points) == 64
+    indices = []
+    for entry, desc, gen_entries, _ in CSP_SUBGROUPS:
+        if entry != "psi23":
+            continue
+        gens = [make_ia_star(h, e) for e in gen_entries]
+        image = subgroup_closure_mod(h, [adapted_matrix(h, g) for g in gens], 2)
+        indices.append(256 // len(image))
+        rep = csp_witness(h, gens, index=indices[-1], eq=raw, level_cap=2)
+        assert rep["status"] == "inconclusive", (desc, rep)
+    assert indices == [8, 4, 16]
+    gens = [make_ia_star(h, e) for e in _csp_row("psi23", "a2 = 0 mod 3")[2]]
+    rep = csp_witness(h, gens, index=3, eq=raw, level_cap=3)
+    assert (rep["status"], rep["m"], rep["universe"]) == ("certified", 3, 729)
 
 
 def test_csp_witness_converts_each_generator_a_fixed_number_of_times(

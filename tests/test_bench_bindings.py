@@ -7,7 +7,8 @@ A deletion in ``src/`` that would break ``--trace 1`` or the output gate
 fails here.  A change of shape behind a name that still resolves (a return
 value or an argument) fails the smoke test, which imports ``workloads`` the
 way ``perfbench/run.py`` does and runs one small job of each workload.
-Memory guards bound what one hull-ladder or fiber-levels pass keeps alive.
+Memory guards bound what one hull-ladder, fiber-levels or congruence pass
+keeps alive.
 """
 
 import ast
@@ -139,3 +140,13 @@ def test_a_fiber_levels_pass_keeps_under_64_kib(bench_workloads):
     wl = bench_workloads.WORKLOADS["fiber-levels"]
     retained = _retained_by_one_pass(wl.jobs(wl.setup(1)))
     assert retained < 64 * 1024, f"{retained / 1024:.1f} KiB"
+
+
+def test_a_congruence_pass_keeps_under_16_kib(bench_workloads):
+    """One warm seed-1 congruence pass keeps under 16 KiB (about 8 KiB when
+    the bound was set).  A congruence pass is short, so a faster one runs
+    many more times in a timed run, and each keeps its results: that is
+    why congruence speed-ups raise ``peak_rss_mib``."""
+    wl = bench_workloads.WORKLOADS["congruence"]
+    retained = _retained_by_one_pass(wl.jobs(wl.setup(1)))
+    assert retained < 16 * 1024, f"{retained / 1024:.1f} KiB"

@@ -156,6 +156,17 @@ _LIFT_ARGS = ("fiber", "lift", "--entry", "z2z4")
 _SIGMA1_NEG = {"k": 1, "matrix": [["-1"]]}
 _FIND_T_ARGS = ("fiber", "find-t", "--fiber")
 _Z2Z4_FIBER = io.fiber_to_doc(build_fiber("z2z4"))
+# a heisenberg subgroup of index 2, in working coordinates
+_HEIS_SUBGROUP = {
+    "entry": "heisenberg",
+    "generators": [
+        {"k": 3, "matrix": [["1", "0", "0"], ["0", "1", "0"],
+                            ["1", "0", "1"]]},
+        {"k": 3, "matrix": [["1", "0", "0"], ["0", "1", "0"],
+                            ["0", "1/2", "1"]]},
+    ],
+    "index": 2,
+}
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -234,6 +245,8 @@ _Z2Z4_FIBER = io.fiber_to_doc(build_fiber("z2z4"))
     # a subgroup generator of the wrong size
     (_SUBGROUP_ARGS, {"entry": "heisenberg", "generators": [
         {"k": 2, "matrix": [["1", "0"], ["0", "1"]]}]}),
+    # a supplied index that is not the subgroup's (it has index 2)
+    (_SUBGROUP_ARGS, {**_HEIS_SUBGROUP, "index": 1}),
 ])
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
     if doc is not None:
@@ -283,16 +296,7 @@ def test_verify_strong_approx_single_level(capsys):
 
 def test_verify_csp_subgroup_file(capsys, tmp_path):
     sub = tmp_path / "subgroup.json"
-    sub.write_text(io.dump({
-        "entry": "heisenberg",
-        "generators": [
-            {"k": 3, "matrix": [["1", "0", "0"], ["0", "1", "0"],
-                                ["1", "0", "1"]]},
-            {"k": 3, "matrix": [["1", "0", "0"], ["0", "1", "0"],
-                                ["0", "1/2", "1"]]},
-        ],
-        "index": 2,
-    }))
+    sub.write_text(io.dump(_HEIS_SUBGROUP))
     code, out, _ = run(capsys, "--format", "json", "verify", "csp",
                        "--subgroup", str(sub))
     assert code == 0
