@@ -17,8 +17,8 @@ from math import gcd, lcm
 from . import linalg
 from .autos import LieAutomorphism, _ia_star_matrix, adapted_matrix
 from .errors import CapExceeded
-from .finite import (FiniteGroup, check_onto, closure, cosets, extend_hom,
-                     induced_map)
+from .finite import (FiniteGroup, check_onto, cosets, extend_hom,
+                     induced_map, subgroup)
 from .hull import HullResult, congruence_quotient
 from .liealg import scale_vec
 
@@ -204,14 +204,14 @@ class FiberQuotient:
     def verbal_power_subgroup(self, t: int):
         """Closure of all t-th powers; a normal subgroup, as a key set.
 
-        The power of a key is taken componentwise, so each distinct rep and
-        each P2 index is raised once.
+        Each distinct rep and each P2 index is raised once (a key's power is
+        componentwise); ``finite.subgroup`` skips powers already reached.
         """
         keys = self.keys()
         rep_pow = {rep: self.latq.power(rep, t) for rep in {r for r, _ in keys}}
         y_pow = {y: self.u.p2.power(y, t) for y in {y for _, y in keys}}
         gens = {(rep_pow[rep], y_pow[y]) for rep, y in keys}
-        return set(closure(self.identity_key(), tuple(gens), self.mul))
+        return subgroup(self.identity_key(), gens, self.mul)[0]
 
 
 class QuotientGroup:
@@ -228,7 +228,8 @@ class QuotientGroup:
     through its reduction mod c, which is exact because N is that preimage.
     The lexicographically first fine key of a coset has coordinates below
     c, so it is the first coarse key and ``reps`` are the first fine keys of
-    the cosets, in key order, exactly.
+    the cosets, in key order, exactly.  The table, given the identity key,
+    multiplies each rep by N minus it only: none when N is trivial.
     """
 
     def __init__(self, fq: FiberQuotient, m: int):
@@ -237,7 +238,7 @@ class QuotientGroup:
         self.coarse = coarse if fq.s % coarse.s == 0 else fq
         self.reps, self.coset_of = cosets(
             self.coarse.keys(), self.coarse.verbal_power_subgroup(m),
-            self.coarse.mul)
+            self.coarse.mul, self.coarse.identity_key())
         self.order = len(self.reps)
 
     def class_of_key(self, key) -> int:
@@ -532,14 +533,16 @@ def _delta_m(u: FiberGroup, m: int, fq: FiberQuotient):
 
     The m-th powers hold exp(m*lattice) (mod s), so Delta_m is read off the
     congruence quotient of level m when its scale divides s, and off
-    lattice/s itself otherwise.
+    lattice/s itself otherwise.  The coset table, given the zero rep, makes
+    no product where the m-th powers are trivial (scale m).
     """
     hull_s, hull_q = congruence_quotient(u.hull, m)
     if fq.s % hull_s:
         hull_q = fq.latq
-    hgens = {hull_q.power(rep, m) for rep in hull_q.elements()}
-    closed = closure((0,) * u.hull.algebra.dim, tuple(hgens), hull_q.mul)
-    return (hull_q,) + cosets(hull_q.elements(), closed, hull_q.mul)
+    e = (0,) * u.hull.algebra.dim
+    closed = subgroup(e, {hull_q.power(rep, m) for rep in hull_q.elements()},
+                      hull_q.mul)[0]
+    return (hull_q,) + cosets(hull_q.elements(), closed, hull_q.mul, e)
 
 
 def _walk_shadow(lq: QuotientGroup, hull_q, delta_coset, walk):

@@ -2,10 +2,11 @@
 
 The module-level helpers take any hashable elements and a ``mul``, so the
 finite quotients in ``autos`` and ``fiber`` use them too:
-``closure`` (the subgroup generated, as a BFS tree), ``extend_hom`` (a
-generator assignment extended to a homomorphism), ``cosets`` (the coset
-table of a normal subgroup), ``check_onto`` (a map onto a quotient Q is a
-homomorphism) and ``induced_map`` (the map a permutation induces on Q).
+``closure`` and ``subgroup`` (the subgroup generated, as a BFS tree and as
+a set), ``extend_hom`` (a generator assignment extended to a homomorphism),
+``cosets`` (the coset table of a normal subgroup), ``check_onto`` (a map
+onto a quotient Q is a homomorphism) and ``induced_map`` (the map a
+permutation induces on Q).
 Cayley-table elements are indices 0..N-1 with identity 0.  Validation uses
 Light's associativity test (a complete check, quadratic instead of cubic) up
 to EXHAUSTIVE_BELOW elements and seeded random triple sampling above it.
@@ -14,6 +15,7 @@ to EXHAUSTIVE_BELOW elements and seeded random triple sampling above it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .errors import CapExceeded
@@ -30,13 +32,8 @@ class FiniteGroup:
     def __init__(self, cayley, check: bool = True):
         self.order = len(cayley)
         self.cayley = tuple(tuple(row) for row in cayley)
-        inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.cayley[a][b] == 0:
-                    inv[a] = b
-                    break
-        self.inverse = tuple(inv)
+        self.inverse = tuple(next((b for b, x in enumerate(row) if x == 0), None)
+                             for row in self.cayley)
         if check:
             problems = self.validate()
             if problems:
@@ -128,21 +125,13 @@ class FiniteGroup:
         return problems
 
     def generating_set(self):
-        """A small generating sequence found greedily."""
-        gens = []
-        known = {0}
-        for a in range(self.order):
-            if a in known:
-                continue
-            gens.append(a)
-            known = self.subgroup_closure(gens)
-            if len(known) == self.order:
-                break
-        return gens
+        """A small generating sequence found greedily: each element in turn
+        that the ones kept so far do not generate."""
+        return subgroup(0, range(self.order), self.mul)[1]
 
     def subgroup_closure(self, elements):
         """The subgroup generated by the given elements, as a set."""
-        return set(closure(0, list(elements), self.mul))
+        return subgroup(0, elements, self.mul)[0]
 
     def verbal_power_subgroup(self, t: int):
         """Subgroup generated by all t-th powers (normal by construction)."""
@@ -150,11 +139,9 @@ class FiniteGroup:
 
     def quotient(self, normal_set):
         """(quotient group, projection list).  normal_set must be normal."""
-        reps, index = cosets(range(self.order), normal_set, self.mul)
+        reps, index = cosets(range(self.order), normal_set, self.mul, 0)
         coset_of = [index[a] for a in range(self.order)]
-        m = len(reps)
-        table = [[coset_of[self.cayley[reps[i]][reps[j]]] for j in range(m)]
-                 for i in range(m)]
+        table = [[coset_of[self.cayley[a][b]] for b in reps] for a in reps]
         return FiniteGroup(table, check=False), coset_of
 
     def subgroup_as_group(self, subgroup_set):
@@ -183,22 +170,15 @@ class FiniteGroup:
         of equal order; each candidate is verified completely.
         """
         gens = self.generating_set()
-        if not gens:
-            return [tuple(range(self.order))]
         orders = [self.element_order(g) for g in gens]
         pools = [[a for a in range(self.order) if self.element_order(a) == o]
                  for o in orders]
-        count = 1
-        for p in pools:
-            count *= len(p)
+        count = math.prod(map(len, pools))
         if count > cap:
             raise CapExceeded(f"automorphism search space {count} exceeds {cap}")
-        out = []
-        for images in itertools.product(*pools):
-            phi = self.hom_from_generators(gens, list(images), self)
-            if phi is not None and len(set(phi)) == self.order:
-                out.append(phi)
-        return out
+        homs = (self.hom_from_generators(gens, list(images), self)
+                for images in itertools.product(*pools))
+        return [phi for phi in homs if phi is not None and len(set(phi)) == self.order]
 
 
 def closure(identity, gens, mul):
@@ -218,6 +198,25 @@ def closure(identity, gens, mul):
                 tree[y] = (x, i)
                 queue.append(y)
     return tree
+
+
+def subgroup(identity, gens, mul):
+    """(set, kept gens) of the subgroup of a finite group that ``gens``
+    generate, by Dimino's rule: a gen already in the subgroup H so far is
+    skipped, and a new one g is kept and adds whole right cosets H*r, for
+    r = g and for each product r*g' (g' a kept gen) not yet reached."""
+    sub, kept = {identity}, []
+    for g in gens:
+        if g not in sub:
+            kept.append(g)
+            block, reps = tuple(sub), [g]
+            sub.update(mul(h, g) for h in block)
+            for r in reps:
+                for x in [mul(r, t) for t in kept]:
+                    if x not in sub:
+                        reps.append(x)
+                        sub.update(mul(h, x) for h in block)
+    return sub, kept
 
 
 def extend_hom(identity, gens, images, mul, order: int, target: FiniteGroup):
@@ -246,19 +245,23 @@ def extend_hom(identity, gens, images, mul, order: int, target: FiniteGroup):
     return phi
 
 
-def cosets(elements, normal, mul):
+def cosets(elements, normal, mul, identity):
     """Coset table of a normal subgroup: (reps, coset_of).
 
     reps[i] is the first element met of the i-th coset aN, in the order of
     ``elements``, and coset_of maps every element of each such coset to i.
-    """
+    A new rep costs no product and is multiplied by N minus ``identity``
+    only (ValueError if N lacks it): |G| - |G/N| products."""
+    if identity not in normal:
+        raise ValueError("the normal subgroup must contain the identity")
+    others = [h for h in normal if h != identity]
     reps = []
     coset_of = {}
     for a in elements:
         if a not in coset_of:
-            idx = len(reps)
+            coset_of[a] = idx = len(reps)
             reps.append(a)
-            for h in normal:
+            for h in others:
                 coset_of[mul(a, h)] = idx
     return reps, coset_of
 

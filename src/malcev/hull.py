@@ -21,7 +21,7 @@ from .errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from .finite import FiniteGroup
 from .lattices import (Coordinates, Lattice, hnf_lattice, intersect_subspace,
                        lattice_sum)
-from .liealg import GroupElement, NilpotentLieAlgebra, scale_vec, vec
+from .liealg import GroupElement, NilpotentLieAlgebra, vec
 
 _ZERO = Fraction(0)
 
@@ -253,20 +253,24 @@ class LatticeQuotient:
 
     def _verify_normal(self):
         """exp(s*lat) is a normal subgroup: the binomial coefficient vectors
-        of BCH in its basis and its conjugates by the lattice basis stay in
-        s*lat."""
-        alg = self.hull.adapted_algebra
-        k = self.k
-        basis = [vec(self.s * (i == t) for t in range(k)) for i in range(k)]
-        if not all(self._in_sub(c) for c in compiled.binomial_vectors(
-                compiled.bch_symbolic(alg, basis))):
+        of BCH in its basis (the compiled BCH, a degree-d coefficient num/den
+        read as num*s^d/den) and its k^2 conjugates u*(s*e_j)*u^-1 by unit
+        vectors u stay in s*lat.  ``eval_int`` is exact on a BCH-closed lat;
+        a lat built by hand that is not falls back to ``eval_rat``."""
+        s, k, bch = self.s, self.k, self._bch
+        scaled = [{mono: Fraction(num * s ** len(mono), den) for num, mono in terms}
+                  for den, terms in bch.coords]
+        if not all(map(self._in_sub, compiled.binomial_vectors(scaled))):
             raise SublatticeError("sublattice is not BCH-closed")
-        for i in range(k):
-            u = tuple(Fraction(int(i == t)) for t in range(k))
-            nu = scale_vec(-1, u)
-            for j in range(k):
-                if not self._in_sub(alg.bch(u, alg.bch(basis[j], nu))):
-                    raise SublatticeError("sublattice is not normal in the hull")
+        for i, j in itertools.product(range(k), repeat=2):
+            u = tuple(int(i == t) for t in range(k))
+            args = tuple(s * (j == t) for t in range(k)) + tuple(-x for x in u)
+            try:
+                conj = bch.eval_int(u + bch.eval_int(args))
+            except ArithmeticError:
+                conj = bch.eval_rat(u + bch.eval_rat(args))
+            if not self._in_sub(conj):
+                raise SublatticeError("sublattice is not normal in the hull")
 
     def reduce(self, v):
         """Canonical coset representative of an integer adapted vector."""

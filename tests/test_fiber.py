@@ -13,7 +13,7 @@ from malcev.fiber import (FiberElement, FiberGroup, FiberQuotient, HullSide,
                           ia_kernel_enum, level_quotient, lift_automorphism,
                           lift_automorphism_finite, lift_from_level_image,
                           reconstruction_check, torsion_subgroup)
-from malcev.finite import FiniteGroup, closure, cosets
+from malcev.finite import FiniteGroup, closure
 from malcev.hull import GenGroup, LatticeQuotient, lattice_hull
 from malcev.liealg import NilpotentLieAlgebra
 from test_autos import _ref_is_lie_aut
@@ -398,6 +398,20 @@ def test_level_lift_matches_transported_oracle():
             lift(u, 4, tuple(perm), beta_id)
 
 
+def _ref_cosets(elements, normal, mul):
+    """Test oracle: the coset table with one product a*h for every h in N,
+    the identity included, per coset rep a."""
+    reps = []
+    coset_of = {}
+    for a in elements:
+        if a not in coset_of:
+            idx = len(reps)
+            reps.append(a)
+            for h in normal:
+                coset_of[mul(a, h)] = idx
+    return reps, coset_of
+
+
 def _ref_verbal_power_subgroup(fq, t):
     """Test oracle: the closure of the t-th power of every key, one power
     per key."""
@@ -408,7 +422,7 @@ def _ref_verbal_power_subgroup(fq, t):
 def reference_level_quotient(fq, m):
     """Test oracle: the coset table of the closure of every fine m-th power,
     built with one product per fine key."""
-    return cosets(fq.keys(), _ref_verbal_power_subgroup(fq, m), fq.mul)
+    return _ref_cosets(fq.keys(), _ref_verbal_power_subgroup(fq, m), fq.mul)
 
 
 def reference_reconstruction_check(u, m):
@@ -422,7 +436,7 @@ def reference_reconstruction_check(u, m):
                     for key in map(fq.reduce, u.torsion_elements()))
     hq = fq.latq
     powers = tuple({hq.power(rep, m) for rep in hq.elements()})
-    delta_reps, delta_coset = cosets(
+    delta_reps, delta_coset = _ref_cosets(
         hq.elements(), closure((0,) * u.hull.algebra.dim, powers, hq.mul),
         hq.mul)
     target_size = hq.order * len(reps) // len(delta_reps)
@@ -484,7 +498,9 @@ def test_walk_rejects_a_scale_it_cannot_read():
 def test_reconstruction_makes_no_product_per_fine_key(monkeypatch):
     """heis3 at m = 15 has 273,375 fine keys; one product per key would
     take more than 365,000 calls, and reading every fine rep made 313,882
-    reduce calls."""
+    reduce calls.  Its m-th powers are trivial, so the closures and coset
+    tables make no product at all (13,502 with a product per element of
+    each table); the one product counted is the pi1 check of build_fiber."""
     calls = {"mul": 0, "reduce": 0}
     mul, reduce = LatticeQuotient.mul, LatticeQuotient.reduce
     keys = FiberQuotient.keys
@@ -508,7 +524,7 @@ def test_reconstruction_makes_no_product_per_fine_key(monkeypatch):
     u = build_fiber("heis3")
     r = reconstruction_check(u, 15)
     assert r["shadow_pairs"] == r["target_size"] == 273375
-    assert calls["mul"] < 20_000
+    assert calls["mul"] <= 2
     assert calls["reduce"] < 100_000
     assert listed and level_quotient(u, 15).fq.s not in listed
 
@@ -529,6 +545,33 @@ def test_verbal_power_subgroup_matches_per_key_oracle(name):
         for t in range(1, 7):
             assert fq.verbal_power_subgroup(t) == \
                 _ref_verbal_power_subgroup(fq, t), (name, level, t)
+
+
+@pytest.mark.parametrize("name,want", [("z2z4", (148, 1062)),
+                                       ("zz3", (102, 459))])
+def test_verbal_closure_keeps_only_new_powers(name, want, monkeypatch):
+    """The closures of test_verbal_power_subgroup_matches_per_key_oracle
+    make want = (Dimino's rule, every distinct power a BFS generator)
+    products in total."""
+    calls = [0]
+    mul = FiberQuotient.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiberQuotient, "mul", counted)
+    u = build_fiber(name)
+    counts = []
+    for closed in (FiberQuotient.verbal_power_subgroup,
+                   _ref_verbal_power_subgroup):
+        calls[0] = 0
+        for level in (u.side.scale, 2 * u.side.scale, hom_test_scale(u)):
+            fq = FiberQuotient(u, level)
+            for t in range(1, 7):
+                closed(fq, t)
+        counts.append(calls[0])
+    assert tuple(counts) == want
 
 
 @pytest.mark.parametrize("name,levels", [("z2z4", range(2, 13, 2)),

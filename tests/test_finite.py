@@ -6,7 +6,7 @@ from malcev.catalog import build_fiber
 from malcev.errors import CapExceeded
 from malcev.fiber import FiberQuotient, hom_test_scale
 from malcev.finite import (FiniteGroup, check_onto, closure, cosets,
-                           extend_hom, induced_map)
+                           extend_hom, induced_map, subgroup)
 
 
 def _ref_is_normal(g, subgroup_set):
@@ -150,6 +150,30 @@ def test_subgroup_closure_matches_brute_force():
                     brute_closure(g, elements), (name, elements)
 
 
+def test_dimino_subgroup_matches_brute_force():
+    """finite.subgroup, by Dimino's rule, on every sequence of up to three
+    elements of the small groups and up to two of S3 x Z/4, repeats and the
+    identity included."""
+    groups = dict(small_groups())
+    groups["S3xZ/4"] = FiniteGroup.direct_product(s3(), FiniteGroup.cyclic(4))
+    for name, g in groups.items():
+        for size in range(3 if g.order > 16 else 4):
+            for elements in itertools.product(range(g.order), repeat=size):
+                assert subgroup(0, elements, g.mul)[0] == \
+                    brute_closure(g, elements), (name, elements)
+        assert g.generating_set() == _ref_generating_set(g), name
+
+
+def _ref_generating_set(g):
+    """Test oracle: each element in turn outside the BFS closure of the
+    ones kept before it."""
+    gens = []
+    for a in range(g.order):
+        if a not in closure(0, gens, g.mul):
+            gens.append(a)
+    return gens
+
+
 def test_hom_from_generators_matches_brute_force():
     groups = small_groups()
     for (gname, g), (tname, t) in itertools.product(groups.items(), repeat=2):
@@ -202,7 +226,16 @@ def test_cosets_match_the_brute_partition():
                      for size in range(3)
                      for elements in itertools.combinations(range(g.order), size)}
         for normal in (n for n in subgroups if _ref_is_normal(g, n)):
-            reps, coset_of = cosets(range(g.order), normal, g.mul)
+            calls = [0]
+
+            def counted(a, b):
+                calls[0] += 1
+                return g.mul(a, b)
+
+            reps, coset_of = cosets(range(g.order), normal, counted, 0)
+            # one product per element outside the reps, none when N = {e}
+            assert calls[0] == g.order - len(reps), (name, normal)
+            assert len(normal) > 1 or calls[0] == 0, (name, normal)
             brute = []  # the cosets aN, in order of their first element
             for a in range(g.order):
                 coset = frozenset(g.mul(a, h) for h in normal)
@@ -216,6 +249,14 @@ def test_cosets_match_the_brute_partition():
             assert quo.order == len(brute) and quo.validate() == []
             assert all(proj[g.mul(a, b)] == quo.mul(proj[a], proj[b])
                        for a in range(g.order) for b in range(g.order))
+
+
+def test_cosets_need_the_identity_in_the_subgroup():
+    z4 = FiniteGroup.cyclic(4)
+    with pytest.raises(ValueError, match="must contain the identity"):
+        cosets(range(4), {2}, z4.mul, 0)
+    with pytest.raises(ValueError, match="must contain the identity"):
+        z4.quotient({1, 2, 3})
 
 
 def test_check_onto():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from malcev import linalg, unitriangular as ut
+from malcev import compiled, linalg, unitriangular as ut
 from malcev.catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
                             build_hull, entry_by_name)
 from malcev.errors import CapExceeded, SublatticeError, UnsupportedInputForm
@@ -870,3 +870,94 @@ def test_quotient_arithmetic_matches_reduced_tuples():
                                    for _ in range(2000)])
     vs = [tuple(rng.randint(-100, 100) for _ in range(3)) for _ in range(200)]
     assert [q.reduce(v) for v in vs] == [_ref_reduce(q, v) for v in vs]
+
+
+def _ref_verify_normal(hull, s):
+    """Test oracle: LatticeQuotient's normality check written out in full.
+    BCH is expanded symbolically in the basis s*e_i of the adapted algebra,
+    and the conjugates of s*e_j by the unit vectors are Fraction BCH values.
+    Raises SublatticeError with the check's message, or returns None."""
+    alg = hull.adapted_algebra
+    k = alg.dim
+
+    def in_sub(w):
+        return all(F(x).denominator == 1 and F(x).numerator % s == 0 for x in w)
+
+    basis = [vec(s * (i == t) for t in range(k)) for i in range(k)]
+    if not all(in_sub(c) for c in compiled.binomial_vectors(
+            compiled.bch_symbolic(alg, basis))):
+        raise SublatticeError("sublattice is not BCH-closed")
+    for i in range(k):
+        u = tuple(F(int(i == t)) for t in range(k))
+        nu = tuple(-x for x in u)
+        for j in range(k):
+            if not in_sub(alg.bch(u, alg.bch(basis[j], nu))):
+                raise SublatticeError("sublattice is not normal in the hull")
+
+
+def _normality_hulls():
+    """(name, hull): the catalog hulls, the catalog groups in sheared
+    coordinates, Nielsen-moved hulls, and three lattices that are not
+    BCH-closed: Z^3 in the Heisenberg algebra (the escalating scales that
+    test_congruence_scale_catalog_values pins), Z^5 in Psi(2,3) (conjugates
+    that are not integral on the way, and scales that fail only normality)
+    and the pair-closed UT(4) lattice."""
+    rng = random.Random(0)
+    for entry in CATALOG:
+        yield entry.name, build_hull(entry)
+        group = build_group(entry)
+        if group.algebra.dim > 1:
+            yield "sheared " + entry.name, lattice_hull(_twisted(group, rng))
+    for name in ("Psi(2,3)", "Psi(3,2)", "UT(4)"):
+        alg, gens, _ = _moved_generators(name, random.Random(1))
+        yield "moved " + name, lattice_hull(GenGroup(alg, gens))
+    yield "Z^3", _hull_on(ut.tr0_algebra(3)[0], hnf_lattice(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
+    f23 = free_algebra(2, 3)
+    yield "Z^5", _hull_on(f23, hnf_lattice(
+        [[int(i == j) for j in range(5)] for i in range(5)], 5))
+    alg, _, _ = _moved_generators("UT(4)", random.Random(1))
+    yield "UT(4) pair-closed", _hull_on(
+        alg, Lattice.from_den_rows(alg.dim, *UT4_PAIR_CLOSED))
+
+
+def test_verify_normal_matches_the_symbolic_reference():
+    """LatticeQuotient accepts and rejects exactly where the symbolic
+    reference does, with the same message, at s = 1..12 on every hull of
+    _normality_hulls; both kinds of rejection occur."""
+    def verdict(f, *args):
+        try:
+            f(*args)
+        except SublatticeError as exc:
+            return str(exc)
+        return "accepted"
+
+    seen = set()
+    for name, h in _normality_hulls():
+        for s in range(1, 13):
+            want = verdict(_ref_verify_normal, h, s)
+            assert verdict(LatticeQuotient, h, s) == want, (name, s)
+            seen.add(want)
+    assert seen == {"accepted", "sublattice is not BCH-closed",
+                    "sublattice is not normal in the hull"}
+
+
+def test_congruence_quotient_reuses_the_compiled_bch(monkeypatch):
+    """Once the adapted BCH of a hull is compiled, building its congruence
+    quotients, escalated scales included, expands no BCH symbolically."""
+    hulls = [build_hull(entry) for entry in CATALOG]
+    hulls.append(_hull_on(ut.tr0_algebra(3)[0], hnf_lattice(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)))
+    for h in hulls:
+        h.adapted_algebra.bch_compiled()
+    calls = []
+    symbolic = compiled.bch_symbolic
+
+    def counted(*args):
+        calls.append(args)
+        return symbolic(*args)
+
+    monkeypatch.setattr(compiled, "bch_symbolic", counted)
+    scales = [congruence_quotient(h, m)[0] for h in hulls for m in range(1, 7)]
+    assert scales[-6:] == [2, 2, 6, 4, 10, 6]
+    assert calls == []
