@@ -15,7 +15,6 @@ to EXHAUSTIVE_BELOW elements and seeded random triple sampling above it.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 from .errors import CapExceeded
@@ -32,8 +31,13 @@ class FiniteGroup:
     def __init__(self, cayley, check: bool = True):
         self.order = len(cayley)
         self.cayley = tuple(tuple(row) for row in cayley)
-        self.inverse = tuple(next((b for b, x in enumerate(row) if x == 0), None)
-                             for row in self.cayley)
+        inv = [None] * self.order
+        for a in range(self.order):
+            for b in range(self.order):
+                if self.cayley[a][b] == 0:
+                    inv[a] = b
+                    break
+        self.inverse = tuple(inv)
         if check:
             problems = self.validate()
             if problems:
@@ -141,7 +145,9 @@ class FiniteGroup:
         """(quotient group, projection list).  normal_set must be normal."""
         reps, index = cosets(range(self.order), normal_set, self.mul, 0)
         coset_of = [index[a] for a in range(self.order)]
-        table = [[coset_of[self.cayley[a][b]] for b in reps] for a in reps]
+        m = len(reps)
+        table = [[coset_of[self.cayley[reps[i]][reps[j]]] for j in range(m)]
+                 for i in range(m)]
         return FiniteGroup(table, check=False), coset_of
 
     def subgroup_as_group(self, subgroup_set):
@@ -170,15 +176,22 @@ class FiniteGroup:
         of equal order; each candidate is verified completely.
         """
         gens = self.generating_set()
+        if not gens:
+            return [tuple(range(self.order))]
         orders = [self.element_order(g) for g in gens]
         pools = [[a for a in range(self.order) if self.element_order(a) == o]
                  for o in orders]
-        count = math.prod(map(len, pools))
+        count = 1
+        for p in pools:
+            count *= len(p)
         if count > cap:
             raise CapExceeded(f"automorphism search space {count} exceeds {cap}")
-        homs = (self.hom_from_generators(gens, list(images), self)
-                for images in itertools.product(*pools))
-        return [phi for phi in homs if phi is not None and len(set(phi)) == self.order]
+        out = []
+        for images in itertools.product(*pools):
+            phi = self.hom_from_generators(gens, list(images), self)
+            if phi is not None and len(set(phi)) == self.order:
+                out.append(phi)
+        return out
 
 
 def closure(identity, gens, mul):
