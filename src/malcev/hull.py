@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import compiled, linalg
 from .errors import CapExceeded, SublatticeError, UnsupportedInputForm
@@ -49,6 +50,8 @@ class HullResult:
     ``layers[i]`` is its 1-based layer and ``d`` the abelianized rank.
     The coordinate maps read ``basis`` and the :class:`Coordinates` of the
     adapted basis in ``lattice`` (the lattice and one integer inverse).
+    ``adapted_algebra``, the structure constants in ``basis``, is built on
+    first read: a hull that is never asked for it does not pay for it.
     """
 
     algebra: NilpotentLieAlgebra
@@ -57,8 +60,11 @@ class HullResult:
     layers: tuple
     d: int
     embedding: tuple | None = None
-    adapted_algebra: NilpotentLieAlgebra = field(repr=False, default=None)
     _coordinates: Coordinates = field(repr=False, default=None)
+
+    @cached_property
+    def adapted_algebra(self) -> NilpotentLieAlgebra:
+        return self.algebra.change_basis(self.basis)[0]
 
     @property
     def layer_sizes(self):
@@ -139,7 +145,6 @@ def closure_certificate(hull: HullResult) -> bool:
 
 
 def _attach_adapted(hull: HullResult) -> None:
-    hull.adapted_algebra = hull.algebra.change_basis(hull.basis)[0]
     try:
         hull._coordinates = Coordinates(hull.lattice, hull.basis)
     except ValueError:

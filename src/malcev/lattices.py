@@ -5,8 +5,9 @@ basis together with the single common denominator, normalized so that two
 lattices are equal iff their stored data are identical.  All queries
 (membership, index, quotient invariants, sums, intersections) are exact and
 read the integer rows over the one denominator; membership and coordinates
-are one back-substitution, :meth:`Lattice.coords`.  :class:`Coordinates`
-turns that into exact coordinates in any basis of rational rows.
+are one back-substitution on the entries' integer numerators,
+:meth:`Lattice.coords`, and :class:`Coordinates` turns that into exact
+coordinates in any basis of rational rows.
 """
 
 from __future__ import annotations
@@ -77,20 +78,22 @@ class Lattice:
         """True iff v is a Z-combination of the basis."""
         return self.coords(v) is not None
 
-    def coords(self, v):
-        """Integer coordinates of v in the basis, or None.
+    def coords(self, v, n: int = 1):
+        """Integer coordinates of n * v in the basis, or None.
 
-        One back-substitution of v * den along the pivots of the HNF rows:
-        each coordinate is the quotient at its row's pivot column, and v is
-        in the lattice iff nothing is left over.
+        One back-substitution of n * v * den, read on the entries' integer
+        numerators (one divmod each: a remainder means it is outside), along
+        the pivots of the HNF rows: each coordinate is the quotient at its
+        row's pivot column, and it is in the lattice iff nothing is left over.
         """
-        v = _as_fraction_vec(v, self.dim)
-        w = []
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"vector of length {len(v)} in ambient dimension {self.dim}")
+        nd, w = n * self.den, []
         for x in v:
-            y = x * self.den
-            if y.denominator != 1:
+            q, r = divmod(x.numerator * nd, x.denominator)
+            if r:
                 return None
-            w.append(y.numerator)
+            w.append(q)
         out = []
         for row in self.rows:
             c = next(j for j, x in enumerate(row) if x)
@@ -141,7 +144,8 @@ class Coordinates:
     its integer inverse turn lattice coordinates into row coordinates.  For
     v in the Q-span, N * v is in the lattice when N is the lcm of v's
     denominators times the product of the HNF pivots (Cramer on the pivot
-    columns), so one :meth:`Lattice.coords` of N * v answers every query.
+    columns), so one :meth:`Lattice.coords` of N * v answers every query;
+    the only Fractions it makes are the returned coordinates.
     """
 
     __slots__ = ("lattice", "_columns", "_pivots")
@@ -169,8 +173,8 @@ class Coordinates:
 
     def __call__(self, v):
         """Rational coordinates of v, or None when v is outside the Q-span."""
-        n = lcm(*(Fraction(x).denominator for x in v)) * self._pivots
-        c = self.lattice.coords(tuple(n * x for x in v))
+        n = lcm(*(x.denominator for x in v)) * self._pivots
+        c = self.lattice.coords(v, n)
         return None if c is None else tuple(
             Fraction(x, n) if x else _ZERO
             for x in linalg.mat_apply(self._columns, c))

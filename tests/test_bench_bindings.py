@@ -124,13 +124,15 @@ def _retained_by_one_pass(jobs):
     return retained
 
 
-def test_a_hull_ladder_pass_keeps_under_100_kib(bench_workloads):
+def test_a_hull_ladder_pass_keeps_under_48_kib(bench_workloads):
     """The benchmark keeps every pass's results until its run ends, so what
     one pass keeps grows ``peak_rss_mib`` with the number of passes.  One
-    seed-1 hull-ladder pass, run after a warm-up pass, keeps under 100 KiB."""
+    seed-1 hull-ladder pass, run after a warm-up pass, keeps under 48 KiB
+    (about 38 KiB when the bound was set, once hulls stopped building their
+    adapted structure constants unread)."""
     wl = bench_workloads.WORKLOADS["hull-ladder"]
     retained = _retained_by_one_pass(wl.jobs(wl.setup(1)))
-    assert retained < 100 * 1024, f"{retained / 1024:.1f} KiB"
+    assert retained < 48 * 1024, f"{retained / 1024:.1f} KiB"
 
 
 def test_a_fiber_levels_pass_keeps_under_64_kib(bench_workloads):

@@ -8,7 +8,8 @@ import pytest
 from malcev import compiled, linalg, unitriangular as ut
 from malcev.catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
                             build_hull, entry_by_name)
-from malcev.errors import CapExceeded, SublatticeError, UnsupportedInputForm
+from malcev.errors import (CapExceeded, DimensionMismatch, SublatticeError,
+                           UnsupportedInputForm)
 from malcev.freenil import _commutator, _expand, free_algebra, hall_basis, psi_group
 from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
                          _layer_basis, adapted_basis, closure_certificate,
@@ -20,6 +21,7 @@ from malcev.lattices import (Coordinates, Lattice, _coordinate_matrix,
                              smith_quotient)
 from malcev.liealg import GroupElement, NilpotentLieAlgebra, vec
 from malcev.linalg import hnf
+from test_cli_outputs import sheared_group
 
 
 def _ref_from_elements(alg, elements, filtered=False):
@@ -647,7 +649,9 @@ def _ref_hall_table(n, c):
 def test_coordinates_match_a_fraction_solve(monkeypatch):
     """Coordinates agrees with a Fraction solve of the augmented system on
     seeded rational bases, with None exactly off the span, ValueError on
-    dependent rows, and the empty basis; it runs no rational elimination.
+    dependent rows, DimensionMismatch on a wrong length, and the empty
+    basis, on Fraction, int and mixed int/Fraction vectors; it runs no
+    rational elimination.
     change_basis on sheared bases agrees with the dense Fraction inverse it
     used to apply, and free_algebra with one Fraction solve per bracket."""
     rng = random.Random(0)
@@ -672,22 +676,38 @@ def test_coordinates_match_a_fraction_solve(monkeypatch):
             continue
         dependent.append(rows + combos[:1])
         cases.append((rows, combos + [tuple(rational() for _ in range(k))
-                                      for _ in range(3)]))
+                                      for _ in range(3)]
+                      + [tuple(F(rng.randint(-4, 4)) for _ in range(k))]))
     want = [[_ref_solve(rows, v) for v in vectors] for rows, vectors in cases]
     assert want[0] == [(2, 3), None] and want[1] == [(), None]
     assert sum(x is None for w in want for x in w) > 10
+
+    def mixed(v):
+        """v with its integral entries as ints."""
+        return tuple(int(x) if x.denominator == 1 else x for x in v)
+
+    kinds = {frozenset(map(type, mixed(v))) for _, vectors in cases
+             for v in vectors}
+    assert {frozenset({int}), frozenset({int, F})} <= kinds
 
     def rational_elimination(*args):
         raise AssertionError("Coordinates ran rational elimination")
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "rref", rational_elimination)
-        got = [[Coordinates.of_rows(rows, len(vectors[0]))(v) for v in vectors]
-               for rows, vectors in cases]
+        coords = [Coordinates.of_rows(rows, len(vectors[0]))
+                  for rows, vectors in cases]
+        got = [[c(v) for v in vectors] for c, (_, vectors) in zip(coords, cases)]
+        got_mixed = [[c(mixed(v)) for v in vectors]
+                     for c, (_, vectors) in zip(coords, cases)]
         for rows in dependent:
             with pytest.raises(ValueError):
                 Coordinates.of_rows(rows, len(rows[0]))
-    assert got == want
+    assert got == want and got_mixed == want
+    for c, (_, vectors) in zip(coords, cases):
+        for v in (vectors[0][1:], vectors[0] + (1,)):
+            with pytest.raises(DimensionMismatch):
+                c(v)
 
     groups = [g for g in map(build_group, CATALOG) if g.algebra.dim > 1]
     for name in ("Psi(2,3)", "UT(4)"):
@@ -961,3 +981,54 @@ def test_congruence_quotient_reuses_the_compiled_bch(monkeypatch):
     scales = [congruence_quotient(h, m)[0] for h in hulls for m in range(1, 7)]
     assert scales[-6:] == [2, 2, 6, 4, 10, 6]
     assert calls == []
+
+
+# The adapted algebra is built on first read: lattice_hull builds only the
+# lattice, the adapted basis and its Coordinates.
+
+def _lazy_oracle_groups():
+    """The catalog groups, Nielsen-moved Psi(2,3) and UT(4) generators, and
+    seeded rational shears of two catalog groups."""
+    groups = [build_group(entry) for entry in CATALOG]
+    for name in ("Psi(2,3)", "UT(4)"):
+        alg, gens, _ = _moved_generators(name, random.Random(1))
+        groups.append(GenGroup(alg, gens))
+    return groups + [sheared_group(name, seed)
+                     for name in ("heisenberg", "psi23") for seed in (0, 1)]
+
+
+def test_adapted_algebra_is_the_change_of_basis_built_once():
+    """adapted_algebra holds the structure constants of the working algebra
+    in the adapted basis, Fraction for Fraction, and a second read returns
+    the same object."""
+    for group in _lazy_oracle_groups():
+        h = lattice_hull(group)
+        want = h.algebra.change_basis(h.basis)[0].brackets
+        got = h.adapted_algebra
+        assert got.brackets == want
+        assert {ij: tuple(map(type, v)) for ij, v in got.brackets.items()} \
+            == {ij: tuple(map(type, v)) for ij, v in want.items()}
+        assert h.adapted_algebra is got
+
+
+def test_lattice_hull_builds_no_adapted_algebra(monkeypatch):
+    """Building a full-span hull makes no change of basis and no bracket."""
+    groups, calls = _lazy_oracle_groups(), []
+    for name in ("change_basis", "bracket"):
+        method = getattr(NilpotentLieAlgebra, name)
+        monkeypatch.setattr(NilpotentLieAlgebra, name, lambda *args, _name=name,
+                            _method=method: calls.append(_name) or _method(*args))
+    for group in groups:
+        assert lattice_hull(group).embedding is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("suite", ["hull", "basis"])
+def test_hull_and_basis_suites_build_no_adapted_algebra(monkeypatch, suite):
+    """verify's hull and basis suites never read an adapted algebra."""
+    from malcev import verify
+    built = []
+    monkeypatch.setattr(HullResult, "adapted_algebra", property(
+        lambda h: built.append(h) or h.algebra.change_basis(h.basis)[0]))
+    assert verify.SUITE_FUNCS[suite](seed=0).passed
+    assert built == []

@@ -40,27 +40,36 @@ def test_member_examples():
 
 def test_member_bruteforce_oracle():
     """Membership and coordinates agree with a bounded-coefficient search
-    (entries <= 10, ambient dimension <= 5)."""
+    (entries <= 10, ambient dimension <= 5) on integer and rational bases,
+    for vectors whose denominators do and do not divide the lattice's."""
     rng = random.Random(1)
-    for _ in range(25):
+    seen = set()
+    for trial in range(50):
         k = rng.randint(2, 5)
         rank = rng.randint(1, min(3, k))
-        basis = [tuple(rng.randint(-10, 10) for _ in range(k))
-                 for _ in range(rank)]
+        dens = (1,) if trial < 25 else (1, 2, 3, 4)
+        basis = [tuple(F(rng.randint(-10, 10), rng.choice(dens))
+                       for _ in range(k)) for _ in range(rank)]
         lat = hnf_lattice(basis, k)
         rows = lat.basis()
         for _ in range(8):
             coeffs = [rng.randint(-4, 4) for _ in range(lat.rank)]
             v = tuple(sum(F(c) * row[j] for c, row in zip(coeffs, rows))
                       for j in range(k))
-            if rng.random() < 0.5:
-                v = tuple(x + F(1, 2) for x in v)
+            shift = rng.choice((0, 2, lat.den, 2 * lat.den))
+            if shift:
+                v = tuple(x + F(1, shift) for x in v)
+            v = tuple(int(x) if x.denominator == 1 else x for x in v)
             found = next(
                 (combo for combo in itertools.product(range(-4, 5), repeat=lat.rank)
                  if all(sum(F(c) * row[j] for c, row in zip(combo, rows)) == v[j]
                         for j in range(k))), None)
             assert lat.member(v) == (found is not None)
             assert lat.coords(v) == found
+            divides = all(lat.den % F(x).denominator == 0 for x in v)
+            seen.add((lat.den > 1, divides, found is not None))
+    assert seen >= {(True, True, True), (True, True, False), (True, False, False),
+                    (False, True, True), (False, False, False)}, seen
 
 
 def test_index_and_smith():
