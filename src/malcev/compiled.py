@@ -2,10 +2,10 @@
 
 BCH is expanded once per algebra into polynomials in the 2k coordinates of
 its two arguments, with denominators cleared; this compiled map is the only
-runtime evaluator of the group law.  ``eval_int`` evaluates it on integer
-arguments (central tuple boxes), ``eval_mod`` does the same and reduces each
-coordinate mod m in the same pass (the product of a congruence quotient),
-and ``eval_rat`` evaluates it on rational ones, all in plain int arithmetic.
+runtime evaluator of the group law, and it has two evaluators, both in plain
+int arithmetic: ``eval_int`` on integer arguments (central tuple boxes, and
+through ``eval_mod``, which reduces its value mod m, the product of a
+congruence quotient) and ``eval_rat`` on rational ones.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ def _sym_bracket(alg, x, y):
 class CompiledPolyMap:
     """A tuple of integer-cleared polynomials, evaluated in int arithmetic.
 
-    ``eval_int`` and ``eval_mod`` raise ``ArithmeticError`` at an integer
-    point where some coordinate is not integral; ``eval_mod`` makes that
-    check before it reduces, so both raise at the same points.
+    ``eval_int`` raises ``ArithmeticError`` at an integer point where some
+    coordinate is not integral; ``eval_mod`` is ``eval_int`` reduced mod m,
+    so it raises at the same points.
     """
 
     def __init__(self, coords):
@@ -100,22 +100,8 @@ class CompiledPolyMap:
         return tuple(out)
 
     def eval_mod(self, args, m: int):
-        """``eval_int`` with every coordinate reduced mod m, in one pass."""
-        out = []
-        for den, terms in self.coords:
-            s = 0
-            for num, mono in terms:
-                v = num
-                for idx in mono:
-                    v *= args[idx]
-                s += v
-            if den != 1:
-                q, r = divmod(s, den)
-                if r:
-                    raise ArithmeticError("compiled map value is not integral here")
-                s = q
-            out.append(s % m)
-        return tuple(out)
+        """``eval_int`` with every coordinate reduced mod m."""
+        return tuple([x % m for x in self.eval_int(args)])
 
     def eval_rat(self, args):
         """Exact value at rational arguments (Fractions or ints).
@@ -210,8 +196,8 @@ def binomial_vectors(polys):
 def compile_bch(alg) -> CompiledPolyMap:
     """bch as a compiled map; args are the 2k concatenated coords.
 
-    ``eval_rat`` is exact on any rational arguments.  ``eval_int`` and
-    ``eval_mod`` are guaranteed integral only on inputs from a BCH-closed
-    lattice expressed in a basis of that lattice.
+    ``eval_rat`` is exact on any rational arguments.  ``eval_int``, and so
+    ``eval_mod``, its value reduced mod m, is guaranteed integral only on
+    inputs from a BCH-closed lattice expressed in a basis of that lattice.
     """
     return compile_polys(bch_symbolic(alg))

@@ -141,15 +141,6 @@ class FiniteGroup:
         """Subgroup generated by all t-th powers (normal by construction)."""
         return self.subgroup_closure({self.power(a, t) for a in range(self.order)})
 
-    def quotient(self, normal_set):
-        """(quotient group, projection list).  normal_set must be normal."""
-        reps, index = cosets(range(self.order), normal_set, self.mul, 0)
-        coset_of = [index[a] for a in range(self.order)]
-        m = len(reps)
-        table = [[coset_of[self.cayley[reps[i]][reps[j]]] for j in range(m)]
-                 for i in range(m)]
-        return FiniteGroup(table, check=False), coset_of
-
     def subgroup_as_group(self, subgroup_set):
         """(group on the subgroup, element list) for a subgroup set."""
         elems = sorted(subgroup_set)
@@ -236,9 +227,11 @@ def extend_hom(identity, gens, images, mul, order: int, target: FiniteGroup):
     """Extend gens -> images (target indices) to a homomorphism, or None.
 
     The candidate map is filled along the closure tree of the gens and then
-    verified on all pairs and on the gens themselves, which is a complete
-    check.  Raises ValueError if the gens do not generate all ``order``
-    elements.
+    verified on every edge, phi(a*g) == phi(a)*image(g) for each element a
+    and gen g: |G| |gens| products.  That is complete: by induction on word
+    length phi(a*w) == phi(a)*phi(w) for every word w in the gens, which
+    generate the group, and a = identity gives phi(g) == image(g).  Raises
+    ValueError if the gens do not generate all ``order`` elements.
     """
     tree = closure(identity, gens, mul)
     if len(tree) != order:
@@ -248,12 +241,10 @@ def extend_hom(identity, gens, images, mul, order: int, target: FiniteGroup):
         if edge is not None:
             x, i = edge
             phi[y] = target.cayley[phi[x]][images[i]]
-    if any(phi[g] != im for g, im in zip(gens, images)):
-        return None
     for a, pa in phi.items():
         row = target.cayley[pa]
-        for b, pb in phi.items():
-            if row[pb] != phi[mul(a, b)]:
+        for g, im in zip(gens, images):
+            if phi[mul(a, g)] != row[im]:
                 return None
     return phi
 

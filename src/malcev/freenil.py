@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .compiled import bch_symbolic, compile_polys
 from .errors import CapExceeded
 from .hull import GenGroup, HullResult, lattice_hull
 from .lattices import Coordinates, Lattice, hnf_lattice, intersect_subspace
@@ -341,66 +340,34 @@ class CentralTupleIso:
         B = endo_matrix(self.psi, images_beta)
         return [linalg.mat_apply(B, im) for im in images_alpha]
 
-    def generator_maps(self):
-        """(top, mul_gen, mul_geninv) for the central-tuple box.
-
-        ``top`` lists the top-layer coordinates; ``mul_gen[i]`` and
-        ``mul_geninv[i]`` are the compiled BCH maps v -> bch(x_i, v) and
-        v -> bch(x_i^-1, v), with the generator substituted once.
-        """
-        psi = self.psi
-        k = psi.algebra.dim
-        top = [i for i, w in enumerate(psi.weights) if w == psi.c]
-        sym = bch_symbolic(psi.algebra)
-
-        def specialize(const_first, polys):
-            # substitute u = const_first; leave v symbolic (vars k..2k-1 -> 0..k-1)
-            out = []
-            for p in polys:
-                q = {}
-                for mono, coeff in p.items():
-                    c = coeff
-                    rest = []
-                    for v in mono:
-                        if v < k:
-                            c *= const_first[v]
-                        else:
-                            rest.append(v - k)
-                    if c:
-                        m = tuple(sorted(rest))
-                        q[m] = q.get(m, 0) + c
-                out.append({m: c for m, c in q.items() if c})
-            return compile_polys(out)
-
-        gens = [tuple(Fraction(int(i == t)) for t in range(k))
-                for i in range(psi.n)]
-        mul_gen = [specialize(g, sym) for g in gens]
-        mul_geninv = [specialize(tuple(-x for x in g), sym) for g in gens]
-        return top, mul_gen, mul_geninv
-
     def box_roundtrip(self, bound: int):
         """forward(backward(t)) == t for every tuple in the box [-b, b]^(n r).
 
         Returns (tuples_checked, injective), r being the top-layer rank.  The
         image of generator i depends only on block i of the tuple, so the
         round trip and injectivity hold on the whole box exactly when they
-        hold on every block: n (2b+1)^r blocks are evaluated, through the
-        compiled maps of ``generator_maps``, and the count reported is the
-        (2b+1)^(n r) tuples they cover.
+        hold on every block: n (2b+1)^r blocks are evaluated, each as the
+        algebra's compiled BCH with ``eval_int`` on (x_i, u) and then on
+        (x_i^-1, image), and the count reported is the (2b+1)^(n r) tuples
+        they cover.
         """
-        top, mul_gen, mul_geninv = self.generator_maps()
-        k = self.psi.algebra.dim
+        psi = self.psi
+        bch = psi.algebra.bch_compiled()
+        k = psi.algebra.dim
+        top = [i for i, w in enumerate(psi.weights) if w == psi.c]
         width = range(-bound, bound + 1)
         blocks = len(width) ** len(top)
         injective = True
-        for i in range(self.psi.n):
+        for i in range(psi.n):
+            gen = tuple(int(i == t) for t in range(k))
+            gen_inv = tuple(-x for x in gen)
             seen = set()
             for block in itertools.product(width, repeat=len(top)):
                 u = [0] * k
                 for z, x in zip(top, block):
                     u[z] = x
-                image = mul_gen[i].eval_int(tuple(u))
-                rec = mul_geninv[i].eval_int(image)
+                image = bch.eval_int(gen + tuple(u))
+                rec = bch.eval_int(gen_inv + image)
                 if any(x for pos, x in enumerate(rec) if pos not in top):
                     raise RuntimeError("recovered shift is not central")
                 if tuple(rec[z] for z in top) != block:
@@ -408,7 +375,7 @@ class CentralTupleIso:
                         f"roundtrip failed for generator {i} at {block}")
                 seen.add(image)
             injective = injective and len(seen) == blocks
-        return blocks ** self.psi.n, injective
+        return blocks ** psi.n, injective
 
 
 def central_tuple_iso(psi: FreeNilpotent) -> CentralTupleIso:

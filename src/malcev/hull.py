@@ -49,9 +49,11 @@ class HullResult:
     made of per-layer bases of the lattice along the lower central series;
     ``layers[i]`` is its 1-based layer and ``d`` the abelianized rank.
     The coordinate maps read ``basis`` and the :class:`Coordinates` of the
-    adapted basis in ``lattice`` (the lattice and one integer inverse).
-    ``adapted_algebra``, the structure constants in ``basis``, is built on
-    first read: a hull that is never asked for it does not pay for it.
+    adapted basis in ``lattice`` (the lattice and one integer inverse),
+    built with the hull.  ``adapted_algebra``, the structure constants in
+    ``basis``, and the conjugation verdict that every
+    :class:`LatticeQuotient` of the hull reads are built on first read: a
+    hull that is never asked for them does not pay for them.
     """
 
     algebra: NilpotentLieAlgebra
@@ -60,11 +62,33 @@ class HullResult:
     layers: tuple
     d: int
     embedding: tuple | None = None
-    _coordinates: Coordinates = field(repr=False, default=None)
+    _coordinates: Coordinates = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            self._coordinates = Coordinates(self.lattice, self.basis)
+        except ValueError:
+            raise RuntimeError("adapted basis is not a Z-basis of the hull"
+                               " lattice") from None
 
     @cached_property
     def adapted_algebra(self) -> NilpotentLieAlgebra:
         return self.algebra.change_basis(self.basis)[0]
+
+    @cached_property
+    def _conjugates_integral(self) -> bool:
+        """Whether every conjugate u*e_j*u^-1 of adapted unit vectors has
+        integer adapted coordinates: k^2 exact ``eval_rat`` conjugates."""
+        bch = self.adapted_algebra.bch_compiled()
+        k = self.adapted_algebra.dim
+        units = [tuple(int(i == t) for t in range(k)) for i in range(k)]
+        for u in units:
+            u_inv = tuple(-x for x in u)
+            for e in units:
+                if any(x.denominator != 1
+                       for x in bch.eval_rat(u + bch.eval_rat(e + u_inv))):
+                    return False
+        return True
 
     @property
     def layer_sizes(self):
@@ -124,11 +148,9 @@ def lattice_hull(group: GenGroup, max_rounds: int = 64) -> HullResult:
         alg = alg.restrict(embedding)
         lat = hnf_lattice([coords(b) for b in lat.basis()], alg.dim)
     basis, layers = adapted_basis(lat, alg)
-    hull = HullResult(algebra=alg, lattice=lat, basis=tuple(basis),
+    return HullResult(algebra=alg, lattice=lat, basis=tuple(basis),
                       layers=tuple(layers), d=layers.count(1),
                       embedding=embedding)
-    _attach_adapted(hull)
-    return hull
 
 
 def hull_of_lattice(alg: NilpotentLieAlgebra, lat: Lattice) -> HullResult:
@@ -142,14 +164,6 @@ def closure_certificate(hull: HullResult) -> bool:
     the lattice basis, lies in the lattice (Polya; Cahen-Chabert 1997)."""
     return all(hull.lattice.member(c)
                for c in _closure_candidates(hull.algebra, hull.lattice))
-
-
-def _attach_adapted(hull: HullResult) -> None:
-    try:
-        hull._coordinates = Coordinates(hull.lattice, hull.basis)
-    except ValueError:
-        raise RuntimeError("adapted basis is not a Z-basis of the hull"
-                           " lattice") from None
 
 
 def adapted_basis(lat: Lattice, alg: NilpotentLieAlgebra):
@@ -238,7 +252,7 @@ class LatticeQuotient:
 
     The adapted basis is a Z-basis of lat, so s*lat is s*Z^k there and the
     elements are the points of the box [0, s)^k, reduced entrywise mod s.
-    Every operation works on the reps mod s: a product is one compiled-BCH
+    Every operation works on the reps mod s: a product is the compiled-BCH
     ``eval_mod`` of the concatenated reps, and since these are exp
     coordinates, a power scales the rep by n and the inverse negates it.
     """
@@ -253,29 +267,22 @@ class LatticeQuotient:
         self._bch = hull.adapted_algebra.bch_compiled()
         self._verify_normal()
 
-    def _in_sub(self, w) -> bool:
-        return all(x.denominator == 1 and x.numerator % self.s == 0 for x in w)
-
     def _verify_normal(self):
         """exp(s*lat) is a normal subgroup: the binomial coefficient vectors
         of BCH in its basis (the compiled BCH, a degree-d coefficient num/den
         read as num*s^d/den) and its k^2 conjugates u*(s*e_j)*u^-1 by unit
-        vectors u stay in s*lat.  ``eval_int`` is exact on a BCH-closed lat;
-        a lat built by hand that is not falls back to ``eval_rat``."""
-        s, k, bch = self.s, self.k, self._bch
+        vectors u stay in s*lat.  Conjugation is linear in exp coordinates,
+        log(u*exp(s*X)*u^-1) = s*e^(ad u)X, so the second test does not
+        depend on s: it is the hull's verdict on the conjugates u*e_j*u^-1,
+        computed once per hull and read after the s-dependent test."""
+        s = self.s
         scaled = [{mono: Fraction(num * s ** len(mono), den) for num, mono in terms}
-                  for den, terms in bch.coords]
-        if not all(map(self._in_sub, compiled.binomial_vectors(scaled))):
+                  for den, terms in self._bch.coords]
+        if any(x.denominator != 1 or x.numerator % s
+               for c in compiled.binomial_vectors(scaled) for x in c):
             raise SublatticeError("sublattice is not BCH-closed")
-        for i, j in itertools.product(range(k), repeat=2):
-            u = tuple(int(i == t) for t in range(k))
-            args = tuple(s * (j == t) for t in range(k)) + tuple(-x for x in u)
-            try:
-                conj = bch.eval_int(u + bch.eval_int(args))
-            except ArithmeticError:
-                conj = bch.eval_rat(u + bch.eval_rat(args))
-            if not self._in_sub(conj):
-                raise SublatticeError("sublattice is not normal in the hull")
+        if not self.hull._conjugates_integral:
+            raise SublatticeError("sublattice is not normal in the hull")
 
     def reduce(self, v):
         """Canonical coset representative of an integer adapted vector."""

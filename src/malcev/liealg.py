@@ -288,7 +288,3 @@ class GroupElement:
         """g**q for any rational q; roots are exact (q = 1/m)."""
         return GroupElement(self.algebra, scale_vec(Fraction(q), self.log))
 
-    def root(self, m: int) -> "GroupElement":
-        if m < 1:
-            raise ValueError("root index must be >= 1")
-        return self ** Fraction(1, m)

@@ -11,8 +11,8 @@ from malcev.catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
 from malcev.errors import (CapExceeded, DimensionMismatch, SublatticeError,
                            UnsupportedInputForm)
 from malcev.freenil import _commutator, _expand, free_algebra, hall_basis, psi_group
-from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _attach_adapted,
-                         _layer_basis, adapted_basis, closure_certificate,
+from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _layer_basis,
+                         adapted_basis, closure_certificate,
                          congruence_quotient, congruence_scale,
                          derived_lattice_data, finite_quotient,
                          group_index_in_hull, hull_of_lattice, lattice_hull)
@@ -22,6 +22,7 @@ from malcev.lattices import (Coordinates, Lattice, _coordinate_matrix,
 from malcev.liealg import GroupElement, NilpotentLieAlgebra, vec
 from malcev.linalg import hnf
 from test_cli_outputs import sheared_group
+from test_liealg import _ref_root
 
 
 def _ref_from_elements(alg, elements, filtered=False):
@@ -233,11 +234,11 @@ def test_root():
     heis = lattice_hull(heis_group())
     alg = heis.algebra
     g = GroupElement(alg, vec((1, 0, 0))) * GroupElement(alg, vec((0, 1, 0)))
-    r = g.root(2)
+    r = _ref_root(g, 2)
     assert (r * r).log == g.log
     e = GroupElement.identity(alg)
-    assert not any(e.root(7).log)
-    assert g.root(1).log == g.log
+    assert not any(_ref_root(e, 7).log)
+    assert _ref_root(g, 1).log == g.log
 
 
 def test_group_index():
@@ -269,9 +270,7 @@ def test_closure_certificate():
 def _hull_on(alg, lat):
     """A HullResult on a given full-rank lattice, closed or not."""
     basis, layers = adapted_basis(lat, alg)
-    h = HullResult(alg, lat, basis, layers, layers.count(1))
-    _attach_adapted(h)
-    return h
+    return HullResult(alg, lat, basis, layers, layers.count(1))
 
 
 def _unit(k, i):
@@ -960,6 +959,29 @@ def test_verify_normal_matches_the_symbolic_reference():
             seen.add(want)
     assert seen == {"accepted", "sublattice is not BCH-closed",
                     "sublattice is not normal in the hull"}
+
+
+def test_conjugates_are_evaluated_once_per_hull(monkeypatch):
+    """LatticeQuotient(h, s) for s = 1..12 evaluates the k^2 conjugates
+    u*e_j*u^-1, two compiled-BCH evaluations each, once for the hull, not
+    again for every scale that passes the BCH-closure test."""
+    h = build_hull(entry_by_name("psi23"))
+    k = h.adapted_algebra.dim
+    calls = []
+    for name in ("eval_int", "eval_rat"):
+        def counted(self, *args, _method=getattr(compiled.CompiledPolyMap, name)):
+            calls.append(args)
+            return _method(self, *args)
+        monkeypatch.setattr(compiled.CompiledPolyMap, name, counted)
+    accepted = []
+    for s in range(1, 13):
+        try:
+            LatticeQuotient(h, s)
+        except SublatticeError:
+            continue
+        accepted.append(s)
+    assert len(accepted) > 1
+    assert len(calls) == 2 * k * k
 
 
 def test_congruence_quotient_reuses_the_compiled_bch(monkeypatch):

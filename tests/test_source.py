@@ -1,8 +1,6 @@
 """Checks on the library source itself."""
 
 import ast
-import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,17 +45,34 @@ def test_no_redundant_local_imports(path):
     assert not lines, f"{path.name}: redundant local import at lines {lines}"
 
 
+def _traced_names():
+    """The parts of the dotted names in ``spans.TRACED``: the tracer binds
+    each of them by name."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    return {part for _, attr, _ in traced for part in attr.split(".")}
+
+
 def test_every_definition_is_used():
-    """Each function, class and method of the library is named somewhere
-    in the library or the benchmark beyond its own definition; one that only
-    tests call belongs in the tests, as a reference oracle."""
+    """Each function, class and method of the library is referenced in the
+    code of the library or the benchmark: by a name, an attribute or an
+    import, or by a dotted name in ``spans.TRACED``.  Words in docstrings and
+    comments do not count.  A definition that only tests call belongs in the
+    tests, as a reference oracle."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defined = Counter(
-        node.name for path in SRC
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, kinds)
-        and not (node.name.startswith("__") and node.name.endswith("__")))
-    text = "\n".join(path.read_text() for path in SRC + BENCH)
-    unused = sorted(name for name, n in defined.items()
-                    if len(re.findall(rf"\b{name}\b", text)) <= n)
+    defined, used = set(), _traced_names()
+    for path in SRC + BENCH:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+            elif isinstance(node, kinds) and path in SRC and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                defined.add(node.name)
+    unused = sorted(defined - used)
     assert not unused, f"defined but never used: {unused}"
