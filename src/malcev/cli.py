@@ -188,7 +188,7 @@ def _verify_subgroup(args) -> int:
     else:
         group = io.group_from_doc(doc.get("group", {}), args.subgroup)
     hull = lattice_hull(group)
-    gens = doc.get("generators", [])
+    gens = doc.get("generators")
     if not isinstance(gens, list):
         raise io.FormatError(args.subgroup, "generators must be a list")
     mats = [io.automorphism_from_doc(g, args.subgroup) for g in gens]
@@ -196,7 +196,7 @@ def _verify_subgroup(args) -> int:
         raise io.FormatError(args.subgroup, f"need k = {hull.algebra.dim}")
     gens = [LieAutomorphism(hull.algebra, mat) for mat in mats]
     index = doc.get("index")
-    if index is not None and (type(index) is not int or index < 1):
+    if "index" in doc and (type(index) is not int or index < 1):
         raise io.FormatError(args.subgroup, "index must be a positive integer")
     try:
         rep = csp_witness(hull, gens, index=index, level_cap=16

@@ -5,6 +5,10 @@ map to Q factors through a congruence quotient, and P2, Q are finite.  All
 verification happens on finite quotients: exp(s * lattice) x {e} is killed
 by every homomorphism to P2 once exp(P2) * (level scale) divides s, so
 hom-extension questions reduce to a finite complete check.
+
+A finite quotient's elements are the ints of a key grid (``FiberQuotient``):
+coset tables, homs to P2 and lifted automorphisms are flat lists on it, and
+powers, Q-classes and changes of scale are read off per-coordinate tables.
 """
 
 from __future__ import annotations
@@ -42,12 +46,9 @@ class HullSide:
         self.q = q
         if len(self.to_q) != self.latq.order:
             raise ValueError("pi1 data must cover every level coset")
-        reps = list(self.latq.elements())
-
-        def mul(a, b):
-            return self.latq.index_of(self.latq.mul(reps[a], reps[b]))
-
-        check_onto(self.to_q, mul, q, "pi1 data is not a homomorphism",
+        lat, rep = self.latq, self.latq.rep_at
+        check_onto(self.to_q, lambda a, b: lat.index_of(lat.mul(rep(a), rep(b))),
+                   q, "pi1 data is not a homomorphism",
                    "pi1 must be surjective onto Q")
 
     def q_of_rep(self, rep) -> int:
@@ -71,6 +72,10 @@ class FiberGroup:
             raise ValueError("pi2 must be defined on all of P2")
         check_onto(self.pi2, p2.mul, self.q, "pi2 is not a homomorphism",
                    "pi2 must be surjective onto Q")
+        # the P2 indices over each Q-class (|ker pi2| each), and their ranks
+        self.over = tuple(tuple(y for y in range(p2.order) if self.pi2[y] == q)
+                          for q in range(self.q.order))
+        self.rank = tuple(self.over[q].index(y) for y, q in enumerate(self.pi2))
         self._gens = None
 
     # -- elements ----------------------------------------------------------
@@ -79,9 +84,8 @@ class FiberGroup:
         return FiberElement(tuple(Fraction(0) for _ in range(self.hull.algebra.dim)), 0)
 
     def member(self, el: FiberElement) -> bool:
-        if not self.hull.lattice.member(el.x):
-            return False
-        return self.side.pi1(el.x) == self.pi2[el.y]
+        return self.hull.lattice.member(el.x) and \
+            self.side.pi1(el.x) == self.pi2[el.y]
 
     def mul(self, a: FiberElement, b: FiberElement) -> FiberElement:
         return FiberElement(self.hull.algebra.bch(a.x, b.x),
@@ -98,25 +102,17 @@ class FiberGroup:
 
     # -- canonical generators ------------------------------------------------
 
-    def _compatible_y(self, x) -> int:
-        target = self.side.pi1(x)
-        for y in range(self.p2.order):
-            if self.pi2[y] == target:
-                return y
-        raise RuntimeError("pi2 surjectivity guarantees a compatible y")
-
     def generators(self):
         """Adapted-basis lifts plus torsion generators; they generate U."""
-        if self._gens is not None:
-            return self._gens
-        gens = [FiberElement(b, self._compatible_y(b)) for b in self.hull.basis]
-        for y in self.torsion_generator_indices():
-            gens.append(FiberElement(self.identity().x, y))
-        self._gens = tuple(gens)
+        if self._gens is None:
+            e, over, pi1 = self.identity().x, self.over, self.side.pi1
+            self._gens = tuple(
+                [FiberElement(b, over[pi1(b)][0]) for b in self.hull.basis] +
+                [FiberElement(e, y) for y in self.torsion_generator_indices()])
         return self._gens
 
     def kernel_pi2(self):
-        return [y for y in range(self.p2.order) if self.pi2[y] == 0]
+        return list(self.over[0])
 
     def torsion_generator_indices(self):
         sub, elems = torsion_subgroup(self)
@@ -130,8 +126,7 @@ class FiberGroup:
 def fiber_product_finite(p1: FiniteGroup, p2: FiniteGroup, pi1, pi2,
                          q: FiniteGroup):
     """(group, pairs): the fiber product of two finite groups."""
-    pi1 = tuple(pi1)
-    pi2 = tuple(pi2)
+    pi1, pi2 = tuple(pi1), tuple(pi2)
     for pi, grp in ((pi1, p1), (pi2, p2)):
         if len(pi) != grp.order or set(pi) != set(range(q.order)):
             raise ValueError("projections must be surjective homomorphisms")
@@ -159,59 +154,79 @@ def torsion_subgroup(u: FiberGroup):
 
 
 class FiberQuotient:
-    """U / (exp(s * lattice) x {e}) as explicit (lattice rep, y) keys, with
-    s the congruence scale of the requested level."""
+    """U / (exp(s * lattice) x {e}), s the congruence scale of the level,
+    on an integer key grid: (rep, y) is the key b*K + j for b =
+    latq.index_of(rep), K = |ker pi2| and j the rank of y among the K P2
+    indices over the Q-class of rep (pi2 is a checked surjective
+    homomorphism).  Key order is (rep, y) order, the keys are range(order),
+    0 is the identity, and ``parts`` reads a key back."""
 
     def __init__(self, u: FiberGroup, level: int):
         if level % u.side.scale:
             raise ValueError("quotient level must refine the pi1 level")
         self.u = u
         self.s, self.latq = congruence_quotient(u.hull, level)
-        self._keys = None
-
-    @property
-    def order(self) -> int:
-        """|lattice/s| * |ker pi2|: pi2 is a checked surjective homomorphism,
-        so every Q-class has |ker pi2| P2 indices over it."""
-        return self.latq.order * len(self.u.kernel_pi2())
+        self.width = len(u.over[0])
+        self.order = self.latq.order * self.width
 
     def keys(self):
-        if self._keys is None:
-            out = []
-            for rep in self.latq.elements():
-                q1 = self.u.side.q_of_rep(rep)
-                for y in range(self.u.p2.order):
-                    if self.u.pi2[y] == q1:
-                        out.append((rep, y))
-            self._keys = out
-        return self._keys
+        return range(self.order)
 
-    def identity_key(self):
-        return ((0,) * self.u.hull.algebra.dim, 0)
+    def key(self, rep, y) -> int:
+        """The key of (rep, y); y must lie over the Q-class of rep."""
+        return self.latq.index_of(rep) * self.width + self.u.rank[y]
 
-    def reduce(self, el: FiberElement):
-        return (self.latq.reduce_working(el.x), el.y)
+    def parts(self, key):
+        """(rep, y) of a key."""
+        b, j = divmod(key, self.width)
+        rep = self.latq.rep_at(b)
+        return rep, self.u.over[self.u.side.q_of_rep(rep)][j]
+
+    def reduce(self, el: FiberElement) -> int:
+        return self.key(self.latq.reduce_working(el.x), el.y)
 
     def mul(self, a, b):
-        return (self.latq.mul(a[0], b[0]), self.u.p2.mul(a[1], b[1]))
+        (ra, ya), (rb, yb) = self.parts(a), self.parts(b)
+        return self.key(self.latq.mul(ra, rb), self.u.p2.mul(ya, yb))
 
     def inv(self, a):
-        return (self.latq.inv(a[0]), self.u.p2.inverse[a[1]])
+        rep, y = self.parts(a)
+        return self.key(self.latq.inv(rep), self.u.p2.inverse[y])
 
     def power(self, a, n: int):
-        return (self.latq.power(a[0], n), self.u.p2.power(a[1], n))
+        rep, y = self.parts(a)
+        return self.key(self.latq.power(rep, n), self.u.p2.power(y, n))
 
     def verbal_power_subgroup(self, t: int):
         """Closure of all t-th powers; a normal subgroup, as a key set.
 
-        Each distinct rep and each P2 index is raised once (a key's power is
-        componentwise); ``finite.subgroup`` skips powers already reached.
+        Powers are componentwise, and t*x mod s per coordinate: the (power
+        digit, pi1-level digit) pairs of the coordinates combine to the
+        (power rep, Q-class) pairs of all reps, and each takes the powers
+        of the P2 indices over its class.  No product if all are trivial.
         """
-        keys = self.keys()
-        rep_pow = {rep: self.latq.power(rep, t) for rep in {r for r, _ in keys}}
-        y_pow = {y: self.u.p2.power(y, t) for y in {y for _, y in keys}}
-        gens = {(rep_pow[rep], y_pow[y]) for rep, y in keys}
-        return subgroup(self.identity_key(), gens, self.mul)[0]
+        u, s, k, s1 = self.u, self.s, self.latq.k, self.u.side.scale
+        pairs = {(0, 0)}
+        for p in range(k):
+            digits = {(t * x % s * s ** p, x % s1 * s1 ** p) for x in range(s)}
+            pairs = {(a + d, b + e) for a, b in pairs for d, e in digits}
+        y_pow = [{u.rank[u.p2.power(y, t)] for y in ys} for ys in u.over]
+        gens = sorted({b * self.width + j for b, side in pairs
+                       for j in y_pow[u.side.to_q[side]]})
+        return subgroup(0, gens, self.mul)[0]
+
+
+def _read_mod(q, t: int):
+    """The scale-t index of rep mod t for every rep of the congruence
+    quotient q, in index order, from one digit table per coordinate."""
+    if t == q.s:
+        return range(q.order)
+    out = [0]
+    for p in range(q.k):
+        w = t ** (q.k - 1 - p)
+        digits = [x % t * w for x in range(q.s)]
+        out = [a + d for a in out for d in digits]
+    return out
 
 
 class QuotientGroup:
@@ -222,31 +237,29 @@ class QuotientGroup:
     (m*s1*b mod s, e), which runs over all of g*lattice mod s.  So N holds
     the kernel of F_s -> F_c for the coarse quotient F_c = FiberQuotient(u, g)
     (whose scale c is a multiple of g) whenever c | s, and N is the full
-    preimage of the verbal subgroup of F_c.  So the closure and the coset
-    table walk the c^k coarse reps of F_c only (fq itself when c does not
-    divide s), and ``class_of_key`` reads a key at any scale that c divides
-    through its reduction mod c, which is exact because N is that preimage.
-    The lexicographically first fine key of a coset has coordinates below
-    c, so it is the first coarse key and ``reps`` are the first fine keys of
-    the cosets, in key order, exactly.  The table, given the identity key,
-    multiplies each rep by N minus it only: none when N is trivial.
+    preimage of the verbal subgroup of F_c.  So ``classes`` lists the class
+    of each key of F_c (fq itself when c does not divide s), ``class_of_key``
+    reads a key of fq at its rep mod c, and ``reps``, the first keys of the
+    cosets, are the first fine pairs (with coordinates below c).  A trivial
+    N makes no product: every key is its own class.
     """
 
     def __init__(self, fq: FiberQuotient, m: int):
         self.fq = fq
         coarse = FiberQuotient(fq.u, gcd(m * fq.u.side.scale, fq.s))
         self.coarse = coarse if fq.s % coarse.s == 0 else fq
-        self.reps, self.coset_of = cosets(
-            self.coarse.keys(), self.coarse.verbal_power_subgroup(m),
-            self.coarse.mul, self.coarse.identity_key())
+        keys = self.coarse.keys()
+        normal = self.coarse.verbal_power_subgroup(m)
+        if len(normal) == 1:
+            self.reps = self.classes = keys
+        else:
+            self.reps, coset_of = cosets(keys, normal, self.coarse.mul, 0)
+            self.classes = [coset_of[key] for key in keys]
         self.order = len(self.reps)
 
     def class_of_key(self, key) -> int:
-        rep, y = key
-        return self.coset_of[(self.coarse.latq.reduce(rep), y)]
-
-    def mul(self, i: int, j: int) -> int:
-        return self.coset_of[self.coarse.mul(self.reps[i], self.reps[j])]
+        rep, y = self.fq.parts(key)
+        return self.classes[self.coarse.key(self.coarse.latq.reduce(rep), y)]
 
 
 def _p2_exponent(u: FiberGroup) -> int:
@@ -276,9 +289,8 @@ def level_quotient(u: FiberGroup, m: int) -> QuotientGroup:
 
 def _separates_torsion(lq: QuotientGroup) -> bool:
     """No non-identity element of tor(U) lies in the verbal subgroup."""
-    fq = lq.fq
-    return all(key == fq.identity_key() or lq.class_of_key(key) != 0
-               for key in map(fq.reduce, fq.u.torsion_elements()))
+    return all(key == 0 or lq.class_of_key(key) != 0
+               for key in map(lq.fq.reduce, lq.fq.u.torsion_elements()))
 
 
 def find_t(u: FiberGroup, cap: int = 24):
@@ -297,13 +309,13 @@ def find_t(u: FiberGroup, cap: int = 24):
 # automorphisms of U
 
 
+@dataclass(slots=True, eq=False)
 class ProductAut:
     """Componentwise automorphism (sigma1 on the hull side, sigma2 on P2)."""
 
-    def __init__(self, u: FiberGroup, sigma1: LieAutomorphism, sigma2):
-        self.u = u
-        self.sigma1 = sigma1
-        self.sigma2 = tuple(sigma2)
+    u: FiberGroup
+    sigma1: LieAutomorphism
+    sigma2: tuple
 
     def apply(self, el: FiberElement) -> FiberElement:
         return FiberElement(self.sigma1.apply(el.x), self.sigma2[el.y])
@@ -347,7 +359,7 @@ def lift_automorphism(u: FiberGroup, sigma1: LieAutomorphism, sigma2):
     if q1 != q2:
         witness = next(q for q in range(u.q.order) if q1[q] != q2[q])
         raise ValueError(f"induced maps on Q disagree (witness Q-class {witness})")
-    sigma = ProductAut(u, sigma1, sigma2)
+    sigma = ProductAut(u, sigma1, tuple(sigma2))
     # projection identities and membership, literally, on the generators
     for g in u.generators():
         image = sigma.apply(g)
@@ -423,44 +435,36 @@ def free_abelianization_check(u: FiberGroup):
             raise RuntimeError("normal form must close up to torsion")
         return list(coords) + _torsion_exponents(u, tail.y, tor_gens)
 
-    rows = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            rows.append(normal_form(u.commutator(gens[i], gens[j])))
-    for t, y in enumerate(tor_gens):
-        row = [0] * (k + r)
-        row[k + t] = u.p2.element_order(y)
-        rows.append(row)
+    rows = [normal_form(u.commutator(a, b))
+            for a, b in itertools.combinations(gens, 2)]
+    rows += [[0] * (k + t) + [u.p2.element_order(y)] + [0] * (r - 1 - t)
+             for t, y in enumerate(tor_gens)]
     diag, _, _ = linalg.snf_with_transforms(rows, k + r)
     free_rank = (k + r) - len([x for x in diag if x])
     invariants = [x for x in diag if x not in (0, 1)]
     d = hull.d
-    report = {
-        "free_rank": free_rank,
-        "d": d,
-        "invariants": invariants,
-        "rank_matches": free_rank == d,
-        "maps_identity": not any(any(row[:d]) for row in rows),
-    }
-    return d, report
+    return d, {"free_rank": free_rank, "d": d, "invariants": invariants,
+               "rank_matches": free_rank == d,
+               "maps_identity": not any(any(row[:d]) for row in rows)}
 
 
 # ---------------------------------------------------------------------------
 # the finite kernel K-tilde
 
 
+@dataclass(slots=True, eq=False)
 class TorsionShiftAut:
     """Automorphism x_i -> x_i a_i (a_i in tor): identity on the hull side.
 
     The P2-component is the hom g: U -> P2 with g(x, y) read off a deep
-    enough finite quotient, through which every such hom factors.
+    enough finite quotient, through which every such hom factors: phi is
+    its table over the key grid of fq.
     """
 
-    def __init__(self, u: FiberGroup, shifts, fq: FiberQuotient, phi):
-        self.u = u
-        self.shifts = tuple(shifts)
-        self.fq = fq
-        self.phi = phi
+    u: FiberGroup
+    shifts: tuple
+    fq: FiberQuotient
+    phi: tuple
 
     def apply(self, el: FiberElement) -> FiberElement:
         return FiberElement(el.x, self.phi[self.fq.reduce(el)])
@@ -482,17 +486,21 @@ def ia_kernel_enum(u: FiberGroup, gens=None, candidate_cap: int = 4096):
                           f" the cap {candidate_cap}")
     fq = FiberQuotient(u, hom_test_scale(u))
     gen_keys = [fq.reduce(g) for g in gens]
+    # extend_hom multiplies by the generators only: one table on the key
+    # grid serves every candidate
+    steps = {g: [fq.mul(a, g) for a in fq.keys()] for g in gen_keys}
 
     def extend(ys):
         """The hom FQ -> P2 sending the generator keys to ys, or None."""
-        return extend_hom(fq.identity_key(), gen_keys, list(ys), fq.mul,
-                          fq.order, u.p2)
+        return extend_hom(0, gen_keys, list(ys),
+                          lambda a, g: steps[g][a], fq.order, u.p2)
 
     # the generators must generate U; verify on the finite quotient
     if extend(g.y for g in gens) is None:
         raise ValueError("generators do not generate (or are inconsistent)"
                          " on the factoring quotient")
-    kernel = u.kernel_pi2()
+    kernel = set(u.kernel_pi2())
+    tor_keys = [fq.reduce(a) for a in torsion]
     accepted = []
     for shifts in itertools.product(torsion, repeat=len(gens)):
         images = [u.mul(g, a) for g, a in zip(gens, shifts)]
@@ -502,26 +510,20 @@ def ia_kernel_enum(u: FiberGroup, gens=None, candidate_cap: int = 4096):
         # pi2(g(u)) must equal pi1(x): holds iff it holds on generators
         if any(u.pi2[phi[k]] != u.pi2[im.y] for k, im in zip(gen_keys, images)):
             continue
-        tor_map = {y: phi[fq.reduce(FiberElement(u.identity().x, y))]
-                   for y in kernel}
-        if set(tor_map.values()) != set(kernel):
+        if {phi[k] for k in tor_keys} != kernel:
             continue
-        accepted.append(TorsionShiftAut(u, [a.y for a in shifts], fq, phi))
-    # closure under composition (the composite shift must be accepted too)
+        accepted.append(TorsionShiftAut(u, tuple(a.y for a in shifts), fq,
+                                        tuple(map(phi.__getitem__, fq.keys()))))
+    # closure under composition: a o b shifts each generator g by the P2
+    # part of g^-1 * a(g * b_g) (its hull part is -x + x = 0)
     shift_set = {aut.shifts for aut in accepted}
-    closed = True
-    for a in accepted:
-        for b in accepted:
-            composite = []
-            for g, sb in zip(gens, b.shifts):
-                im = a.apply(FiberElement(g.x, u.p2.mul(g.y, sb)))
-                tail = u.mul(u.inverse(g), im)
-                composite.append(tail.y)
-            if tuple(composite) not in shift_set:
-                closed = False
-    report = {"order": len(accepted), "closed": closed,
-              "candidates": len(torsion) ** len(gens)}
-    return accepted, report
+    p2 = u.p2
+    closed = all(tuple(p2.mul(p2.inverse[g.y],
+                              a.apply(FiberElement(g.x, p2.mul(g.y, sb))).y)
+                       for g, sb in zip(gens, b.shifts)) in shift_set
+                 for a in accepted for b in accepted)
+    return accepted, {"order": len(accepted), "closed": closed,
+                      "candidates": len(torsion) ** len(gens)}
 
 
 # ---------------------------------------------------------------------------
@@ -529,23 +531,27 @@ def ia_kernel_enum(u: FiberGroup, gens=None, candidate_cap: int = 4096):
 
 
 def _delta_m(u: FiberGroup, m: int, fq: FiberQuotient):
-    """(hull_q, reps, coset_of) of Delta_m = (lattice/s) / (m-th powers).
+    """(hull_q, order, classes) of Delta_m = (lattice/s) / (m-th powers),
+    with the coset of every rep of the hull_q box in classes.
 
     The m-th powers hold exp(m*lattice) (mod s), so Delta_m is read off the
     congruence quotient of level m when its scale divides s, and off
-    lattice/s itself otherwise.  The coset table, given the zero rep, makes
-    no product where the m-th powers are trivial (scale m).
+    lattice/s itself otherwise.  They are the box of the digits m*x mod s;
+    when those are all zero, no product is made.
     """
     hull_s, hull_q = congruence_quotient(u.hull, m)
     if fq.s % hull_s:
         hull_q = fq.latq
-    e = (0,) * u.hull.algebra.dim
-    closed = subgroup(e, {hull_q.power(rep, m) for rep in hull_q.elements()},
-                      hull_q.mul)[0]
-    return (hull_q,) + cosets(hull_q.elements(), closed, hull_q.mul, e)
+    e = (0,) * hull_q.k
+    digits = sorted({m * x % hull_q.s for x in range(hull_q.s)})
+    closed = subgroup(e, itertools.product(digits, repeat=hull_q.k), hull_q.mul)[0]
+    if len(closed) == 1:
+        return hull_q, hull_q.order, range(hull_q.order)
+    reps, coset_of = cosets(hull_q.elements(), closed, hull_q.mul, e)
+    return hull_q, len(reps), list(map(coset_of.__getitem__, hull_q.elements()))
 
 
-def _walk_shadow(lq: QuotientGroup, hull_q, delta_coset, walk):
+def _walk_shadow(lq: QuotientGroup, hull_q, delta_classes, walk):
     """(shadow_pairs, compatible) of reconstruction_check, read off the reps
     of the congruence quotient ``walk``.
 
@@ -554,24 +560,24 @@ def _walk_shadow(lq: QuotientGroup, hull_q, delta_coset, walk):
     Delta_m leg).  When all three divide walk.s = g and g divides s, each
     rep mod g stands for the (s/g)^k fine reps over it, which give the same
     classes and leg; so it counts with that weight.  walk = fq.latq is the
-    plain walk over every fine rep.
+    plain walk over every fine rep.  Digit tables give each walk rep its
+    coarse rep b and its leg; the K keys over b are the slice
+    classes[b*K:(b+1)*K], and the reps of their classes must have that leg.
     """
-    fq, u = lq.fq, lq.fq.u
-    read = (lq.coarse.latq, u.side.latq, hull_q)
-    if fq.s % walk.s or any(walk.s % q.s for q in read):
+    fq, coarse = lq.fq, lq.coarse
+    if fq.s % walk.s or any(walk.s % q.s for q in
+                            (coarse.latq, fq.u.side.latq, hull_q)):
         raise ValueError("the walk scale must divide s and be a multiple of"
                          " every scale the walk reads")
-    over = [[y for y in range(u.p2.order) if u.pi2[y] == q] for q in range(u.q.order)]
-    delta_of_class = [delta_coset[hull_q.reduce(rep)] for rep, _y in lq.reps]
-    reduce_q = lq.coarse.latq.reduce
-    shadow_pairs = 0
-    compatible = True
-    for rep in walk.elements():
-        coarse_rep = reduce_q(rep)
-        classes = {lq.coset_of[(coarse_rep, y)] for y in over[u.side.q_of_rep(rep)]}
-        shadow_pairs += len(classes)
-        leg = delta_coset[hull_q.reduce(rep)]
-        compatible = compatible and all(delta_of_class[c] == leg for c in classes)
+    K, classes, reps = fq.width, lq.classes, lq.reps
+    rep_hull = _read_mod(coarse.latq, hull_q.s)
+    shadow_pairs, compatible = 0, True
+    for b, h in zip(_read_mod(walk, coarse.latq.s), _read_mod(walk, hull_q.s)):
+        block = set(classes[b * K:b * K + K])
+        shadow_pairs += len(block)
+        leg = delta_classes[h]
+        compatible = compatible and all(
+            delta_classes[rep_hull[reps[c] // K]] == leg for c in block)
     return (fq.s // walk.s) ** walk.k * shadow_pairs, compatible
 
 
@@ -582,48 +588,40 @@ def reconstruction_check(u: FiberGroup, m: int):
     is verified on the finite shadow at the same congruence level s: every
     fine key of F_s gives a pair (Delta_s leg, Q_m class), and these pairs
     must fill Delta_s x_{Delta_m} Q_m.  No table is built at scale s: Q_m
-    comes from ``level_quotient`` on its coarse scale g, Delta_m from
-    ``_delta_m``, and the pairs are counted over the g^k coarse reps, each
-    standing for (s/g)^k fine reps, whenever the Delta_m scale divides g
-    (over the s^k fine reps otherwise); see ``_walk_shadow``.
+    comes from ``level_quotient`` as a class list on the key grid of its
+    coarse scale g, Delta_m from ``_delta_m`` as a class list on its box,
+    and the pairs are counted over the g^k coarse reps, each standing for
+    (s/g)^k fine reps, whenever the Delta_m scale divides g (over the s^k
+    fine reps otherwise); see ``_walk_shadow``.
     """
     lq = level_quotient(u, m)
     fq = lq.fq
     # injectivity: ker(rho) = tor & ker(U -> Q_m)
     injective = _separates_torsion(lq)
-    hull_q, delta_reps, delta_coset = _delta_m(u, m, fq)
+    hull_q, delta_m_size, delta_classes = _delta_m(u, m, fq)
     # the shadow of Delta is the full congruence quotient at the same level;
     # covering Delta_s x_{Delta_m} Q_m lifts to surjectivity of rho, since
     # exp(s*lattice) x {e} lies in both ker(pi1) and ker(U -> Q_m)
-    delta_m_size = len(delta_reps)
     if (fq.latq.order * lq.order) % delta_m_size:
         raise RuntimeError("|Delta_m| must divide |Delta_s| * |Q_m|")
     target_size = fq.latq.order * lq.order // delta_m_size
-    coarse = lq.coarse.latq
-    walk = coarse if coarse.s % hull_q.s == 0 else fq.latq
-    shadow_pairs, compatible = _walk_shadow(lq, hull_q, delta_coset, walk)
-    return {
-        "m": m,
-        "level": fq.s,
-        "injective": injective,
-        "surjective": shadow_pairs == target_size,
-        "compatible": compatible,
-        "shadow_pairs": shadow_pairs,
-        "target_size": target_size,
-    }
+    walk = lq.coarse.latq if lq.coarse.s % hull_q.s == 0 else fq.latq
+    shadow_pairs, compatible = _walk_shadow(lq, hull_q, delta_classes, walk)
+    return {"m": m, "level": fq.s, "injective": injective,
+            "surjective": shadow_pairs == target_size, "compatible": compatible,
+            "shadow_pairs": shadow_pairs, "target_size": target_size}
 
 
 @dataclass
 class LevelLiftAut:
-    """beta on the hull side; the P2 component is a table on the keys of
-    ``fq``, the coarse quotient of the level quotient (see
-    ``lift_from_level_image``).  An element is read through its reduction
-    to that scale."""
+    """beta on the hull side; the P2 component is a list on the key grid of
+    ``fq``, the coarse quotient of the level quotient, read at an element's
+    key (see ``lift_from_level_image``)."""
 
     u: FiberGroup
     beta: LieAutomorphism
     fq: FiberQuotient
-    table: dict
+    table: list
 
     def apply(self, el: FiberElement) -> FiberElement:
         if not self.u.member(el):
@@ -640,28 +638,29 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
     coarse scale g of the level quotient, and alpha sends a key (rep, y) to
     (A rep mod g, y'), with y' the one P2 index over its Q-class in the
     coset alpha_m assigns.  The Q-class needs rep mod s1 and the coset
-    rep mod g (s1 | g), so y' depends only on the coarse key, and the table
-    is built on the coarse keys alone.  Raises when t does not divide m or
-    alpha_m is not realizable over beta.
+    rep mod g (s1 | g), so y' depends only on the coarse key: the table is
+    a list on the coarse keys, and y' is read off the K keys over A rep.
+    Raises when t does not divide m or alpha_m is not realizable over beta.
     """
     t = t if t is not None else find_t(u)
     if m % t:
         raise ValueError(f"level {m} is not a multiple of t = {t}")
     lq = level_quotient(u, m)
-    coarse = lq.coarse
     A = _ia_star_matrix(beta, u.hull)
     if A is None:
         raise ValueError("beta must be an IA* element of the hull")
-    table = {}
-    for key in coarse.keys():
-        image = coarse.latq.reduce(linalg.mat_apply(A, key[0]))
-        q1, target = u.side.q_of_rep(image), alpha_m[lq.class_of_key(key)]
-        ys = [y for y in range(u.p2.order)
-              if u.pi2[y] == q1 and lq.class_of_key((image, y)) == target]
-        if len(ys) != 1:
-            raise ValueError("alpha_m is not realizable over the supplied"
-                             f" beta ({len(ys)} candidates)")
-        table[key] = ys[0]
+    coarse, classes, K, latq = lq.coarse, lq.classes, lq.fq.width, lq.coarse.latq
+    table = []
+    for rep in latq.elements():
+        image = latq.reduce(linalg.mat_apply(A, rep))
+        base, over = latq.index_of(image) * K, u.over[u.side.q_of_rep(image)]
+        for _ in range(K):
+            target = alpha_m[classes[len(table)]]
+            ys = [y for j, y in enumerate(over) if classes[base + j] == target]
+            if len(ys) != 1:
+                raise ValueError("alpha_m is not realizable over the supplied"
+                                 f" beta ({len(ys)} candidates)")
+            table.append(ys[0])
     alpha = LevelLiftAut(u, beta, coarse, table)
     # IA*-ness, literally: the free abelianization reads off the first-layer
     # adapted coordinates of the hull part, and alpha must fix them

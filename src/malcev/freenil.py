@@ -294,44 +294,45 @@ def aut_restriction(psi_low: FreeNilpotent, psi_high: FreeNilpotent, words):
 class CentralTupleIso:
     """Bidirectional map between central n-tuples and generator-shift maps.
 
-    Forward reads off u_i = x_i^{-1} alpha(x_i) and checks centrality;
-    backward builds alpha from a tuple of central elements.  Composition
-    satisfies (beta o alpha)(x_i) = x_i v_i u_i.
+    Forward reads off u_i = x_i^{-1} alpha(x_i), backward builds alpha from
+    a tuple; each u_i must lie in the group center, and the center (which
+    holds it) is solved only to name a failure.  Composition satisfies
+    (beta o alpha)(x_i) = x_i v_i u_i.
     """
 
     psi: FreeNilpotent
     center_rows: tuple
     group_center: Lattice
     _center: Coordinates = field(init=False, repr=False, compare=False)
+    _gens: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._center = Coordinates.of_rows(self.center_rows, self.psi.algebra.dim)
+        self._gens = self.psi.generators()
 
     def backward(self, tuple_logs):
         """Images of the generators for the map x_i -> x_i * u_i."""
         if len(tuple_logs) != self.psi.n:
             raise ValueError("need one central element per generator")
-        gens = self.psi.generators()
         images = []
-        for g, u in zip(gens, tuple_logs):
+        for g, u in zip(self._gens, tuple_logs):
             u = vec(u)
-            if self._center(u) is None:
-                raise ValueError("tuple entry is not central")
             if not self.group_center.member(u):
-                raise ValueError("tuple entry is not in the group center")
+                raise ValueError("tuple entry is not central"
+                                 if self._center(u) is None else
+                                 "tuple entry is not in the group center")
             images.append(g * GroupElement(self.psi.algebra, u))
         return [im.log for im in images]
 
     def forward(self, image_logs):
         """Recover the central tuple from the images of the generators."""
-        gens = self.psi.generators()
         out = []
-        for g, im in zip(gens, image_logs):
+        for g, im in zip(self._gens, image_logs):
             u = (g.inverse() * GroupElement(self.psi.algebra, vec(im))).log
-            if self._center(u) is None:
-                raise ValueError("map is not a central shift of the generators")
             if not self.group_center.member(u):
-                raise ValueError("central part leaves the group center")
+                raise ValueError("map is not a central shift of the generators"
+                                 if self._center(u) is None else
+                                 "central part leaves the group center")
             out.append(u)
         return out
 

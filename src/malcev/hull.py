@@ -296,6 +296,10 @@ class LatticeQuotient:
             idx = idx * self.s + x
         return idx
 
+    def rep_at(self, idx: int):
+        """The rep with index idx: the inverse of ``index_of``."""
+        return tuple([idx // self.s ** p % self.s for p in range(self.k - 1, -1, -1)])
+
     def elements(self):
         """The box [0, s)^k in lexicographic order, which is index order."""
         return itertools.product(range(self.s), repeat=self.k)

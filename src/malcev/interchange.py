@@ -2,9 +2,10 @@
 
 Rationals travel as "num/den" strings (plain "n" accepted on input);
 integer fields (dimensions, indices, orders, table entries, levels) must
-be JSON integers, so a float, a numeric string or a bool is rejected;
-bracket indices in algebra documents are 1-based, matching the usual
-mathematical labeling; everything internal is 0-based.
+be JSON integers, so a float, a numeric string or a bool is rejected, and
+the optional "filtered" flag must be a JSON bool; bracket indices in
+algebra documents are 1-based, matching the usual mathematical labeling;
+everything internal is 0-based.
 """
 
 from __future__ import annotations
@@ -139,7 +140,10 @@ def group_from_doc(doc, where: str = "group") -> GenGroup:
         if not isinstance(g, list) or len(g) != alg.dim:
             raise FormatError(f"{where}.generators[{idx}]", "wrong length")
         logs.append(tuple(parse_rat(x, f"{where}.generators[{idx}]") for x in g))
-    return GenGroup(alg, tuple(logs), bool(doc.get("filtered", False)))
+    filtered = doc.get("filtered", False)
+    if type(filtered) is not bool:
+        raise FormatError(f"{where}.filtered", f"expected a JSON bool: {filtered!r}")
+    return GenGroup(alg, tuple(logs), filtered)
 
 
 # -- automorphism ---------------------------------------------------------------

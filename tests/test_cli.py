@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -167,6 +169,48 @@ _HEIS_SUBGROUP = {
     ],
     "index": 2,
 }
+_HEIS_GROUP = io.group_to_doc(build_group(entry_by_name("heisenberg")))
+# wrong JSON types, by the type of the value they replace
+_POISON = {int: (2.5, "1", True, None, [], {}),
+           str: ("x", "1/0", "1.5", "", None, True, 1.5, [], {}),
+           bool: ("yes", 1, 0, None, [], {}),
+           list: (5, "x", None, {}, [[]]),
+           dict: (5, "x", None, [1])}
+
+
+def _slots(node):
+    """(container, key) of every value below the root of a JSON document."""
+    for key in (node if isinstance(node, dict) else range(len(node))):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+def _fuzzed_documents(seed, count):
+    """A seeded fuzzer for the interchange loaders: each case is a valid
+    document with one value swapped for one of a wrong JSON type, or one
+    required key dropped; then a subgroup file for every wrong index."""
+    bases = [(("bch", "--x", "[1, 0, 0]", "--y", "[0, 1, 0]", "--algebra"),
+              _HEIS_ALGEBRA),
+             (("hull", "--group"), _HEIS_GROUP),
+             (_FIND_T_ARGS, _Z2Z4_FIBER),
+             (_SUBGROUP_ARGS, _HEIS_SUBGROUP),
+             (_LIFT_ARGS + ("--sigma2", "[0, 3, 2, 1]", "--sigma1"), _SIGMA1_NEG),
+             (("log", "--matrix"), {"n": 2, "matrix": [["1", "1"], ["0", "1"]]})]
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        argv, doc = rng.choice(bases)
+        doc = copy.deepcopy(doc)
+        node, key = rng.choice(list(_slots(doc)))
+        if isinstance(key, str) and key not in ("filtered", "index") and \
+                rng.random() < 0.2:
+            del node[key]
+        else:
+            node[key] = rng.choice(_POISON[type(node[key])])
+        cases.append((argv, doc))
+    return cases + [(_SUBGROUP_ARGS, {**_HEIS_SUBGROUP, "index": index})
+                    for index in (0, -2, 3, 64, 2.0, True, None, [2])]
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -247,7 +291,7 @@ _HEIS_SUBGROUP = {
         {"k": 2, "matrix": [["1", "0"], ["0", "1"]]}]}),
     # a supplied index that is not the subgroup's (it has index 2)
     (_SUBGROUP_ARGS, {**_HEIS_SUBGROUP, "index": 1}),
-])
+] + _fuzzed_documents(seed=0, count=64))
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
     if doc is not None:
         path = tmp_path / "doc.json"

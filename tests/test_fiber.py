@@ -1,5 +1,8 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,7 +11,8 @@ from malcev.autos import (LieAutomorphism, is_ia_star, make_ia_star,
 from malcev.catalog import TORSION_NAMES, build_fiber, build_zz2
 from malcev.errors import CapExceeded
 from malcev.fiber import (FiberElement, FiberGroup, FiberQuotient, HullSide,
-                          _delta_m, _walk_shadow, fiber_product_finite, find_t,
+                          _delta_m, _read_mod, _walk_shadow,
+                          fiber_product_finite, find_t,
                           free_abelianization_check, hom_test_scale,
                           ia_kernel_enum, level_quotient, lift_automorphism,
                           lift_automorphism_finite, lift_from_level_image,
@@ -67,7 +71,7 @@ def test_explicit_isomorphism_with_z_x_z2():
     fq = FiberQuotient(u, 8)
     seen = {}
     for key in fq.keys():
-        (x,), y = key[0], key[1]
+        (x,), y = fq.parts(key)
         image = (x % 8, ((y - x) // 2) % 2 if (y - x) % 2 == 0
                  else None)
         assert image[1] is not None
@@ -77,10 +81,9 @@ def test_explicit_isomorphism_with_z_x_z2():
     # homomorphism property on the quotient
     for k1 in list(fq.keys())[:8]:
         for k2 in list(fq.keys())[:8]:
-            prod = fq.mul(k1, k2)
-            x1, y1 = k1[0][0], k1[1]
-            x2, y2 = k2[0][0], k2[1]
-            xp, yp = prod[0][0], prod[1]
+            (x1,), y1 = fq.parts(k1)
+            (x2,), y2 = fq.parts(k2)
+            (xp,), yp = fq.parts(fq.mul(k1, k2))
             assert xp == (x1 + x2) % 8
             assert ((yp - xp) // 2) % 2 == \
                 (((y1 - x1) // 2) + ((y2 - x2) // 2)) % 2
@@ -115,7 +118,7 @@ def test_find_t_examples():
     lq = level_quotient(u, 2)
     for tau in u.torsion_elements():
         key = lq.fq.reduce(tau)
-        assert key == lq.fq.identity_key() or lq.class_of_key(key) != 0
+        assert key == lq.fq.key((0,), 0) or lq.class_of_key(key) != 0
 
 
 def test_lift_automorphism_examples():
@@ -231,14 +234,14 @@ def test_reconstruction_levels():
 def _ref_element_from_key(fq, key):
     """Test oracle: a fiber element with the given key, in working
     coordinates."""
-    rep, y = key
+    rep, y = fq.parts(key)
     return FiberElement(fq.u.hull.to_working(tuple(F(t) for t in rep)), y)
 
 
 def _ref_class_of_element(lq, el):
     """Test oracle: the Q_m class of an element, through working
     coordinates."""
-    return lq.coset_of[lq.coarse.reduce(el)]
+    return lq.classes[lq.coarse.reduce(el)]
 
 
 def _ref_induced_on_level_quotient(lq, aut):
@@ -312,7 +315,8 @@ def test_level_lift_unrealizable_image():
     beta_id = LieAutomorphism(u.hull.algebra, ((F(1),),))
     lq = level_quotient(u, 4)
     # swap the identity coset with a coset having a different hull part
-    target = next(i for i, key in enumerate(lq.reps) if any(key[0]))
+    target = next(i for i, key in enumerate(lq.reps)
+                  if any(lq.coarse.parts(key)[0]))
     perm = list(range(lq.order))
     perm[0], perm[target] = perm[target], perm[0]
     with pytest.raises((ValueError, RuntimeError)):
@@ -381,7 +385,7 @@ def test_level_lift_matches_transported_oracle():
         # alpha.fq is the coarse quotient; the oracle walks every fine key
         fq = level_quotient(u, m).fq
         k = u.hull.algebra.dim
-        for rep, y in fq.keys():
+        for rep, y in map(fq.parts, fq.keys()):
             shift = [fq.s * rng.randint(-3, 3) for _ in range(k)]
             for v in (rep, [a + b for a, b in zip(rep, shift)]):
                 el = FiberElement(u.hull.to_working(tuple(map(F, v))), y)
@@ -390,7 +394,8 @@ def test_level_lift_matches_transported_oracle():
     u = z2z4()
     beta_id = LieAutomorphism(u.hull.algebra, ((F(1),),))
     lq = level_quotient(u, 4)
-    target = next(i for i, key in enumerate(lq.reps) if any(key[0]))
+    target = next(i for i, key in enumerate(lq.reps)
+                  if any(lq.coarse.parts(key)[0]))
     perm = list(range(lq.order))
     perm[0], perm[target] = perm[target], perm[0]
     for lift in (lift_from_level_image, reference_lift_from_level_image):
@@ -416,7 +421,7 @@ def _ref_verbal_power_subgroup(fq, t):
     """Test oracle: the closure of the t-th power of every key, one power
     per key."""
     gens = {fq.power(key, t) for key in fq.keys()}
-    return set(closure(fq.identity_key(), tuple(gens), fq.mul))
+    return set(closure(fq.key((0,) * fq.latq.k, 0), tuple(gens), fq.mul))
 
 
 def reference_level_quotient(fq, m):
@@ -432,7 +437,8 @@ def reference_reconstruction_check(u, m):
     fq = lq.fq
     reps, coset_of = reference_level_quotient(fq, m)
     normal = {key for key, c in coset_of.items() if c == 0}
-    injective = all(key == fq.identity_key() or key not in normal
+    e = fq.key((0,) * fq.latq.k, 0)
+    injective = all(key == e or key not in normal
                     for key in map(fq.reduce, u.torsion_elements()))
     hq = fq.latq
     powers = tuple({hq.power(rep, m) for rep in hq.elements()})
@@ -440,10 +446,11 @@ def reference_reconstruction_check(u, m):
         hq.elements(), closure((0,) * u.hull.algebra.dim, powers, hq.mul),
         hq.mul)
     target_size = hq.order * len(reps) // len(delta_reps)
-    seen = {(rep, coset_of[(rep, y)]) for rep, y in fq.keys()}
+    seen = {(fq.parts(key)[0], c) for key, c in coset_of.items()}
     return {"m": m, "level": fq.s, "injective": injective,
             "surjective": len(seen) == target_size,
-            "compatible": all(delta_coset[rep] == delta_coset[reps[c][0]]
+            "compatible": all(delta_coset[rep] ==
+                              delta_coset[fq.parts(reps[c])[0]]
                               for rep, c in seen),
             "shadow_pairs": len(seen), "target_size": target_size}
 
@@ -455,7 +462,8 @@ def test_level_quotient_matches_all_keys_oracle(name):
         lq = level_quotient(u, m)
         reps, coset_of = reference_level_quotient(lq.fq, m)
         assert lq.order == len(reps), (name, m)
-        assert lq.reps == reps, (name, m)
+        assert list(map(lq.coarse.parts, lq.reps)) == \
+            list(map(lq.fq.parts, reps)), (name, m)
         for key in lq.fq.keys():
             assert lq.class_of_key(key) == coset_of[key], (name, m, key)
 
@@ -479,20 +487,36 @@ def test_coarse_walk_matches_fine_walk(name):
     u = build_fiber(name)
     for m in range(2, 7):
         lq = level_quotient(u, m)
-        hull_q, _reps, delta_coset = _delta_m(u, m, lq.fq)
+        hull_q, _order, delta_classes = _delta_m(u, m, lq.fq)
         coarse = lq.coarse.latq
         assert coarse.s < lq.fq.s and coarse.s % hull_q.s == 0, (name, m)
-        fine = _walk_shadow(lq, hull_q, delta_coset, lq.fq.latq)
-        assert _walk_shadow(lq, hull_q, delta_coset, coarse) == fine, (name, m)
+        fine = _walk_shadow(lq, hull_q, delta_classes, lq.fq.latq)
+        assert _walk_shadow(lq, hull_q, delta_classes, coarse) == fine, (name, m)
         assert fine[0] == reconstruction_check(u, m)["shadow_pairs"], (name, m)
+
+
+def test_delta_m_matches_the_coset_oracle():
+    """Delta_m against the coset table of the closure of every m-th power,
+    on quotients whose scale the level-m scale does not divide, so that the
+    powers are not all zero and _delta_m closes them."""
+    u = build_fiber("heis3")
+    for s, m in ((4, 6), (6, 4), (9, 6), (3, 2)):
+        fq = SimpleNamespace(s=s, latq=LatticeQuotient(u.hull, s))
+        hull_q, order, classes = _delta_m(u, m, fq)
+        assert hull_q is fq.latq, (s, m)
+        powers = tuple({hull_q.power(rep, m) for rep in hull_q.elements()})
+        normal = closure((0,) * hull_q.k, powers, hull_q.mul)
+        reps, coset_of = _ref_cosets(hull_q.elements(), normal, hull_q.mul)
+        assert order == len(reps), (s, m)
+        assert list(classes) == list(map(coset_of.get, hull_q.elements()))
 
 
 def test_walk_rejects_a_scale_it_cannot_read():
     u = build_fiber("heis3")
     lq = level_quotient(u, 6)
-    hull_q, _reps, delta_coset = _delta_m(u, 6, lq.fq)
+    hull_q, _order, delta_classes = _delta_m(u, 6, lq.fq)
     with pytest.raises(ValueError, match="walk scale"):
-        _walk_shadow(lq, hull_q, delta_coset, u.side.latq)
+        _walk_shadow(lq, hull_q, delta_classes, u.side.latq)
 
 
 def test_reconstruction_makes_no_product_per_fine_key(monkeypatch):
@@ -529,12 +553,58 @@ def test_reconstruction_makes_no_product_per_fine_key(monkeypatch):
     assert listed and level_quotient(u, 15).fq.s not in listed
 
 
+def test_reconstruction_peak_memory_is_bounded():
+    """reconstruction_check(heis3, 15) holds under 768 KiB at its peak
+    (about 450 KiB when the bound was set; 2,048 KiB while the coset tables
+    were dicts of (rep, y) tuples), measured warm with tracemalloc."""
+    u = build_fiber("heis3")
+    reconstruction_check(u, 15)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        r = reconstruction_check(u, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r["surjective"] and r["compatible"]
+    assert peak < 768 * 1024, f"{peak / 1024:.0f} KiB"
+
+
+def _ref_pairs(fq):
+    """Test oracle: the (rep, y) pairs of fq in lexicographic order, every
+    y over the Q-class of its rep."""
+    u = fq.u
+    return [(rep, y) for rep in fq.latq.elements() for y in range(u.p2.order)
+            if u.pi2[y] == u.side.q_of_rep(rep)]
+
+
+def _grid_levels(u):
+    return (hom_test_scale(u),) + tuple(u.side.scale * m for m in range(1, 7))
+
+
 @pytest.mark.parametrize("name", TORSION_NAMES + ("zz2",))
 def test_fiber_quotient_order_counts_keys(name):
     u = build_zz2() if name == "zz2" else build_fiber(name)
-    for level in (hom_test_scale(u),) + tuple(u.side.scale * m for m in range(1, 7)):
+    for level in _grid_levels(u):
         fq = FiberQuotient(u, level)
-        assert fq.order == len(fq.keys()), (name, level)
+        assert fq.order == len(fq.keys()) == len(_ref_pairs(fq)), (name, level)
+
+
+@pytest.mark.parametrize("name", TORSION_NAMES + ("zz2",))
+def test_key_grid_round_trips_in_pair_order(name):
+    """Key i <-> (rep, y) is a bijection onto the pairs that keeps their
+    lexicographic order, and an element reduces to the key of its pair."""
+    u = build_zz2() if name == "zz2" else build_fiber(name)
+    rng = random.Random(1)
+    for level in _grid_levels(u):
+        fq = FiberQuotient(u, level)
+        pairs = _ref_pairs(fq)
+        assert list(map(fq.parts, fq.keys())) == pairs, (name, level)
+        assert [fq.key(rep, y) for rep, y in pairs] == list(fq.keys())
+        for key, (rep, y) in zip(fq.keys(), pairs):
+            v = [x + fq.s * rng.randint(-2, 2) for x in rep]
+            el = FiberElement(u.hull.to_working(tuple(map(F, v))), y)
+            assert fq.reduce(el) == key, (name, level, rep, y)
 
 
 @pytest.mark.parametrize("name", TORSION_NAMES + ("zz2",))
@@ -547,12 +617,13 @@ def test_verbal_power_subgroup_matches_per_key_oracle(name):
                 _ref_verbal_power_subgroup(fq, t), (name, level, t)
 
 
-@pytest.mark.parametrize("name,want", [("z2z4", (148, 1062)),
-                                       ("zz3", (102, 459))])
+@pytest.mark.parametrize("name,want", [("z2z4", (172, 1062)),
+                                       ("zz3", (100, 459))])
 def test_verbal_closure_keeps_only_new_powers(name, want, monkeypatch):
     """The closures of test_verbal_power_subgroup_matches_per_key_oracle
     make want = (Dimino's rule, every distinct power a BFS generator)
-    products in total."""
+    products in total; Dimino's count depends on the order the powers are
+    offered in, which is key order."""
     calls = [0]
     mul = FiberQuotient.mul
 
@@ -577,14 +648,19 @@ def test_verbal_closure_keeps_only_new_powers(name, want, monkeypatch):
 @pytest.mark.parametrize("name,levels", [("z2z4", range(2, 13, 2)),
                                          ("heis3", range(3, 16, 3))])
 def test_level_quotient_cosets_match_per_key_powers(name, levels, monkeypatch):
-    """QuotientGroup.reps and coset_of at the benchmark's reconstruction
-    levels are the ones the per-key powers give."""
+    """QuotientGroup.reps and the class of every fine key at the
+    benchmark's reconstruction levels are the ones the per-key powers
+    give."""
     u = build_fiber(name)
     got = [level_quotient(u, m) for m in levels]
     monkeypatch.setattr(FiberQuotient, "verbal_power_subgroup",
                         _ref_verbal_power_subgroup)
     for m, lq in zip(levels, got):
         ref = level_quotient(u, m)
-        assert lq.reps == ref.reps, (name, m)
-        assert list(lq.coset_of.items()) == list(ref.coset_of.items()), \
-            (name, m)
+        assert list(lq.reps) == list(ref.reps), (name, m)
+        # every fine key, read through class_of_key, against the reference
+        # classes read at the fine rep's coarse rep by a digit table
+        K = ref.fq.width
+        want = [ref.classes[b * K + j]
+                for b in _read_mod(ref.fq.latq, ref.coarse.s) for j in range(K)]
+        assert list(map(lq.class_of_key, lq.fq.keys())) == want, (name, m)

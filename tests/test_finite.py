@@ -216,14 +216,15 @@ def test_extend_hom_on_fiber_quotient():
     gens = list(u.generators())
     keys = [fq.reduce(g) for g in gens]
     # the projection to P2 is a homomorphism: the identity assignment extends
-    phi = extend_hom(fq.identity_key(), keys, [g.y for g in gens], fq.mul,
+    e = fq.key((0,), 0)
+    phi = extend_hom(e, keys, [g.y for g in gens], fq.mul,
                      fq.order, u.p2)
     assert phi is not None and len(phi) == fq.order
-    assert all(phi[key] == key[1] for key in fq.keys())
+    assert all(phi[key] == fq.parts(key)[1] for key in fq.keys())
     # sending the order-2 torsion generator to an element of order 4 is not
     tampered = [g.y for g in gens]
     tampered[-1] = 1
-    assert extend_hom(fq.identity_key(), keys, tampered, fq.mul, fq.order,
+    assert extend_hom(e, keys, tampered, fq.mul, fq.order,
                       u.p2) is None
 
 

@@ -136,6 +136,33 @@ def test_a_iso_roundtrip_and_composition():
         iso.backward([vec((0, 0, F(1, 2))), vec((0, 0, 0))])
 
 
+def test_a_iso_names_each_failure(monkeypatch):
+    """An entry outside the group center fails with one of two messages:
+    "not central" when it is not in the center at all, the other one when
+    it is central but not in the group center (here (0, 0, 1/2)).  The
+    generators are read once per iso, not on every call."""
+    from malcev.freenil import FreeNilpotent
+    reads = []
+    generators = FreeNilpotent.generators
+    monkeypatch.setattr(FreeNilpotent, "generators",
+                        lambda self: reads.append(1) or generators(self))
+    iso = central_tuple_iso(psi_group(2, 2))
+    zero, half = vec((0, 0, 0)), vec((0, 0, F(1, 2)))
+    with pytest.raises(ValueError, match="^tuple entry is not central$"):
+        iso.backward([vec((1, 0, 0)), zero])
+    with pytest.raises(ValueError,
+                       match="^tuple entry is not in the group center$"):
+        iso.backward([zero, half])
+    with pytest.raises(ValueError, match="^map is not a central shift"):
+        iso.forward([vec((1, 1, 0)), vec((0, 1, 0))])
+    with pytest.raises(ValueError,
+                       match="^central part leaves the group center$"):
+        iso.forward([vec((1, 0, F(1, 2))), vec((0, 1, 0))])
+    assert iso.forward(iso.backward([zero, vec((0, 0, 3))])) == \
+        [zero, vec((0, 0, 3))]
+    assert len(reads) == 1
+
+
 def test_a_iso_matches_ia_star_enumeration():
     psi = psi_group(2, 2)
     iso = central_tuple_iso(psi)
