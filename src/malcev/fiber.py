@@ -7,7 +7,7 @@ by every homomorphism to P2 once exp(P2) * (level scale) divides s, so
 hom-extension questions reduce to a finite complete check.
 
 A finite quotient's elements are the ints of a key grid (``FiberQuotient``):
-coset tables, homs to P2 and lifted automorphisms are flat lists on it, and
+coset tables, homs to P2 and lifted automorphisms are flat tables on it, and
 powers, Q-classes and changes of scale are read off per-coordinate tables.
 """
 
@@ -651,11 +651,11 @@ def lift_from_level_image(u: FiberGroup, m: int, alpha_m,
         raise ValueError("beta must be an IA* element of the hull")
     coarse, classes, K, latq = lq.coarse, lq.classes, lq.fq.width, lq.coarse.latq
     table = []
-    for rep in latq.elements():
+    for b, rep in enumerate(latq.elements()):
         image = latq.reduce(linalg.mat_apply(A, rep))
         base, over = latq.index_of(image) * K, u.over[u.side.q_of_rep(image)]
-        for _ in range(K):
-            target = alpha_m[classes[len(table)]]
+        for key in range(b * K, b * K + K):
+            target = alpha_m[classes[key]]
             ys = [y for j, y in enumerate(over) if classes[base + j] == target]
             if len(ys) != 1:
                 raise ValueError("alpha_m is not realizable over the supplied"

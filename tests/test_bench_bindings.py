@@ -136,11 +136,11 @@ def test_a_hull_ladder_pass_keeps_under_48_kib(bench_workloads):
 
 
 def test_a_fiber_levels_pass_keeps_under_20_kib(bench_workloads):
-    """One warm seed-1 fiber-levels pass keeps under 20 KiB (about 17 KiB
-    when the bound was set, once the torsion-shift and level-lift tables
-    became lists on the key grid; 28 KiB before): a faster pass runs more
-    often in a timed run, so larger results would turn a speed-up into a
-    larger ``peak_rss_mib``."""
+    """One warm seed-1 fiber-levels pass keeps under 20 KiB (about 14 KiB
+    when the bound was set, once the torsion-shift tables became tuples on
+    the key grid and the lifted automorphisms slotted; 28 KiB before): a
+    faster pass runs more often in a timed run, so larger results would
+    turn a speed-up into a larger ``peak_rss_mib``."""
     wl = bench_workloads.WORKLOADS["fiber-levels"]
     retained = _retained_by_one_pass(wl.jobs(wl.setup(1)))
     assert retained < 20 * 1024, f"{retained / 1024:.1f} KiB"
