@@ -282,9 +282,7 @@ class IAStarEquations:
             if saturate and s.rows:
                 s.rows = self._saturate_stratum(s)
             C = [list(lin) for lin, _ in s.rows]
-            s.snf = linalg.snf_with_transforms(C, len(s.vars)) if s.rows \
-                else ([], [], [tuple(int(i == j) for j in range(len(s.vars)))
-                              for i in range(len(s.vars))])
+            s.snf = linalg.snf_with_transforms(C, len(s.vars))
         # f when every stratum's linear part maps onto Z^rows (an all-ones
         # Smith diagonal as long as the rows): the system is then affine
         # f-space over Z, so every mod-m point lifts and there are m^f.
@@ -633,7 +631,7 @@ def _visibly_free_abelian(eq: IAStarEquations) -> bool:
 
 def csp_witness(hull: HullResult, gens, index: int | None = None,
                 level_cap: int = 16, eq: IAStarEquations | None = None,
-                point_cap: int = 200_000, samples: int = 100, seed: int = 0):
+                point_cap: int = 200_000, seed: int = 0):
     """Smallest m <= cap certifying that <gens> contains the level-m kernel.
 
     The certificate is index equality: if the image of the subgroup in the
@@ -648,7 +646,7 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
     points ends the search as inconclusive, with that level as
     ``capped_at``.
 
-    At the certified level, ``samples`` seeded integral IA* points are drawn
+    At the certified level, 100 seeded integral IA* points are drawn
     with multiple-of-m free coordinates; ``kernel_samples`` counts those
     that exist and reduce to the identity mod m (every value 0 mod m), each
     checked to lie in the image.
@@ -684,7 +682,7 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
             continue
         kernel_checked = 0
         ident = eq.adapted_matrix((0,) * eq.nvars, mod=m)
-        for _ in range(samples):
+        for _ in range(100):
             point = eq.random_point(rng, spread=3, multiple=m)
             # the IA* positions are distinct and off the diagonal, so the
             # point reduces to the identity exactly when it is 0 mod m

@@ -440,8 +440,8 @@ def free_abelianization_check(u: FiberGroup):
     rows += [[0] * (k + t) + [u.p2.element_order(y)] + [0] * (r - 1 - t)
              for t, y in enumerate(tor_gens)]
     diag, _, _ = linalg.snf_with_transforms(rows, k + r)
-    free_rank = (k + r) - len([x for x in diag if x])
-    invariants = [x for x in diag if x not in (0, 1)]
+    free_rank = (k + r) - len(diag)
+    invariants = [x for x in diag if x != 1]
     d = hull.d
     return d, {"free_rank": free_rank, "d": d, "invariants": invariants,
                "rank_matches": free_rank == d,

@@ -218,7 +218,7 @@ def _layer_basis(upper_lat: Lattice, lower_space_rows):
     return out
 
 
-def derived_lattice_data(group: GenGroup, hull: HullResult):
+def derived_lattice_data(hull: HullResult):
     """(d, lattice of log delta): rank of the free abelianization and L & L'."""
     derived = hull.algebra.derived_subspace()
     return hull.d, intersect_subspace(hull.lattice, derived)

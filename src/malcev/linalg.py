@@ -136,117 +136,56 @@ def saturate_rows(rows, n_cols):
 def snf_invariants(rows):
     """Nontrivial invariant factors d1 | d2 | ... of an integer matrix."""
     diag, _, _ = snf_with_transforms(rows)
-    return [d for d in diag if d not in (0, 1)]
+    return [d for d in diag if d != 1]
+
+
+def _hnf_beside(A, T, width):
+    """Row HNF of [A | T] split back into its two parts.  T is unimodular,
+    so no row vanishes, and the transform applied to A rides along in T."""
+    H = hnf([list(a) + list(t) for a, t in zip(A, T)])
+    return [h[:width] for h in H], [h[width:] for h in H]
 
 
 def snf_with_transforms(rows, n_cols=None):
     """Smith form with transforms: returns (diag, U, V) with U*A*V diagonal.
 
-    diag is the list of diagonal entries (nonnegative, divisibility chain),
-    padded conceptually by zeros; U is m x m and V is n x n, both unimodular.
+    diag holds the positive diagonal entries, a divisibility chain, with the
+    zeros omitted; U is m x m and V is n x n, both unimodular.  Row HNFs of
+    A and of its transpose alternate until A is diagonal (Kannan and Bachem,
+    1979): the leading pivot only shrinks, and once it stops shrinking its
+    row and column stay clear.  A gcd/lcm step on each pair of diagonal
+    entries then restores the divisibility chain (Cohen, GTM 138, 2.4).
     """
-    A = [list(map(int, r)) for r in rows]
-    m = len(A)
-    n = n_cols if n_cols is not None else (len(A[0]) if m else 0)
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(x, y, g, ag, bg, r1, r2):
-        Ar1, Ar2 = A[r1], A[r2]
-        Ur1, Ur2 = U[r1], U[r2]
-        for j in range(n):
-            u, v = Ar1[j], Ar2[j]
-            Ar1[j] = x * u + y * v
-            Ar2[j] = ag * v - bg * u
-        for j in range(m):
-            u, v = Ur1[j], Ur2[j]
-            Ur1[j] = x * u + y * v
-            Ur2[j] = ag * v - bg * u
-
-    def col_op(x, y, g, ag, bg, c1, c2):
-        for i in range(m):
-            u, v = A[i][c1], A[i][c2]
-            A[i][c1] = x * u + y * v
-            A[i][c2] = ag * v - bg * u
-        for i in range(n):
-            u, v = V[i][c1], V[i][c2]
-            V[i][c1] = x * u + y * v
-            V[i][c2] = ag * v - bg * u
-
-    diag = []
-    t = 0
-    while t < m and t < n:
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
+    m = len(rows)
+    n = n_cols if n_cols is not None else (len(rows[0]) if m else 0)
+    U = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    Vt = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if not m or not n:
+        return [], U, Vt
+    A = rows
+    while True:
+        A, U = _hnf_beside(A, U, n)
+        At, Vt = _hnf_beside(zip(*A), Vt, m)
+        if not any(x for i, row in enumerate(At) for j, x in enumerate(row)
+                   if i != j):
             break
-        i, j = piv
-        if i != t:
-            A[t], A[i] = A[i], A[t]
-            U[t], U[i] = U[i], U[t]
-        if j != t:
-            for row in A:
-                row[t], row[j] = row[j], row[t]
-            for row in V:
-                row[t], row[j] = row[j], row[t]
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    a, b = A[t][t], A[i][t]
-                    if b % a == 0:
-                        q = b // a
-                        for j in range(n):
-                            A[i][j] -= q * A[t][j]
-                        for j in range(m):
-                            U[i][j] -= q * U[t][j]
-                    else:
-                        x, y, g = xgcd(a, b)
-                        row_op(x, y, g, a // g, b // g, t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    a, b = A[t][t], A[t][j]
-                    if b % a == 0:
-                        q = b // a
-                        for i in range(m):
-                            A[i][j] -= q * A[i][t]
-                        for i in range(n):
-                            V[i][j] -= q * V[i][t]
-                    else:
-                        x, y, g = xgcd(a, b)
-                        col_op(x, y, g, a // g, b // g, t, j)
-                        done = False
-            if not done:
-                continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            for j in range(n):
-                A[t][j] += A[bad][j]
-            for j in range(m):
-                U[t][j] += U[bad][j]
-        if A[t][t] < 0:
-            for j in range(n):
-                A[t][j] = -A[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
-        diag.append(A[t][t])
-        t += 1
-    return diag, [tuple(r) for r in U], [tuple(r) for r in V]
+        A = list(zip(*At))
+    diag = [At[i][i] for i in range(min(m, n)) if At[i][i]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if b % a:
+                # [[x, y], [-b/g, a/g]] diag(a, b) [[1, -yb/g], [1, xa/g]]
+                # is diag(g, lcm(a, b)): one row and one column operation
+                x, y, g = xgcd(a, b)
+                ag, bg = a // g, b // g
+                diag[i], diag[j] = g, ag * b
+                Ui, Uj, Vi, Vj = U[i], U[j], Vt[i], Vt[j]
+                U[i] = tuple(x * p + y * q for p, q in zip(Ui, Uj))
+                U[j] = tuple(ag * q - bg * p for p, q in zip(Ui, Uj))
+                Vt[i] = tuple(p + q for p, q in zip(Vi, Vj))
+                Vt[j] = tuple(x * ag * q - y * bg * p for p, q in zip(Vi, Vj))
+    return diag, U, list(zip(*Vt))
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,9 @@ def _random_rat(rng, bound=3, maxden=4):
 # ---------------------------------------------------------------------------
 
 
-def suite_bch_oracle(seed: int = 0, pairs: int = 200, roundtrips: int = 500):
+def suite_bch_oracle(seed: int = 0):
     """Structure-constant BCH against the matrix oracle; exp/log inverses."""
+    pairs, roundtrips = 200, 500
     rep = VerificationReport("bch-oracle", seed,
                              {"pairs": pairs, "roundtrips": roundtrips})
     rng = random.Random(seed)
@@ -238,8 +239,9 @@ def suite_basis(seed: int = 0):
     return rep
 
 
-def suite_ia_structure(seed: int = 0, bound: int = 3):
+def suite_ia_structure(seed: int = 0):
     """IA* enumeration: the Heisenberg count, closure, and the abelian case."""
+    bound = 3
     rep = VerificationReport("ia-structure", seed, {"bound": bound})
     t = _timer()
     h = build_hull(entry_by_name("heisenberg"))
@@ -284,9 +286,9 @@ def suite_ia_structure(seed: int = 0, bound: int = 3):
     return rep
 
 
-def suite_strong_approx(seed: int = 0, levels=tuple(range(2, 9)),
-                        point_cap: int = 500_000):
+def suite_strong_approx(seed: int = 0, point_cap: int = 500_000):
     """Surjectivity of IA* reduction onto the mod-m points, with lifts."""
+    levels = range(2, 9)
     rep = VerificationReport("strong-approx", seed,
                              {"levels": list(levels), "point_cap": point_cap})
     for name in ("heisenberg", "psi23"):
@@ -358,8 +360,9 @@ def _aut_stock_for_hull(h):
     return stock
 
 
-def suite_fiber(seed: int = 0, recon_levels: int = 12):
+def suite_fiber(seed: int = 0):
     """Torsion machinery: find_t, reconstruction, lifting, gamma-star."""
+    recon_levels = 12
     rep = VerificationReport("fiber", seed, {"recon_levels": recon_levels})
     fibers = {name: build_fiber(name) for name in TORSION_NAMES}
     for name, u in fibers.items():
@@ -463,13 +466,13 @@ def suite_fiber(seed: int = 0, recon_levels: int = 12):
     return rep
 
 
-def suite_free_iso(seed: int = 0, box: int = 2, boxes=((2, 2), (2, 3), (3, 2)),
-                   composition_pairs: int = 50):
+def suite_free_iso(seed: int = 0, box: int = 2):
     """The central-tuple isomorphism, its composition law, and the lifts."""
+    composition_pairs = 50
     rep = VerificationReport("free-iso", seed,
                              {"box": box, "pairs": composition_pairs})
     rng = random.Random(seed)
-    for (n, c) in boxes:
+    for (n, c) in ((2, 2), (2, 3), (3, 2)):
         t = _timer()
         psi = psi_group(n, c)
         iso = central_tuple_iso(psi)

@@ -9,6 +9,7 @@ from malcev import interchange as io
 from malcev.catalog import build_fiber, build_group, entry_by_name
 from malcev.cli import main
 from malcev.unitriangular import tr0_algebra
+from test_finite import swapped_cyclic_table
 
 
 @pytest.fixture()
@@ -291,6 +292,11 @@ def _fuzzed_documents(seed, count):
         {"k": 2, "matrix": [["1", "0"], ["0", "1"]]}]}),
     # a supplied index that is not the subgroup's (it has index 2)
     (_SUBGROUP_ARGS, {**_HEIS_SUBGROUP, "index": 1}),
+    # a P2 table of order 520 that is not associative, over a trivial Q
+    (("fiber", "build", "--fiber"), {
+        **_Z2Z4_FIBER, "level": 1, "pi1": [0], "pi2": [0] * 520,
+        "q": {"order": 1, "cayley": [[0]]},
+        "p2": {"order": 520, "cayley": swapped_cyclic_table()}}),
 ] + _fuzzed_documents(seed=0, count=64))
 def test_malformed_documents_are_input_errors(capsys, tmp_path, argv, doc):
     if doc is not None:

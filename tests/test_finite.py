@@ -38,10 +38,21 @@ def test_cyclic_and_product():
     assert all(v4.mul(a, a) == 0 for a in range(4))
 
 
+def swapped_cyclic_table(n=520):
+    """Z/n with the entries 5*7 and 5*11 swapped: a table that keeps the
+    identity and inverse laws and fails associativity at few triples."""
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    table[5][7], table[5][11] = table[5][11], table[5][7]
+    return table
+
+
 def test_validation_catches_bad_tables():
     table = [[0, 1], [1, 1]]  # not a group (1*1 = 1 breaks inverses)
     with pytest.raises(ValueError):
         FiniteGroup(table)
+    # Light's test runs at every order, above 512 elements too
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteGroup(swapped_cyclic_table())
 
 
 def test_light_associativity_complete():

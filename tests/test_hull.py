@@ -103,17 +103,17 @@ def test_adapted_basis_full_rank_needed():
 
 def test_derived_lattice_data():
     h = lattice_hull(heis_group())
-    d, lat = derived_lattice_data(heis_group(), h)
+    d, lat = derived_lattice_data(h)
     assert d == 2
     assert lat.basis() == ((F(0), F(0), F(1, 2)),)
     ab = NilpotentLieAlgebra.abelian(2)
     g = _ref_from_elements(ab, [(1, 0), (0, 1)])
     h2 = lattice_hull(g)
-    d2, lat2 = derived_lattice_data(g, h2)
+    d2, lat2 = derived_lattice_data(h2)
     assert d2 == 2 and lat2.rank == 0
     from malcev.freenil import psi_group
     psi = psi_group(3, 2)
-    d3, lat3 = derived_lattice_data(psi.group(), psi.hull)
+    d3, lat3 = derived_lattice_data(psi.hull)
     assert d3 == 3 and lat3.rank == 3
 
 

@@ -3,6 +3,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from malcev import linalg
 
 
@@ -115,20 +117,91 @@ def test_snf_invariants():
         assert linalg.snf_invariants(rows) == [d for d in expect if d != 1]
 
 
+def _assert_smith(rows, n, diag, U, V):
+    """U * rows * V is diag padded by zeros, diag is a positive divisibility
+    chain, and U and V are unimodular."""
+    m = len(rows)
+    assert all(d > 0 for d in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    prod = linalg.mat_mul(linalg.mat_mul(U, rows), V) if rows else ()
+    for i in range(m):
+        for j in range(n):
+            assert prod[i][j] == (diag[i] if i == j and i < len(diag) else 0)
+    assert len(U) == m and len(V) == n
+    assert m == 0 or linalg.unimodular_inverse(U) is not None
+    assert n == 0 or linalg.unimodular_inverse(V) is not None
+
+
 def test_snf_transforms():
+    assert linalg.snf_with_transforms([], 3) == \
+        ([], [], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert linalg.snf_with_transforms([[2, 0], [0, 3]])[0] == [1, 6]
+    assert linalg.snf_with_transforms([[4, 0, 0], [0, 6, 0], [0, 0, 0]])[0] \
+        == [2, 12]
     rng = random.Random(4)
-    for _ in range(40):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
+    for _ in range(300):
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 8)
         rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:  # force a rank drop
+            a, b = rng.sample(range(m), 2)
+            rows[b] = [x - 2 * y for x, y in zip(rows[a], rows[b])] \
+                if rng.random() < 0.5 else [0] * n
+        if rng.random() < 0.3:  # a common factor
+            f = rng.randint(2, 6)
+            rows = [[f * x for x in r] for r in rows]
         diag, U, V = linalg.snf_with_transforms(rows, n)
-        prod = linalg.mat_mul(linalg.mat_mul(U, rows), V) if rows else ()
-        for i in range(m):
-            for j in range(n):
-                expected = diag[i] if i == j and i < len(diag) else 0
-                assert prod[i][j] == expected
-        assert abs(_ref_det(U)) == 1
-        assert abs(_ref_det(V)) == 1
+        _assert_smith(rows, n, diag, U, V)
+        _, pivots = linalg.rref(rows)
+        assert len(diag) == len(pivots)
+
+
+# The Smith diagonals of every IA* stratum, saturated and raw, recorded with
+# the elimination routine that the Hermite-form construction replaced.
+STRATA_DIAGONALS = {
+    "Psi(2,4)": ([[1] * 8, [1] * 3, []], [[2] * 2 + [6] * 6, [2] * 3, []]),
+    "Psi(3,3)": ([[1] * 24, []], [[2] * 24, []]),
+    "Psi(2,5)": ([[1] * 26, [1] * 15, [1] * 6, []],
+                 [[2] * 20 + [6] * 6, [2] * 3 + [6] * 12, [2] * 6, []]),
+    "UT(4)": ([[1] * 3, []], [[2, 2, 6], []]),
+    "UT(5)": ([[1] * 16, [1] * 6, []],
+              [[2] * 6 + [6] * 8 + [12] * 2, [2] * 6, []]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATA_DIAGONALS))
+def test_snf_transforms_on_ia_strata(name):
+    from malcev.autos import IAStarEquations
+    from malcev.hull import GenGroup, lattice_hull
+    from test_hull import _moved_generators
+    alg, gens, _ = _moved_generators(name, random.Random(0), moves=0)
+    hull = lattice_hull(GenGroup(alg, gens))
+    for saturate, expected in zip((True, False), STRATA_DIAGONALS[name]):
+        eq = IAStarEquations(hull, saturate=saturate)
+        assert [s.snf[0] for s in eq.strata] == expected
+        for s in eq.strata:
+            rows = [list(lin) for lin, _ in s.rows]
+            _assert_smith(rows, len(s.vars), *s.snf)
+
+
+def test_snf_transforms_on_free_abelianization_relations(monkeypatch):
+    from malcev import fiber
+    from malcev.catalog import TORSION_NAMES, build_fiber
+    seen, snf = [], linalg.snf_with_transforms
+
+    def spy(rows, n_cols=None):
+        out = snf(rows, n_cols)
+        seen.append((rows, n_cols, out))
+        return out
+
+    monkeypatch.setattr(linalg, "snf_with_transforms", spy)
+    for name in TORSION_NAMES:
+        fiber.free_abelianization_check(build_fiber(name))
+    monkeypatch.undo()
+    assert [(len(rows), n) for rows, n, _ in seen] == \
+        [(2, 2), (2, 2), (2, 2), (5, 3), (7, 4)]
+    for rows, n, (diag, U, V) in seen:
+        _assert_smith(rows, n, diag, U, V)
 
 
 def test_saturation():

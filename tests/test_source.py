@@ -76,3 +76,58 @@ def test_every_definition_is_used():
                 defined.add(node.name)
     unused = sorted(defined - used)
     assert not unused, f"defined but never used: {unused}"
+
+
+def _function(path, name):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _cli_verify_caps():
+    """Suite name -> the cap keywords that ``cli.cmd_verify`` passes it:
+    each ``caps[key] = ...`` under an ``if`` that names the suite."""
+    caps = {}
+    for node in ast.walk(_function(ROOT / "src" / "malcev" / "cli.py",
+                                   "cmd_verify")):
+        if not isinstance(node, ast.If):
+            continue
+        keys = {t.slice.value for stmt in node.body
+                for t in getattr(stmt, "targets", ())
+                if isinstance(t, ast.Subscript) and
+                isinstance(t.value, ast.Name) and t.value.id == "caps"}
+        for c in ast.walk(node.test):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                caps.setdefault(c.value, set()).update(keys)
+    return caps
+
+
+def test_verify_suites_take_only_seed_and_the_cli_caps():
+    """An option of a verify suite that the CLI never sets is a constant in
+    disguise."""
+    path = ROOT / "src" / "malcev" / "verify.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["SUITE_FUNCS"])
+    suites = {k.value: v.id for k, v in zip(table.keys, table.values)}
+    caps = _cli_verify_caps()
+    assert caps.get("free-iso") == {"box"}
+    for name, func in suites.items():
+        args = _function(path, func).args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        assert params == {"seed"} | caps.get(name, set()), name
+
+
+def test_linalg_calls_xgcd_only_in_hnf_and_the_smith_gcd_lcm_step():
+    """The library has one integer elimination routine, ``hnf``; the Smith
+    form adds only its gcd/lcm step on the diagonal."""
+    path = ROOT / "src" / "malcev" / "linalg.py"
+    calls = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            count = sum(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                        and c.func.id == "xgcd" for c in ast.walk(node))
+            if count:
+                calls[node.name] = count
+    assert calls == {"hnf": 1, "snf_with_transforms": 1}
