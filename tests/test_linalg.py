@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from malcev import linalg
+from malcev import fiber, linalg
+from malcev.autos import IAStarEquations
+from malcev.catalog import TORSION_NAMES, build_fiber
+from malcev.hull import GenGroup, lattice_hull
+from test_hull import _moved_generators
 
 
 def _ref_det(A):
@@ -171,9 +175,6 @@ STRATA_DIAGONALS = {
 
 @pytest.mark.parametrize("name", sorted(STRATA_DIAGONALS))
 def test_snf_transforms_on_ia_strata(name):
-    from malcev.autos import IAStarEquations
-    from malcev.hull import GenGroup, lattice_hull
-    from test_hull import _moved_generators
     alg, gens, _ = _moved_generators(name, random.Random(0), moves=0)
     hull = lattice_hull(GenGroup(alg, gens))
     for saturate, expected in zip((True, False), STRATA_DIAGONALS[name]):
@@ -185,8 +186,6 @@ def test_snf_transforms_on_ia_strata(name):
 
 
 def test_snf_transforms_on_free_abelianization_relations(monkeypatch):
-    from malcev import fiber
-    from malcev.catalog import TORSION_NAMES, build_fiber
     seen, snf = [], linalg.snf_with_transforms
 
     def spy(rows, n_cols=None):
