@@ -23,13 +23,14 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from . import linalg
 from .compiled import poly_add, poly_scale, poly_sub, _sym_bracket
 from .errors import CapExceeded, DimensionMismatch, IndexMismatch
 from .finite import closure
 from .hull import HullResult
+from .lattices import integer_rows
 from .liealg import NilpotentLieAlgebra, vec
 
 
@@ -259,12 +260,11 @@ class IAStarEquations:
                     if depth < 1:
                         raise RuntimeError(
                             "non-vacuous equation above the grading")
-                    den = lcm(*(c.denominator for c in p.values()))
-                    ip = {m: int(c * den) for m, c in p.items()}
+                    nums = integer_rows([p.values()])[1][0]
                     lin = [0] * len(stratum_of_depth[depth].vars)
                     rem = {}
                     local = {v: t for t, v in enumerate(stratum_of_depth[depth].vars)}
-                    for mono, coeff in ip.items():
+                    for mono, coeff in zip(p, nums):
                         mono_depth = sum(self.depth_of_var[v] for v in mono)
                         if mono_depth > depth:
                             raise RuntimeError("grading violation")

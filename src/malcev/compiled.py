@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 
 from . import bch
+from .lattices import integer_rows
 
 # A polynomial is a dict: monomial -> Fraction, where a monomial is a sorted
 # tuple of variable indices (with repetition); () is the constant monomial.
@@ -129,9 +130,9 @@ class CompiledPolyMap:
 def compile_polys(polys) -> CompiledPolyMap:
     coords = []
     for p in polys:
-        den = math.lcm(*(c.denominator for c in p.values()))
-        terms = tuple((int(c * den), m) for m, c in sorted(p.items()))
-        coords.append((den, terms))
+        monos = sorted(p)
+        den, (nums,) = integer_rows([[p[m] for m in monos]])
+        coords.append((den, tuple(zip(nums, monos))))
     return CompiledPolyMap(coords)
 
 

@@ -28,12 +28,12 @@ class FiniteGroup:
     def __init__(self, cayley, check: bool = True):
         self.order = len(cayley)
         self.cayley = tuple(tuple(row) for row in cayley)
-        inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.cayley[a][b] == 0:
-                    inv[a] = b
-                    break
+        inv = []
+        for row in self.cayley:
+            try:
+                inv.append(row.index(0))
+            except ValueError:  # no inverse: validate() reports it
+                inv.append(None)
         self.inverse = tuple(inv)
         if check:
             problems = self.validate()

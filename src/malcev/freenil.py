@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import CapExceeded
 from .hull import GenGroup, HullResult, lattice_hull
-from .lattices import Coordinates, Lattice, hnf_lattice, intersect_subspace
+from .lattices import (Coordinates, Lattice, hnf_lattice, integer_rows,
+                       intersect_subspace)
 from .liealg import GroupElement, NilpotentLieAlgebra, vec
 
 
@@ -203,10 +203,8 @@ def center(psi: FreeNilpotent):
     for j in range(psi.n):
         cols = [alg.bracket_basis(i, j) for i in range(k)]
         conditions.extend([c[l] for c in cols] for l in range(k))
-    den = lcm(*(x.denominator for row in conditions for x in row))
-    cond_int = [[int(x * den) for x in row] for row in conditions]
     z_rows = [tuple(Fraction(x) for x in r)
-              for r in linalg.right_kernel(cond_int, k)]
+              for r in linalg.right_kernel(integer_rows(conditions)[1], k)]
     top = [i for i, w in enumerate(psi.weights) if w == psi.c]
     top_span = [tuple(Fraction(int(i == t)) for t in range(k)) for i in top]
     in_top = Coordinates.of_rows(top_span, k)

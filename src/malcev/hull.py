@@ -20,8 +20,8 @@ from functools import cached_property
 from . import compiled, linalg
 from .errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from .finite import FiniteGroup
-from .lattices import (Coordinates, Lattice, hnf_lattice, intersect_subspace,
-                       lattice_sum)
+from .lattices import (Coordinates, Lattice, hnf_lattice, integer_rows,
+                       intersect_subspace, lattice_sum)
 from .liealg import GroupElement, NilpotentLieAlgebra, vec
 
 _ZERO = Fraction(0)
@@ -205,9 +205,7 @@ def _layer_basis(upper_lat: Lattice, lower_space_rows):
     # coordinates of each generator along the complement part
     coords = Coordinates.of_rows(W + E, upper_lat.dim)
     proj = [coords(g)[len(W):] for g in gens]
-    den = math.lcm(*(x.denominator for p in proj for x in p))
-    int_rows = [[int(x * den) for x in p] for p in proj]
-    H, U = linalg.hnf(int_rows, transform=True)
+    H, U = linalg.hnf(integer_rows(proj)[1], transform=True)
     # U * gens, read as integer combinations of the lattice rows over den
     cols, zero = tuple(zip(*upper_lat.rows)), Fraction(0)
     out = [tuple(Fraction(x, upper_lat.den) if x else zero

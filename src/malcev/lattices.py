@@ -4,10 +4,11 @@ A :class:`Lattice` stores the Hermite normal form of the denominator-cleared
 basis together with the single common denominator, normalized so that two
 lattices are equal iff their stored data are identical.  All queries
 (membership, index, quotient invariants, sums, intersections) are exact and
-read the integer rows over the one denominator; membership and coordinates
-are one back-substitution on the entries' integer numerators,
-:meth:`Lattice.coords`, and :class:`Coordinates` turns that into exact
-coordinates in any basis of rational rows.
+read the integer rows over the one denominator.  Input vectors are read on
+their entries' integer numerators, with no Fraction made: constructors clear
+denominators with :func:`integer_rows`, and membership and coordinates are
+one back-substitution, :meth:`Lattice.coords`, which :class:`Coordinates`
+turns into exact coordinates in any basis of rational rows.
 """
 
 from __future__ import annotations
@@ -20,12 +21,22 @@ from .errors import DimensionMismatch, SublatticeError
 
 
 _ZERO = Fraction(0)
+_RATIONAL = (int, Fraction)
 
 
-def _as_fraction_vec(v, dim):
-    if len(v) != dim:
-        raise DimensionMismatch(f"vector of length {len(v)} in ambient dimension {dim}")
-    return tuple(Fraction(x) for x in v)
+def integer_rows(vectors, dim: int | None = None):
+    """(den, rows): the vectors as integer rows over their entries' least
+    common denominator, read on each int or Fraction entry's numerator and
+    denominator (any other entry goes through Fraction first)."""
+    pairs = []
+    for v in vectors:
+        if dim is not None and len(v) != dim:
+            raise DimensionMismatch(
+                f"vector of length {len(v)} in ambient dimension {dim}")
+        pairs.append([(x if type(x) in _RATIONAL else Fraction(x)).as_integer_ratio()
+                      for x in v])
+    den = lcm(*{d for p in pairs for _, d in p})
+    return den, [tuple([n * (den // d) for n, d in p]) for p in pairs]
 
 
 class Lattice:
@@ -131,17 +142,15 @@ def hnf_lattice(vectors, dim: int | None = None) -> Lattice:
         raise ValueError("empty generating set needs an explicit dimension")
     if dim is None:
         dim = len(vectors[0])
-    vecs = [_as_fraction_vec(v, dim) for v in vectors]
-    den = lcm(*(x.denominator for v in vecs for x in v))
-    int_rows = [tuple(int(x * den) for x in v) for v in vecs]
-    return Lattice.from_den_rows(dim, den, int_rows)
+    return Lattice.from_den_rows(dim, *integer_rows(vectors, dim))
 
 
 class Coordinates:
     """Exact coordinates in ``rows``, a Z-basis of ``lattice``.
 
     The rows' lattice coordinates form a unimodular matrix; the columns of
-    its integer inverse turn lattice coordinates into row coordinates.  For
+    its integer inverse turn lattice coordinates into row coordinates (an
+    identity inverse, when the rows are the HNF basis, is not stored).  For
     v in the Q-span, N * v is in the lattice when N is the lcm of v's
     denominators times the product of the HNF pivots (Cramer on the pivot
     columns), so one :meth:`Lattice.coords` of N * v answers every query;
@@ -158,7 +167,8 @@ class Coordinates:
         if inv is None:
             raise ValueError("rows are not a Z-basis of the lattice")
         self.lattice = lattice
-        self._columns = tuple(zip(*inv))
+        self._columns = (None if tuple(inv) == linalg.mat_identity(len(inv))
+                         else tuple(zip(*inv)))
         self._pivots = prod(next(x for x in row if x) for row in lattice.rows)
 
     @staticmethod
@@ -169,21 +179,26 @@ class Coordinates:
     def integer(self, v):
         """Integer coordinates of v, or None when v is outside the lattice."""
         c = self.lattice.coords(v)
-        return None if c is None else linalg.mat_apply(self._columns, c)
+        return (c if c is None or self._columns is None
+                else linalg.mat_apply(self._columns, c))
 
     def __call__(self, v):
         """Rational coordinates of v, or None when v is outside the Q-span."""
         n = lcm(*(x.denominator for x in v)) * self._pivots
         c = self.lattice.coords(v, n)
-        return None if c is None else tuple(
-            Fraction(x, n) if x else _ZERO
-            for x in linalg.mat_apply(self._columns, c))
+        if c is None:
+            return None
+        if self._columns is not None:
+            c = linalg.mat_apply(self._columns, c)
+        return tuple(Fraction(x, n) if x else _ZERO for x in c)
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     if a.dim != b.dim:
         raise DimensionMismatch("lattice sum of different ambient dimensions")
-    return hnf_lattice(list(a.basis()) + list(b.basis()), a.dim)
+    den = lcm(a.den, b.den)
+    return Lattice.from_den_rows(a.dim, den, [
+        tuple(x * (den // l.den) for x in row) for l in (a, b) for row in l.rows])
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
@@ -235,15 +250,10 @@ def intersect_subspace(lat: Lattice, subspace_rows) -> Lattice:
     """The sublattice of lat lying in the Q-span of subspace_rows."""
     if not lat.rows:
         return lat
-    sub = [r for r in subspace_rows if any(Fraction(x) for x in r)]
-    if not sub:
-        return hnf_lattice([], lat.dim)
     # integer conditions cutting out the subspace: c with S * c == 0
-    S = []
-    for row in sub:
-        row = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in row))
-        S.append([int(x * den) for x in row])
+    S = [row for row in integer_rows(subspace_rows)[1] if any(row)]
+    if not S:
+        return hnf_lattice([], lat.dim)
     cond = linalg.right_kernel(S, lat.dim)
     if not cond:
         return lat

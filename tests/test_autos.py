@@ -18,6 +18,7 @@ from malcev.catalog import CATALOG, CSP_SUBGROUPS, build_hull, entry_by_name
 from malcev.errors import CapExceeded, DimensionMismatch, IndexMismatch
 from malcev.finite import closure
 from malcev.hull import GenGroup, lattice_hull
+from malcev.lattices import Lattice
 from malcev.liealg import NilpotentLieAlgebra
 from test_cli_outputs import sheared_group
 from test_hull import _ref_from_elements
@@ -381,13 +382,20 @@ def _psi23_csp_generators():
 
 def test_adapted_matrix_applies_only_the_coordinate_maps(monkeypatch):
     """On a map given by its working matrix, only the k to_adapted_int
-    calls go through linalg.mat_apply: the columns and the bracket check
-    read nonzero entries themselves (the dense routine made 2k + k(k-1)/2
-    calls)."""
+    calls read lattice coordinates (Lattice.coords): the columns and the
+    bracket check read nonzero entries themselves (the dense routine made
+    2k + k(k-1)/2 mat_apply calls)."""
     h, gens = _psi23_csp_generators()
     maps = [LieAutomorphism(h.algebra, g.matrix) for g in gens]
     h.adapted_algebra  # built on first read, outside the counted calls
-    calls = _count_mat_apply(monkeypatch)
+    calls = [0]
+    coords = Lattice.coords
+
+    def counted(lat, v, n=1):
+        calls[0] += 1
+        return coords(lat, v, n)
+
+    monkeypatch.setattr(Lattice, "coords", counted)
     for g in maps:
         calls[0] = 0
         adapted_matrix(h, g)

@@ -124,15 +124,16 @@ def _retained_by_one_pass(jobs):
     return retained
 
 
-def test_a_hull_ladder_pass_keeps_under_48_kib(bench_workloads):
+def test_a_hull_ladder_pass_keeps_under_32_kib(bench_workloads):
     """The benchmark keeps every pass's results until its run ends, so what
     one pass keeps grows ``peak_rss_mib`` with the number of passes.  One
-    seed-1 hull-ladder pass, run after a warm-up pass, keeps under 48 KiB
-    (about 38 KiB when the bound was set, once hulls stopped building their
-    adapted structure constants unread)."""
+    seed-1 hull-ladder pass, run after a warm-up pass, keeps under 32 KiB
+    (about 27 KiB when the bound was set, once a hull whose adapted basis is
+    its lattice's HNF basis stopped storing the identity as its inverse;
+    38 KiB before)."""
     wl = bench_workloads.WORKLOADS["hull-ladder"]
     retained = _retained_by_one_pass(wl.jobs(wl.setup(1)))
-    assert retained < 48 * 1024, f"{retained / 1024:.1f} KiB"
+    assert retained < 32 * 1024, f"{retained / 1024:.1f} KiB"
 
 
 def test_a_fiber_levels_pass_keeps_under_20_kib(bench_workloads):
