@@ -217,11 +217,10 @@ def _check_coordinates(coords, rows, rng):
     for _ in range(20):
         v = tuple(sum(F(rng.randint(-6, 6), rng.randint(1, 4)) * r[j] for r in rows)
                   for j in range(dim))
-        assert coords(v) == _ref_solve(rows, v)
-        c = coords.integer(v)
         ref = _ref_solve(rows, v)
-        assert c == (tuple(int(x) for x in ref)
-                     if all(x.denominator == 1 for x in ref) else None)
+        assert coords(v) == ref
+        assert coords.integer(v) == (tuple(map(int, ref)) if all(
+            x.denominator == 1 for x in ref) else None)
     outside = tuple(F(1, 7) if j == 0 else 0 for j in range(dim))
     assert coords(outside) == _ref_solve(rows, outside)
 
