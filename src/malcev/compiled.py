@@ -16,9 +16,12 @@ from fractions import Fraction
 
 from . import bch
 from .lattices import integer_rows
+from .linalg import mat_identity
 
-# A polynomial is a dict: monomial -> Fraction, where a monomial is a sorted
-# tuple of variable indices (with repetition); () is the constant monomial.
+# A polynomial is a dict: monomial -> coefficient, where a monomial is a
+# sorted tuple of variable indices (with repetition); () is the constant
+# monomial.  The symbolic BCH keeps int coefficients over one denominator
+# (``bch_integer``); the ``poly_*`` helpers work on Fraction coefficients.
 
 
 def poly_add(a: dict, b: dict) -> dict:
@@ -127,28 +130,70 @@ class CompiledPolyMap:
         return tuple(out)
 
 
-def compile_polys(polys) -> CompiledPolyMap:
+def compile_polys(polys, den: int = 1) -> CompiledPolyMap:
+    """Compile the polynomials p / den, with int or Fraction coefficients:
+    each coordinate keeps its integer numerators over the least denominator
+    that clears it."""
     coords = []
     for p in polys:
         monos = sorted(p)
-        den, (nums,) = integer_rows([[p[m] for m in monos]])
-        coords.append((den, tuple(zip(nums, monos))))
+        d, (nums,) = integer_rows([[p[m] for m in monos]])
+        g = math.gcd(d * den, *nums)
+        coords.append((d * den // g, tuple(zip([n // g for n in nums], monos))))
     return CompiledPolyMap(coords)
 
 
-def bch_symbolic(alg, basis=None):
-    """BCH(u, v) as polynomials in variables x_0..x_{r-1}, y_0..y_{r-1}.
+def _bracket_den(alg) -> int:
+    """D, the lcm of the denominators of the structure constants."""
+    return math.lcm(*(x.denominator for w in alg.brackets.values() for x in w))
 
-    u = sum x_i basis[i], v = sum y_i basis[i] (default: the algebra's basis).
-    Sums the left-normed bracket terms of ``bch.bch_terms``; the value of
-    each bracket word is memoized per prefix, so each is computed once.
+
+def bch_denominator(alg, den: int = 1) -> int:
+    """T, the common denominator of ``bch_integer(alg, den, rows)``: the lcm
+    over the words w of ``bch.bch_terms`` of den^|w| * D^(|w|-1) times the
+    denominator of w's coefficient, D as in ``_bracket_den``."""
+    D = _bracket_den(alg)
+    return math.lcm(*(coeff.denominator * den ** len(w) * D ** (len(w) - 1)
+                      for w, coeff in bch.bch_terms(alg.nilpotency_class)))
+
+
+def _int_bracket(brackets, x, y):
+    """Bracket of two vectors of integer polynomials, times D: ``brackets``
+    lists (i, j, [(l, D * c_ij^l), ...]) for the nonzero constants."""
+    out = [{} for _ in x]
+    for i, j, w in brackets:
+        c: dict = {}
+        for a, b, sign in ((x[i], y[j], 1), (x[j], y[i], -1)):
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    m = tuple(sorted(m1 + m2))
+                    c[m] = c.get(m, 0) + sign * c1 * c2
+        for l, b in w:
+            o = out[l]
+            for m, v in c.items():
+                if v:
+                    o[m] = o.get(m, 0) + b * v
+    return [{m: v for m, v in o.items() if v} for o in out]
+
+
+def bch_integer(alg, den: int, rows):
+    """(T, polys): BCH(u, v) as integer polynomials over one denominator T.
+
+    u = sum x_i rows[i] / den and v = sum y_i rows[i] / den, for integer
+    rows of length k; the variables are x_0..x_{r-1}, y_0..y_{r-1} and
+    T = ``bch_denominator(alg, den)``.  The structure constants are cleared
+    once by D; the value of each left-normed bracket word of length L is
+    memoized per prefix as integer polynomials over den^L * D^(L-1), and
+    each word of ``bch.bch_terms`` is added with its coefficient over T.
     """
-    k = alg.dim
-    if basis is None:
-        basis = [[int(i == t) for t in range(k)] for i in range(k)]
-    r = len(basis)
-    letters = tuple([{(s + i,): Fraction(row[l]) for i, row in enumerate(basis)
-                      if row[l]} for l in range(k)] for s in (0, r))
+    k, r = alg.dim, len(rows)
+    D = _bracket_den(alg)
+    T = bch_denominator(alg, den)
+    brackets = [(i, j, [(l, x.numerator * (D // x.denominator))
+                        for l, x in enumerate(w) if x])
+                for (i, j), w in alg.brackets.items()]
+    letters = tuple([{(s + i,): row[l] for i, row in enumerate(rows) if row[l]}
+                     for l in range(k)] for s in (0, r))
     memo: dict = {}
 
     def value(word):
@@ -157,16 +202,30 @@ def bch_symbolic(alg, basis=None):
             if len(word) == 1:
                 v = letters[word[0]]
             else:
-                v = _sym_bracket(alg, value(word[:-1]), letters[word[-1]])
+                v = _int_bracket(brackets, value(word[:-1]), letters[word[-1]])
             memo[word] = v
         return v
 
-    out = [dict() for _ in range(k)]
+    out = [{} for _ in range(k)]
     for word, coeff in bch.bch_terms(alg.nilpotency_class):
-        for l, p in enumerate(value(word)):
-            if p:
-                out[l] = poly_add(out[l], poly_scale(coeff, p))
-    return out
+        L = len(word)
+        f = coeff.numerator * (T // (coeff.denominator * den ** L * D ** (L - 1)))
+        for o, p in zip(out, value(word)):
+            for m, v in p.items():
+                o[m] = o.get(m, 0) + f * v
+    return T, [{m: v for m, v in o.items() if v} for o in out]
+
+
+def bch_symbolic(alg, basis=None):
+    """BCH(u, v) as Fraction polynomials in x_0..x_{r-1}, y_0..y_{r-1}.
+
+    u = sum x_i basis[i], v = sum y_i basis[i] (default: the algebra's basis).
+    The rows are cleared to integers over one denominator and expanded by
+    ``bch_integer``; each coefficient is its integer over T.
+    """
+    den, rows = (1, mat_identity(alg.dim)) if basis is None else integer_rows(basis)
+    T, polys = bch_integer(alg, den, rows)
+    return [{m: Fraction(v, T) for m, v in p.items()} for p in polys]
 
 
 def _surjections(e, j):
@@ -201,4 +260,5 @@ def compile_bch(alg) -> CompiledPolyMap:
     ``eval_mod``, its value reduced mod m, is guaranteed integral only on
     inputs from a BCH-closed lattice expressed in a basis of that lattice.
     """
-    return compile_polys(bch_symbolic(alg))
+    T, polys = bch_integer(alg, 1, mat_identity(alg.dim))
+    return compile_polys(polys, T)

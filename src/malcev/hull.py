@@ -121,9 +121,18 @@ class HullResult:
 
 
 def _closure_candidates(alg, lat):
-    """Binomial-basis coefficient vectors of BCH written in the basis of lat:
-    exp(lat) is closed under products exactly when all of them lie in lat."""
-    return compiled.binomial_vectors(compiled.bch_symbolic(alg, lat.basis()))
+    """Binomial-basis coefficient vectors of BCH written in the basis of lat,
+    as integer rows over ``compiled.bch_denominator(alg, lat.den)``: exp(lat)
+    is closed under products exactly when all of them lie in lat."""
+    _, polys = compiled.bch_integer(alg, lat.den, lat.rows)
+    return compiled.binomial_vectors(polys)
+
+
+def _closure_round(alg, lat) -> Lattice:
+    """lat plus the span of its closure candidates, read on their integer
+    rows: no Fraction is made between the lattice and the HNF."""
+    return lattice_sum(lat, hnf_lattice(_closure_candidates(alg, lat), alg.dim,
+                                        compiled.bch_denominator(alg, lat.den)))
 
 
 def lattice_hull(group: GenGroup, max_rounds: int = 64) -> HullResult:
@@ -135,7 +144,7 @@ def lattice_hull(group: GenGroup, max_rounds: int = 64) -> HullResult:
     alg = group.algebra
     lat = hnf_lattice([vec(g) for g in group.gen_logs], alg.dim)
     for _ in range(max_rounds):
-        grown = lattice_sum(lat, hnf_lattice(_closure_candidates(alg, lat), alg.dim))
+        grown = _closure_round(alg, lat)
         if grown == lat:
             break
         lat = grown
@@ -162,8 +171,7 @@ def closure_certificate(hull: HullResult) -> bool:
     """Exact test that exp(hull.lattice) is closed under every product:
     true if and only if each binomial coefficient vector of BCH, written in
     the lattice basis, lies in the lattice (Polya; Cahen-Chabert 1997)."""
-    return all(hull.lattice.member(c)
-               for c in _closure_candidates(hull.algebra, hull.lattice))
+    return _closure_round(hull.algebra, hull.lattice) == hull.lattice
 
 
 def adapted_basis(lat: Lattice, alg: NilpotentLieAlgebra):

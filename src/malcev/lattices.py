@@ -135,14 +135,17 @@ class Lattice:
             [tuple(x * num for x in row) for row in self.rows])
 
 
-def hnf_lattice(vectors, dim: int | None = None) -> Lattice:
-    """Z-span of the given rational row vectors, in canonical form."""
+def hnf_lattice(vectors, dim: int | None = None, den: int | None = None) -> Lattice:
+    """Z-span of the given rational row vectors, in canonical form; with
+    ``den``, of integer rows over den, which go to the HNF as they are."""
     vectors = list(vectors)
     if not vectors and dim is None:
         raise ValueError("empty generating set needs an explicit dimension")
     if dim is None:
         dim = len(vectors[0])
-    return Lattice.from_den_rows(dim, *integer_rows(vectors, dim))
+    if den is None:
+        den, vectors = integer_rows(vectors, dim)
+    return Lattice.from_den_rows(dim, den, vectors)
 
 
 class Coordinates:
@@ -197,8 +200,8 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     if a.dim != b.dim:
         raise DimensionMismatch("lattice sum of different ambient dimensions")
     den = lcm(a.den, b.den)
-    return Lattice.from_den_rows(a.dim, den, [
-        tuple(x * (den // l.den) for x in row) for l in (a, b) for row in l.rows])
+    return hnf_lattice([tuple(x * (den // l.den) for x in row)
+                        for l in (a, b) for row in l.rows], a.dim, den)
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from malcev import compiled, linalg, unitriangular as ut
+from malcev import compiled, hull as hull_module, lattices, linalg, \
+    unitriangular as ut
 from malcev.catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
                             build_hull, entry_by_name)
 from malcev.errors import (CapExceeded, DimensionMismatch, SublatticeError,
@@ -18,11 +19,11 @@ from malcev.hull import (GenGroup, HullResult, LatticeQuotient, _layer_basis,
                          group_index_in_hull, hull_of_lattice, lattice_hull)
 from malcev.lattices import (Coordinates, Lattice, _coordinate_matrix,
                              hnf_lattice, intersect_subspace, lattice_index,
-                             smith_quotient)
+                             lattice_sum, smith_quotient)
 from malcev.liealg import GroupElement, NilpotentLieAlgebra, vec
 from malcev.linalg import hnf
 from test_cli_outputs import sheared_group
-from test_liealg import _ref_root
+from test_liealg import _ref_bch_symbolic, _ref_root
 
 
 def _ref_from_elements(alg, elements, filtered=False):
@@ -404,6 +405,87 @@ def test_generated_hulls(name, seeds):
         alg, gens, ut_n = _moved_generators(name, rng, rng.randint(1, 4))
         h = _check_closed_hull(alg, gens, ut_n, rng, words=6)
         assert hull_of_lattice(alg, h.lattice).lattice == h.lattice, seed
+
+
+
+def _ref_lattice_hull(group, max_rounds=64):
+    """lattice_hull with each closure round read off the Fraction reference
+    ``_ref_bch_symbolic`` in the Fraction basis of the lattice, and the
+    candidates spanned by ``hnf_lattice``."""
+    alg = group.algebra
+    lat = hnf_lattice([vec(g) for g in group.gen_logs], alg.dim)
+    for _ in range(max_rounds):
+        candidates = compiled.binomial_vectors(_ref_bch_symbolic(alg, lat.basis()))
+        grown = lattice_sum(lat, hnf_lattice(candidates, alg.dim))
+        if grown == lat:
+            break
+        lat = grown
+    else:
+        raise CapExceeded(f"hull closure did not stabilize in {max_rounds} rounds")
+    embedding = None
+    if lat.rank < alg.dim:
+        embedding = tuple(linalg.span_basis(lat.basis()))
+        coords = Coordinates.of_rows(embedding, alg.dim)
+        alg = alg.restrict(embedding)
+        lat = hnf_lattice([coords(b) for b in lat.basis()], alg.dim)
+    basis, layers = adapted_basis(lat, alg)
+    return HullResult(alg, lat, tuple(basis), tuple(layers), layers.count(1),
+                      embedding)
+
+
+def _hull_fields(h):
+    return (h.algebra.dim, h.algebra.brackets, h.lattice, h.basis, h.layers,
+            h.d, h.embedding)
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_hulls_match_the_fraction_closure(name):
+    """Nielsen-moved generators at seeds 1-3: the hull built on the integer
+    symbolic BCH is the one the Fraction closure builds, field for field,
+    and it passes the certificate."""
+    for seed in (1, 2, 3):
+        alg, gens, _ = _moved_generators(name, random.Random(seed))
+        group = GenGroup(alg, gens)
+        h = lattice_hull(group)
+        assert _hull_fields(h) == _hull_fields(_ref_lattice_hull(group)), seed
+        assert closure_certificate(h), seed
+
+
+def test_catalog_hulls_match_the_fraction_closure():
+    for entry in CATALOG:
+        group = build_group(entry)
+        h = lattice_hull(group)
+        assert _hull_fields(h) == _hull_fields(_ref_lattice_hull(group)), entry.name
+        assert closure_certificate(h), entry.name
+
+
+def test_closure_rounds_make_no_fraction(monkeypatch):
+    """On a moved Psi(2,4), neither ``compiled`` nor ``lattices`` makes a
+    Fraction inside a closure round's candidates or inside the closure
+    certificate: the lattice's integer rows go to the HNF as integers."""
+    alg, gens, _ = _moved_generators("Psi(2,4)", random.Random(1))
+    made, inside = [0], [False]
+    for module in (compiled, lattices):
+        def counted(*args, _make=module.Fraction):
+            made[0] += inside[0]
+            return _make(*args)
+        monkeypatch.setattr(module, "Fraction", counted)
+    candidates, rounds = hull_module._closure_candidates, []
+
+    def window(*args):
+        inside[0] = True
+        try:
+            rounds.append(candidates(*args))
+        finally:
+            inside[0] = False
+        return rounds[-1]
+
+    monkeypatch.setattr(hull_module, "_closure_candidates", window)
+    h = lattice_hull(GenGroup(alg, gens))
+    assert len(rounds) > 1 and made[0] == 0
+    inside[0] = True
+    assert closure_certificate(h)
+    assert made[0] == 0
 
 
 # Fraction definitions of the integer lattice queries, kept as references.
@@ -904,7 +986,7 @@ def _ref_verify_normal(hull, s):
 
     basis = [vec(s * (i == t) for t in range(k)) for i in range(k)]
     if not all(in_sub(c) for c in compiled.binomial_vectors(
-            compiled.bch_symbolic(alg, basis))):
+            _ref_bch_symbolic(alg, basis))):
         raise SublatticeError("sublattice is not BCH-closed")
     for i in range(k):
         u = tuple(F(int(i == t)) for t in range(k))
@@ -986,20 +1068,20 @@ def test_conjugates_are_evaluated_once_per_hull(monkeypatch):
 
 def test_congruence_quotient_reuses_the_compiled_bch(monkeypatch):
     """Once the adapted BCH of a hull is compiled, building its congruence
-    quotients, escalated scales included, expands no BCH symbolically."""
+    quotients, escalated scales included, expands no BCH symbolically:
+    neither ``bch_symbolic`` nor the integer core that ``compile_bch``
+    reads is called."""
     hulls = [build_hull(entry) for entry in CATALOG]
     hulls.append(_hull_on(ut.tr0_algebra(3)[0], hnf_lattice(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)))
     for h in hulls:
         h.adapted_algebra.bch_compiled()
     calls = []
-    symbolic = compiled.bch_symbolic
-
-    def counted(*args):
-        calls.append(args)
-        return symbolic(*args)
-
-    monkeypatch.setattr(compiled, "bch_symbolic", counted)
+    for name in ("bch_symbolic", "bch_integer"):
+        def counted(*args, _f=getattr(compiled, name)):
+            calls.append(args)
+            return _f(*args)
+        monkeypatch.setattr(compiled, name, counted)
     scales = [congruence_quotient(h, m)[0] for h in hulls for m in range(1, 7)]
     assert scales[-6:] == [2, 2, 6, 4, 10, 6]
     assert calls == []

@@ -236,6 +236,121 @@ def _scaled_adapted(alg):
     return adapted
 
 
+def _ref_bch_symbolic(alg, basis=None):
+    """The Fraction symbolic BCH that ``compiled.bch_symbolic`` replaced:
+    every letter, bracket and bch_terms coefficient is a Fraction
+    polynomial, and each bracket word is memoized per prefix."""
+    k = alg.dim
+    if basis is None:
+        basis = [[int(i == t) for t in range(k)] for i in range(k)]
+    r = len(basis)
+    letters = tuple([{(s + i,): F(row[l]) for i, row in enumerate(basis)
+                      if row[l]} for l in range(k)] for s in (0, r))
+    memo = {}
+
+    def value(word):
+        v = memo.get(word)
+        if v is None:
+            if len(word) == 1:
+                v = letters[word[0]]
+            else:
+                v = compiled._sym_bracket(alg, value(word[:-1]),
+                                          letters[word[-1]])
+            memo[word] = v
+        return v
+
+    out = [dict() for _ in range(k)]
+    for word, coeff in bch.bch_terms(alg.nilpotency_class):
+        for l, p in enumerate(value(word)):
+            if p:
+                out[l] = compiled.poly_add(out[l], compiled.poly_scale(coeff, p))
+    return out
+
+
+def _sheared_adapted(alg, rng):
+    """alg in a seeded lower-triangular rational shear of its basis, with
+    diagonal 1/(i+1): non-integer structure constants."""
+    k = alg.dim
+    rows = [tuple(F(1, i + 1) if t == i else
+                  F(rng.randint(-2, 2), rng.randint(1, 3)) if t == i - 1 else 0
+                  for t in range(k)) for i in range(k)]
+    adapted, _, _ = alg.change_basis(rows)
+    assert any(x.denominator != 1 for w in adapted.brackets.values() for x in w)
+    return adapted
+
+
+def _seeded_bases(k, rng):
+    """(kind, basis) for a seeded integer, rational and rank-deficient basis:
+    each row is a scaled unit vector plus up to two other small entries, and
+    the rank-deficient one drops a row and repeats the sum of two others."""
+    def row(i, entry):
+        out = [0] * k
+        out[i] = entry() or 1
+        for t in rng.sample(range(k), min(2, k)):
+            if t != i:
+                out[t] = entry()
+        return tuple(out)
+
+    def integer():
+        return rng.randint(-3, 3)
+
+    def rational():
+        return F(rng.randint(-3, 3), rng.randint(1, 4))
+
+    yield "integer", [row(i, integer) for i in range(k)]
+    yield "rational", [row(i, rational) for i in range(k)]
+    rows = [row(i, rational) for i in range(k - 1)]
+    yield "rank-deficient", rows + [tuple(a + b for a, b in zip(*rows[:2]))
+                                    if len(rows) > 1 else (0,) * k]
+
+
+def _symbolic_algebras():
+    """(name, algebra) for the reference comparison: free and Tr_0 algebras,
+    every catalog algebra and adapted catalog algebra, and a scaled and a
+    sheared adapted algebra with non-integer structure constants."""
+    from malcev.catalog import CATALOG, build_group
+    for n, c in ((2, 3), (2, 4), (2, 5), (3, 3)):
+        yield f"free({n},{c})", free_algebra(n, c)
+    yield "tr0(5)", ut.tr0_algebra(5)[0]
+    for entry in CATALOG:
+        yield entry.name, build_group(entry).algebra
+        yield "adapted " + entry.name, build_hull(entry).adapted_algebra
+    yield "scaled free(2,3)", _scaled_adapted(free_algebra(2, 3))
+    yield "sheared free(2,3)", _sheared_adapted(free_algebra(2, 3),
+                                                random.Random(4))
+
+
+def test_bch_symbolic_matches_the_fraction_reference():
+    """The integer symbolic BCH, read back as Fractions, equals the Fraction
+    reference dict for dict: in the algebra's own basis and in seeded
+    integer, rational and rank-deficient bases.  The compiled map built from
+    the integer core equals the one compiled from the reference."""
+    rng = random.Random(11)
+    kinds = set()
+    for name, alg in _symbolic_algebras():
+        assert compiled.bch_symbolic(alg) == _ref_bch_symbolic(alg), name
+        assert (compiled.compile_bch(alg).coords
+                == compiled.compile_polys(_ref_bch_symbolic(alg)).coords), name
+        for kind, basis in _seeded_bases(alg.dim, rng):
+            kinds.add(kind)
+            assert (compiled.bch_symbolic(alg, basis)
+                    == _ref_bch_symbolic(alg, basis)), (name, kind)
+    assert kinds == {"integer", "rational", "rank-deficient"}
+
+
+def test_bch_integer_is_over_its_denominator():
+    """bch_integer returns int coefficients over bch_denominator.  In the
+    basis (e1, e2, e3/2) of the Heisenberg hull, den = 2 and BCH is summed
+    as x + y + [x, y]/4 - [y, x]/4, so T = 4 * 2^2 = 16."""
+    alg = heisenberg()
+    rows = [(2, 0, 0), (0, 2, 0), (0, 0, 1)]
+    T, polys = compiled.bch_integer(alg, 2, rows)
+    assert T == compiled.bch_denominator(alg, 2) == 16
+    assert polys == [{(0,): 16, (3,): 16}, {(1,): 16, (4,): 16},
+                     {(2,): 8, (5,): 8, (0, 4): 8, (1, 3): -8}]
+    assert all(type(v) is int for p in polys for v in p.values())
+
+
 @pytest.mark.parametrize("name", ["tr0(4)", "tr0(5)", "tr0(6)", "free(2,4)",
                                   "free(3,3)", "adapted free(2,3)"])
 def test_eval_rat_matches_reference(name):
