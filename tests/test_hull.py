@@ -407,7 +407,6 @@ def test_generated_hulls(name, seeds):
         assert hull_of_lattice(alg, h.lattice).lattice == h.lattice, seed
 
 
-
 def _ref_lattice_hull(group, max_rounds=64):
     """lattice_hull with each closure round read off the Fraction reference
     ``_ref_bch_symbolic`` in the Fraction basis of the lattice, and the
@@ -473,18 +472,20 @@ def test_closure_rounds_make_no_fraction(monkeypatch):
     candidates, rounds = hull_module._closure_candidates, []
 
     def window(*args):
-        inside[0] = True
+        before, inside[0] = inside[0], True
         try:
             rounds.append(candidates(*args))
         finally:
-            inside[0] = False
+            inside[0] = before
         return rounds[-1]
 
     monkeypatch.setattr(hull_module, "_closure_candidates", window)
     h = lattice_hull(GenGroup(alg, gens))
     assert len(rounds) > 1 and made[0] == 0
+    # the whole certificate, its HNF and lattice sum included
     inside[0] = True
     assert closure_certificate(h)
+    inside[0] = False
     assert made[0] == 0
 
 
