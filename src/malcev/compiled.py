@@ -148,7 +148,7 @@ def _bracket_den(alg) -> int:
     return math.lcm(*(x.denominator for w in alg.brackets.values() for x in w))
 
 
-def bch_denominator(alg, den: int = 1) -> int:
+def bch_denominator(alg, den: int) -> int:
     """T, the common denominator of ``bch_integer(alg, den, rows)``: the lcm
     over the words w of ``bch.bch_terms`` of den^|w| * D^(|w|-1) times the
     denominator of w's coefficient, D as in ``_bracket_den``."""
