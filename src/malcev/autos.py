@@ -648,8 +648,10 @@ def csp_witness(hull: HullResult, gens, index: int | None = None,
 
     At the certified level, 100 seeded integral IA* points are drawn
     with multiple-of-m free coordinates; ``kernel_samples`` counts those
-    that exist and reduce to the identity mod m (every value 0 mod m), each
-    checked to lie in the image.
+    that exist and reduce to the identity mod m (every value 0 mod m).  Each
+    is tested for membership in the image, but that test cannot fail: such a
+    sample reduces to the identity, which every closure holds.  A sample
+    that checks the subgroup is ROADMAP item 2 (sifting).
     """
     eq = eq or IAStarEquations(hull)
     mats = [_ia_star_matrix(g, hull) for g in gens]

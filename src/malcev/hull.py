@@ -198,27 +198,28 @@ def adapted_basis(lat: Lattice, alg: NilpotentLieAlgebra):
 
 
 def _layer_basis(upper_lat: Lattice, lower_space_rows):
-    """Vectors of upper_lat whose classes give an HNF basis mod the subspace."""
+    """Vectors of upper_lat whose classes give an HNF basis mod the subspace.
+
+    The rref R of the columns [W | gens] picks the greedy complement E (the
+    gens that are pivot columns), and column len(W) + t of R holds gens[t]
+    along the pivot columns W + E (Cohen, GTM 138, 2.3): its rows past
+    len(W) are the projections onto E mod W, with no second solve.
+    """
     if upper_lat.rank == 0:
         return []
-    # the lower space rows are independent: an lcs entry
+    # the lower space rows are independent (an lcs entry): the first w pivots
     W = list(lower_space_rows)
-    gens = upper_lat.basis()
-    # the greedy complement E: the generators that are pivot columns of
-    # the matrix with columns W, then gens
-    pivots = linalg.rref(list(zip(*W, *gens)))[1]
-    E = [gens[c - len(W)] for c in pivots[len(W):]]
-    if not E:
+    w, gens = len(W), upper_lat.basis()
+    R, pivots = linalg.rref(list(zip(*W, *gens)))
+    if len(pivots) == w:
         return []
-    # coordinates of each generator along the complement part
-    coords = Coordinates.of_rows(W + E, upper_lat.dim)
-    proj = [coords(g)[len(W):] for g in gens]
+    proj = list(zip(*(row[w:] for row in R[w:])))
     H, U = linalg.hnf(integer_rows(proj)[1], transform=True)
     # U * gens, read as integer combinations of the lattice rows over den
     cols, zero = tuple(zip(*upper_lat.rows)), Fraction(0)
     out = [tuple(Fraction(x, upper_lat.den) if x else zero
                  for x in linalg.mat_apply(cols, U[i])) for i in range(len(H))]
-    if len(out) != len(E):
+    if len(out) != len(pivots) - w:
         raise RuntimeError("complement basis must have one vector per"
                            " extension generator")
     return out

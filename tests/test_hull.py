@@ -296,7 +296,17 @@ SHAPES = {"Psi(2,3)": (lambda: free_algebra(2, 3), 2, None),
           "Psi(3,3)": (lambda: free_algebra(3, 3), 3, None),
           "Psi(2,5)": (lambda: free_algebra(2, 5), 2, None),
           "UT(4)": (lambda: ut.tr0_algebra(4)[0], 3, 4),
-          "UT(5)": (lambda: ut.tr0_algebra(5)[0], 4, 5)}
+          "UT(5)": (lambda: ut.tr0_algebra(5)[0], 4, 5),
+          "Psi(4,2)": (lambda: free_algebra(4, 2), 4, None),
+          "Psi(5,2)": (lambda: free_algebra(5, 2), 5, None),
+          "Psi(6,2)": (lambda: free_algebra(6, 2), 6, None),
+          "Psi(3,4)": (lambda: free_algebra(3, 4), 3, None),
+          "Psi(4,3)": (lambda: free_algebra(4, 3), 4, None),
+          "UT(6)": (lambda: ut.tr0_algebra(6)[0], 5, 6)}
+# The shapes of the hull-ladder and hull-defects benchmark workloads.
+LADDER_SHAPES = ("Psi(2,3)", "Psi(3,2)", "Psi(4,2)", "Psi(2,4)", "Psi(5,2)",
+                 "Psi(6,2)")
+DEFECT_SHAPES = ("Psi(3,3)", "UT(4)", "UT(5)", "Psi(2,5)")
 
 
 def _moved_generators(name, rng, moves=2):
@@ -437,7 +447,8 @@ def _hull_fields(h):
             h.d, h.embedding)
 
 
-@pytest.mark.parametrize("name", list(SHAPES))
+@pytest.mark.parametrize("name", ["Psi(2,3)", "Psi(3,2)", "Psi(2,4)",
+                                  "Psi(3,3)", "Psi(2,5)", "UT(4)", "UT(5)"])
 def test_hulls_match_the_fraction_closure(name):
     """Nielsen-moved generators at seeds 1-3: the hull built on the integer
     symbolic BCH is the one the Fraction closure builds, field for field,
@@ -909,13 +920,18 @@ def test_bracket_matches_the_dense_formula():
 
 
 def test_layer_basis_matches_the_greedy_rebuild():
+    """The layer bases read off one rref are the greedy rebuild through
+    Coordinates: on twisted catalog hulls, the benchmark hull shapes at
+    seeds 1-20, and three larger shapes at seed 1."""
     rng = random.Random(2)
     groups = [build_group(entry) for entry in CATALOG]
     hulls = [lattice_hull(_twisted(g, rng)) for g in groups if g.algebra.dim > 1]
-    for name in ("Psi(2,3)", "Psi(3,2)", "Psi(2,4)", "UT(4)", "UT(5)"):
-        for seed in (1, 2):
-            alg, gens, _ = _moved_generators(name, random.Random(seed))
-            hulls.append(lattice_hull(GenGroup(alg, gens)))
+    runs = [(name, seed) for name in LADDER_SHAPES + DEFECT_SHAPES
+            for seed in range(1, 21)]
+    runs += [(name, 1) for name in ("Psi(3,4)", "Psi(4,3)", "UT(6)")]
+    for name, seed in runs:
+        alg, gens, _ = _moved_generators(name, random.Random(seed))
+        hulls.append(lattice_hull(GenGroup(alg, gens)))
     for h in hulls:
         gammas = h.algebra.lcs()
         basis = []
@@ -925,6 +941,27 @@ def test_layer_basis_matches_the_greedy_rebuild():
             assert got == _ref_layer_basis(upper, gammas[j])
             basis += got
         assert tuple(basis) == h.basis
+
+
+def test_adapted_basis_builds_no_coordinates(monkeypatch):
+    """The layer projections come from the rref that picks each complement:
+    adapted bases of the hull-ladder shapes at seed 1 build no second
+    coordinate system."""
+    hulls = []
+    for name in LADDER_SHAPES:
+        alg, gens, _ = _moved_generators(name, random.Random(1))
+        hulls.append(lattice_hull(GenGroup(alg, gens)))
+    built = []
+    init = Coordinates.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Coordinates, "__init__", counting_init)
+    for h in hulls:
+        assert adapted_basis(h.lattice, h.algebra) == (h.basis, h.layers)
+    assert built == []
 
 
 def _ref_reduce(q, v):
