@@ -180,16 +180,31 @@ def adapted_basis(lat: Lattice, alg: NilpotentLieAlgebra):
     Requires lat to be full rank in the algebra.  Returns (basis, layers)
     with layers[i] the 1-based lower-central-series layer of basis[i]; the
     vectors form a Z-basis of lat ordered by non-decreasing layer.
+
+    When every g_j is spanned by the last dim g_j unit vectors (a coordinate
+    flag, as on Hall bases and Tr_0(n)), the HNF rows of lat are already
+    adapted: row i has its pivot at column i, and in echelon form the rows
+    with pivot >= k - dim g_j span lat & g_j.  Otherwise the lattice chain
+    lat & g_j is walked down, one intersection and one :func:`_layer_basis`
+    per layer.
     """
     if lat.rank != alg.dim:
         raise SublatticeError("adapted basis needs a full-rank lattice")
-    gammas = alg.lcs()  # gamma_1 .. gamma_{c+1}; last is empty
+    k = alg.dim
+    gammas = alg.lcs()  # gamma_1 (the identity rows) .. gamma_{c+1} = empty
+    if all(tuple(g) == gammas[0][k - len(g):] for g in gammas):
+        den = lat.den
+        return (tuple(tuple(Fraction(x, den) if x else _ZERO for x in row)
+                      for row in lat.rows),
+                tuple(j for j in range(1, len(gammas))
+                      for _ in range(len(gammas[j - 1]) - len(gammas[j]))))
     basis = []
     layers = []
+    upper = lat  # lat & gamma_1; each later term is cut from the one before
     for j in range(1, len(gammas)):
-        upper = intersect_subspace(lat, gammas[j - 1])
-        lower_space = gammas[j]
-        layer_vectors = _layer_basis(upper, lower_space)
+        if j > 1:
+            upper = intersect_subspace(upper, gammas[j - 1])
+        layer_vectors = _layer_basis(upper, gammas[j])
         basis.extend(layer_vectors)
         layers.extend([j] * len(layer_vectors))
     if len(basis) != alg.dim:

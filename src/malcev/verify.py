@@ -184,6 +184,35 @@ def _layer_rank_oracle(lat, alg):
     return tuple(r for r in ranks if r)
 
 
+def _basis_problems(h):
+    """The adapted-basis checks on one hull, read off its lattice alone:
+    per-layer sublists are Z-bases of the layer quotients (condition (1)),
+    layers are non-decreasing (condition (2)), the basis spans the lattice,
+    and the Smith rank oracle gives the layer sizes."""
+    alg = h.algebra
+    gammas = alg.lcs()
+    problems = []
+    # condition (1): per-layer sublists are Z-bases of the layer quotients
+    for j in range(1, len(gammas)):
+        upper = intersect_subspace(h.lattice, gammas[j - 1])
+        lower = intersect_subspace(h.lattice, gammas[j])
+        sub = [b for b, l in zip(h.basis, h.layers) if l == j]
+        if any(not upper.member(b) for b in sub):
+            problems.append(f"layer {j} vector outside the layer lattice")
+        if hnf_lattice(list(sub) + list(lower.basis()), alg.dim) != upper:
+            problems.append(f"layer {j} sublist not a basis mod deeper")
+    # condition (2): non-decreasing layers
+    if any(h.layers[i + 1] < h.layers[i] for i in range(len(h.layers) - 1)):
+        problems.append("layer ordering violated")
+    if hnf_lattice(h.basis, alg.dim) != h.lattice:
+        problems.append("adapted basis is not a lattice basis")
+    # independent rank oracle
+    ranks = _layer_rank_oracle(h.lattice, alg)
+    if ranks != h.layer_sizes:
+        problems.append(f"Smith rank oracle {ranks} != {h.layer_sizes}")
+    return problems
+
+
 def suite_basis(seed: int = 0):
     """Adapted bases over the whole catalog: the per-layer basis condition
     and the ordering condition, plus independent Witt / Smith rank oracles."""
@@ -192,26 +221,7 @@ def suite_basis(seed: int = 0):
         t = _timer()
         h = build_hull(entry)
         alg = h.algebra
-        gammas = alg.lcs()
-        problems = []
-        # condition (1): per-layer sublists are Z-bases of the layer quotients
-        for j in range(1, len(gammas)):
-            upper = intersect_subspace(h.lattice, gammas[j - 1])
-            lower = intersect_subspace(h.lattice, gammas[j])
-            sub = [b for b, l in zip(h.basis, h.layers) if l == j]
-            if any(not upper.member(b) for b in sub):
-                problems.append(f"layer {j} vector outside the layer lattice")
-            if hnf_lattice(list(sub) + list(lower.basis()), alg.dim) != upper:
-                problems.append(f"layer {j} sublist not a basis mod deeper")
-        # condition (2): non-decreasing layers
-        if any(h.layers[i + 1] < h.layers[i] for i in range(len(h.layers) - 1)):
-            problems.append("layer ordering violated")
-        if hnf_lattice(h.basis, alg.dim) != h.lattice:
-            problems.append("adapted basis is not a lattice basis")
-        # independent rank oracles
-        ranks = _layer_rank_oracle(h.lattice, alg)
-        if ranks != h.layer_sizes:
-            problems.append(f"Smith rank oracle {ranks} != {h.layer_sizes}")
+        problems = _basis_problems(h)
         for key, (value, _tag) in entry.expected.items():
             if key == "k" and alg.dim != value:
                 problems.append(f"k {alg.dim} != {value}")

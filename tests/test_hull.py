@@ -934,23 +934,25 @@ def test_layer_basis_matches_the_greedy_rebuild():
         hulls.append(lattice_hull(GenGroup(alg, gens)))
     for h in hulls:
         gammas = h.algebra.lcs()
-        basis = []
+        basis, layers = [], []
         for j in range(1, len(gammas)):
             upper = intersect_subspace(h.lattice, gammas[j - 1])
             got = _layer_basis(upper, gammas[j])
             assert got == _ref_layer_basis(upper, gammas[j])
             basis += got
-        assert tuple(basis) == h.basis
+            layers += [j] * len(got)
+        assert (tuple(basis), tuple(layers)) == (h.basis, h.layers)
 
 
 def test_adapted_basis_builds_no_coordinates(monkeypatch):
     """The layer projections come from the rref that picks each complement:
-    adapted bases of the hull-ladder shapes at seed 1 build no second
-    coordinate system."""
-    hulls = []
+    adapted bases of the twisted hull-ladder shapes at seed 1, which take
+    the per-layer construction, build no second coordinate system."""
+    hulls, rng = [], random.Random(1)
     for name in LADDER_SHAPES:
         alg, gens, _ = _moved_generators(name, random.Random(1))
-        hulls.append(lattice_hull(GenGroup(alg, gens)))
+        hulls.append(lattice_hull(_twisted(GenGroup(alg, gens), rng)))
+        assert not _on_coordinate_flag(hulls[-1].algebra)
     built = []
     init = Coordinates.__init__
 
@@ -962,6 +964,62 @@ def test_adapted_basis_builds_no_coordinates(monkeypatch):
     for h in hulls:
         assert adapted_basis(h.lattice, h.algebra) == (h.basis, h.layers)
     assert built == []
+
+
+def _on_coordinate_flag(alg):
+    """Whether each term of the reference lower central series is spanned
+    by the trailing unit vectors."""
+    k = alg.dim
+    return all(g == [_unit(k, i) for i in range(k - len(g), k)]
+               for g in _ref_lcs(k, alg.brackets))
+
+
+def test_adapted_basis_reads_the_hnf_on_a_coordinate_flag(monkeypatch):
+    """On a coordinate flag the adapted basis is read off the lattice's HNF
+    rows, with no intersection and no layer basis; elsewhere the lattice
+    chain is walked with both."""
+    from test_autos import filiform_hull  # test_autos imports this module
+    on_flag = []
+    for name in LADDER_SHAPES:
+        alg, gens, _ = _moved_generators(name, random.Random(1))
+        on_flag.append(lattice_hull(GenGroup(alg, gens)))
+    on_flag += [build_hull(entry) for entry in CATALOG]
+    # a restricted algebra and a non-graded one, both on a coordinate flag
+    restricted = GenGroup(free_algebra(3, 3), (_unit(14, 0), _unit(14, 1)))
+    filiform = filiform_hull()
+    on_flag += [lattice_hull(restricted), filiform]
+    rng = random.Random(2)
+    groups = [build_group(entry) for entry in CATALOG]
+    groups += [restricted, GenGroup(filiform.algebra, (_unit(5, 0), _unit(5, 1)))]
+    twisted = [lattice_hull(_twisted(g, rng)) for g in groups if g.algebra.dim > 1]
+    off_flag = [h for h in twisted if not _on_coordinate_flag(h.algebra)]
+    assert len(off_flag) >= 7 and twisted[-1] in off_flag and \
+        twisted[-2] in off_flag and twisted[-2].embedding is not None
+    assert all(_on_coordinate_flag(h.algebra) for h in on_flag)
+    calls = []
+    for name in ("intersect_subspace", "_layer_basis"):
+        monkeypatch.setattr(hull_module, name, lambda *args, _name=name,
+                            _f=getattr(hull_module, name):
+                            calls.append(_name) or _f(*args))
+    for hulls, expected in ((on_flag, set()),
+                            (off_flag, {"intersect_subspace", "_layer_basis"})):
+        for h in hulls:
+            calls.clear()
+            assert adapted_basis(h.lattice, h.algebra) == (h.basis, h.layers)
+            assert set(calls) == expected
+
+
+def test_adapted_bases_pass_the_basis_oracle():
+    """verify's per-hull basis checks, which read only the lattice, pass on
+    the benchmark hull shapes at seeds 1-5 and three larger shapes."""
+    from malcev.verify import _basis_problems
+    runs = [(name, seed) for name in LADDER_SHAPES + DEFECT_SHAPES
+            for seed in range(1, 6)]
+    runs += [(name, 1) for name in ("Psi(3,4)", "Psi(4,3)", "UT(6)")]
+    for name, seed in runs:
+        alg, gens, _ = _moved_generators(name, random.Random(seed))
+        assert _basis_problems(lattice_hull(GenGroup(alg, gens))) == [], \
+            (name, seed)
 
 
 def _ref_reduce(q, v):
