@@ -26,11 +26,10 @@ from functools import cached_property
 from math import gcd, prod
 
 from . import linalg
-from .compiled import poly_add, poly_scale, poly_sub, _sym_bracket
+from .compiled import _int_bracket, _int_structure
 from .errors import CapExceeded, DimensionMismatch, IndexMismatch
 from .finite import closure
 from .hull import HullResult
-from .lattices import integer_rows
 from .liealg import NilpotentLieAlgebra, vec
 
 
@@ -231,52 +230,45 @@ class IAStarEquations:
             for w in depths]
         stratum_of_depth = {s.depth: s for s in self.strata}
 
-        # symbolic columns of A = I + N
-        cols = []
-        for c in range(k):
-            col = []
+        # symbolic columns of A = I + N, and each equation cleared by D:
+        # D [A e_i, A e_j] - sum_c D c_ij^c A e_c, divided by its gcd with D
+        cols = [[{(): 1} if r == c else
+                 {(self.var_of[(r, c)],): 1} if (r, c) in self.var_of else {}
+                 for r in range(k)] for c in range(k)]
+        D, brackets = _int_structure(adapted)
+        structure = {(i, j): w for i, j, w in brackets}
+        for i, j in itertools.combinations(range(k), 2):
+            lhs = _int_bracket(brackets, cols[i], cols[j])
             for r in range(k):
-                if r == c:
-                    col.append({(): Fraction(1)})
-                elif (r, c) in self.var_of:
-                    col.append({(self.var_of[(r, c)],): Fraction(1)})
-                else:
-                    col.append({})
-            cols.append(col)
-
-        for i in range(k):
-            for j in range(i + 1, k):
-                lhs = _sym_bracket(adapted, cols[i], cols[j])
-                w_vec = adapted.bracket_basis(i, j)
-                for r in range(k):
-                    rhs = {}
-                    for c in range(k):
-                        if w_vec[c]:
-                            rhs = poly_add(rhs, poly_scale(w_vec[c], cols[c][r]))
-                    p = poly_sub(lhs[r], rhs)
-                    if not p:
-                        continue
-                    depth = layers[r] - layers[i] - layers[j]
-                    if depth < 1:
-                        raise RuntimeError(
-                            "non-vacuous equation above the grading")
-                    nums = integer_rows([p.values()])[1][0]
-                    lin = [0] * len(stratum_of_depth[depth].vars)
-                    rem = {}
-                    local = {v: t for t, v in enumerate(stratum_of_depth[depth].vars)}
-                    for mono, coeff in zip(p, nums):
-                        mono_depth = sum(self.depth_of_var[v] for v in mono)
-                        if mono_depth > depth:
+                p = dict(lhs[r])
+                for c, b in structure.get((i, j), ()):
+                    for mono, v in cols[c][r].items():
+                        p[mono] = p.get(mono, 0) - b * v
+                p = {mono: v for mono, v in p.items() if v}
+                if not p:
+                    continue
+                depth = layers[r] - layers[i] - layers[j]
+                if depth < 1:
+                    raise RuntimeError(
+                        "non-vacuous equation above the grading")
+                g = gcd(D, *p.values())
+                lin = [0] * len(stratum_of_depth[depth].vars)
+                rem = {}
+                local = {v: t for t, v in enumerate(stratum_of_depth[depth].vars)}
+                for mono, coeff in p.items():
+                    coeff //= g
+                    mono_depth = sum(self.depth_of_var[v] for v in mono)
+                    if mono_depth > depth:
+                        raise RuntimeError("grading violation")
+                    if mono_depth == depth and len(mono) == 1 and \
+                            self.depth_of_var[mono[0]] == depth:
+                        lin[local[mono[0]]] += coeff
+                    else:
+                        if any(self.depth_of_var[v] >= depth for v in mono):
                             raise RuntimeError("grading violation")
-                        if mono_depth == depth and len(mono) == 1 and \
-                                self.depth_of_var[mono[0]] == depth:
-                            lin[local[mono[0]]] += coeff
-                        else:
-                            if any(self.depth_of_var[v] >= depth for v in mono):
-                                raise RuntimeError("grading violation")
-                            rem[mono] = rem.get(mono, 0) + coeff
-                    stratum_of_depth[depth].rows.append(
-                        (tuple(lin), tuple(sorted(rem.items()))))
+                        rem[mono] = rem.get(mono, 0) + coeff
+                stratum_of_depth[depth].rows.append(
+                    (tuple(lin), tuple(sorted(rem.items()))))
 
         for s in self.strata:
             if saturate and s.rows:

@@ -20,56 +20,10 @@ from .linalg import mat_identity
 
 # A polynomial is a dict: monomial -> coefficient, where a monomial is a
 # sorted tuple of variable indices (with repetition); () is the constant
-# monomial.  The symbolic BCH keeps int coefficients over one denominator
-# (``bch_integer``); the ``poly_*`` helpers work on Fraction coefficients.
-
-
-def poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, 0) + c
-        if v:
-            out[m] = v
-        elif m in out:
-            del out[m]
-    return out
-
-
-def poly_scale(q, a: dict) -> dict:
-    q = Fraction(q)
-    if not q:
-        return {}
-    return {m: q * c for m, c in a.items()}
-
-
-def poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2))
-            v = out.get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
-
-
-def poly_sub(a: dict, b: dict) -> dict:
-    return poly_add(a, poly_scale(-1, b))
-
-
-def _sym_bracket(alg, x, y):
-    """Bracket of two symbolic (poly-coefficient) vectors."""
-    out = [dict() for _ in range(alg.dim)]
-    for (i, j), w in alg.brackets.items():
-        c = poly_sub(poly_mul(x[i], y[j]), poly_mul(x[j], y[i]))
-        if not c:
-            continue
-        for l, coeff in enumerate(w):
-            if coeff:
-                out[l] = poly_add(out[l], poly_scale(coeff, c))
-    return out
+# monomial.  Every polynomial is built with int coefficients over one
+# denominator kept beside it: ``_int_structure`` clears the structure
+# constants once by D, and ``_int_bracket`` brackets such polynomials.
+# Only ``bch_symbolic`` reads its result back as Fractions.
 
 
 class CompiledPolyMap:
@@ -157,6 +111,16 @@ def bch_denominator(alg, den: int) -> int:
                       for w, coeff in bch.bch_terms(alg.nilpotency_class)))
 
 
+def _int_structure(alg):
+    """(D, brackets): D as in ``_bracket_den`` and the list of
+    (i, j, [(l, D * c_ij^l), ...]) over the nonzero constants that
+    ``_int_bracket`` reads."""
+    D = _bracket_den(alg)
+    return D, [(i, j, [(l, x.numerator * (D // x.denominator))
+                       for l, x in enumerate(w) if x])
+               for (i, j), w in alg.brackets.items()]
+
+
 def _int_bracket(brackets, x, y):
     """Bracket of two vectors of integer polynomials, times D: ``brackets``
     lists (i, j, [(l, D * c_ij^l), ...]) for the nonzero constants."""
@@ -187,11 +151,8 @@ def bch_integer(alg, den: int, rows):
     each word of ``bch.bch_terms`` is added with its coefficient over T.
     """
     k, r = alg.dim, len(rows)
-    D = _bracket_den(alg)
+    D, brackets = _int_structure(alg)
     T = bch_denominator(alg, den)
-    brackets = [(i, j, [(l, x.numerator * (D // x.denominator))
-                        for l, x in enumerate(w) if x])
-                for (i, j), w in alg.brackets.items()]
     letters = tuple([{(s + i,): row[l] for i, row in enumerate(rows) if row[l]}
                      for l in range(k)] for s in (0, r))
     memo: dict = {}

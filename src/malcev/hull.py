@@ -51,7 +51,7 @@ class HullResult:
     The coordinate maps read ``basis`` and the :class:`Coordinates` of the
     adapted basis in ``lattice`` (the lattice and one integer inverse),
     built with the hull.  ``adapted_algebra``, the structure constants in
-    ``basis``, and the conjugation verdict that every
+    ``basis``, and the binomial table and conjugation verdict that every
     :class:`LatticeQuotient` of the hull reads are built on first read: a
     hull that is never asked for them does not pay for them.
     """
@@ -89,6 +89,26 @@ class HullResult:
                        for x in bch.eval_rat(u + bch.eval_rat(e + u_inv))):
                     return False
         return True
+
+    @cached_property
+    def _bch_binomial_table(self) -> tuple:
+        """The adapted compiled BCH in the binomial basis, which the
+        normality test of every LatticeQuotient reads: a pair
+        (den, (c_1, .., c_top)) per binomial key and output coordinate, den
+        the coordinate's denominator and c_d the key's coefficient in its
+        degree-d monomials reduced mod den (BCH has no constant term).
+        Pairs that are zero mod den, and repeats, are dropped."""
+        bch = self.adapted_algebra.bch_compiled()
+        top = bch.top
+        by_degree = [{mono: num for num, mono in terms if len(mono) == d}
+                     for _, terms in bch.coords for d in range(1, top + 1)]
+        table = {}
+        for v in compiled.binomial_vectors(by_degree):
+            for l, (den, _) in enumerate(bch.coords):
+                cs = tuple(c % den for c in v[l * top:(l + 1) * top])
+                if any(cs):
+                    table[den, cs] = None
+        return tuple(table)
 
     @property
     def layer_sizes(self):
@@ -291,18 +311,22 @@ class LatticeQuotient:
 
     def _verify_normal(self):
         """exp(s*lat) is a normal subgroup: the binomial coefficient vectors
-        of BCH in its basis (the compiled BCH, a degree-d coefficient num/den
-        read as num*s^d/den) and its k^2 conjugates u*(s*e_j)*u^-1 by unit
-        vectors u stay in s*lat.  Conjugation is linear in exp coordinates,
-        log(u*exp(s*X)*u^-1) = s*e^(ad u)X, so the second test does not
-        depend on s: it is the hull's verdict on the conjugates u*e_j*u^-1,
-        computed once per hull and read after the s-dependent test."""
+        of BCH in its basis and its k^2 conjugates u*(s*e_j)*u^-1 by unit
+        vectors u stay in s*lat.  A degree-d coefficient num/den of the
+        compiled BCH reads num*s^d/den in the basis s*e_i, so a binomial
+        coefficient sum_d c_d s^d / den lies in sZ exactly when
+        sum_d c_d s^(d-1) = 0 mod den: the hull's table of the c_d, built
+        once, is tested on ints for each s.  Conjugation is linear in exp
+        coordinates, log(u*exp(s*X)*u^-1) = s*e^(ad u)X, so the second test
+        does not depend on s: it is the hull's verdict on the conjugates
+        u*e_j*u^-1, computed once per hull and read after the first test."""
         s = self.s
-        scaled = [{mono: Fraction(num * s ** len(mono), den) for num, mono in terms}
-                  for den, terms in self._bch.coords]
-        if any(x.denominator != 1 or x.numerator % s
-               for c in compiled.binomial_vectors(scaled) for x in c):
-            raise SublatticeError("sublattice is not BCH-closed")
+        for den, cs in self.hull._bch_binomial_table:
+            t = 0
+            for c in reversed(cs):
+                t = (t * s + c) % den
+            if t:
+                raise SublatticeError("sublattice is not BCH-closed")
         if not self.hull._conjugates_integral:
             raise SublatticeError("sublattice is not normal in the hull")
 

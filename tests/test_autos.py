@@ -1344,3 +1344,200 @@ def test_certified_checks_do_not_enumerate(monkeypatch):
     assert csp_witness(h, gens, index=index, eq=eqs["psi23"]) == {
         "m": 3, "index": 3, "universe": 729, "image": 243,
         "kernel_samples": 100, "status": "certified"}
+
+
+# -- the integer IA* equations against their Fraction build -------------------
+
+
+def _ref_ia_star_rows(hull, saturate):
+    """(strata, free_rank) of IAStarEquations(hull, saturate) built on
+    Fraction polynomials, the build that its integer core replaced: each
+    equation [A e_i, A e_j] - A [e_i, e_j] is read off the Fraction bracket
+    of the symbolic columns of A = I + N, cleared by ``integer_rows`` and
+    split into its linear part and remainder.  The strata are
+    (depth, vars, rows, Smith data) tuples."""
+    from malcev.lattices import integer_rows
+    from test_liealg import (_ref_poly_add, _ref_poly_scale, _ref_poly_sub,
+                             _ref_sym_bracket)
+    adapted, layers = hull.adapted_algebra, hull.layers
+    k = adapted.dim
+    var_of = {p: v for v, p in enumerate(ia_star_positions(hull))}
+    depth_of = [layers[r] - layers[c] for r, c in var_of]
+    strata = {w: _Stratum(w, [v for v, d in enumerate(depth_of) if d == w])
+              for w in sorted(set(depth_of))}
+    cols = [[{(): F(1)} if r == c else {(var_of[r, c],): F(1)}
+             if (r, c) in var_of else {} for r in range(k)] for c in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        lhs = _ref_sym_bracket(adapted, cols[i], cols[j])
+        w = adapted.bracket_basis(i, j)
+        for r in range(k):
+            rhs = {}
+            for c in range(k):
+                if w[c]:
+                    rhs = _ref_poly_add(rhs, _ref_poly_scale(w[c], cols[c][r]))
+            p = _ref_poly_sub(lhs[r], rhs)
+            if not p:
+                continue
+            s = strata[layers[r] - layers[i] - layers[j]]
+            lin, rem = [0] * len(s.vars), {}
+            for mono, coeff in zip(p, integer_rows([p.values()])[1][0]):
+                if len(mono) == 1 and mono[0] in s.vars:
+                    lin[s.vars.index(mono[0])] += coeff
+                else:
+                    rem[mono] = coeff
+            s.rows.append((tuple(lin), tuple(sorted(rem.items()))))
+    out = []
+    for s in strata.values():
+        if saturate and s.rows:
+            monos = sorted({m for _, rem in s.rows for m, _ in rem})
+            u = len(s.vars)
+            sat = linalg.saturate_rows(
+                [list(lin) + [dict(rem).get(m, 0) for m in monos]
+                 for lin, rem in s.rows], u + len(monos))
+            s.rows = [(tuple(row[:u]), tuple((m, x) for m, x in
+                                             zip(monos, row[u:]) if x))
+                      for row in sat]
+        s.snf = linalg.snf_with_transforms([list(lin) for lin, _ in s.rows],
+                                           len(s.vars))
+        out.append((s.depth, s.vars, s.rows, s.snf))
+    onto = all(len(s.snf[0]) == len(s.rows) and all(d == 1 for d in s.snf[0])
+               for s in strata.values())
+    return out, (sum(len(s.vars) - len(s.rows) for s in strata.values())
+                 if onto else None)
+
+
+def _sheared_adapted_hull(n, c, seed):
+    """A HullResult on Z^k in a seeded rational shear of the free algebra
+    (``test_liealg._sheared_adapted``): its adapted structure constants are
+    not integers, so each equation is cleared by a D > 1."""
+    from malcev.compiled import _bracket_den
+    from malcev.freenil import free_algebra
+    from malcev.lattices import hnf_lattice
+    from test_hull import _hull_on
+    from test_liealg import _sheared_adapted
+    alg = _sheared_adapted(free_algebra(n, c), random.Random(seed))
+    k = alg.dim
+    h = _hull_on(alg, hnf_lattice(
+        [[int(i == j) for j in range(k)] for i in range(k)], k))
+    assert _bracket_den(h.adapted_algebra) > 1
+    return h
+
+
+def _ia_star_oracle_hulls():
+    """(name, hull, Psi (n, c) or None): the catalog hulls and their shears
+    (``_oracle_hulls``), seed-1 Nielsen-moved hulls of the hull-ladder
+    shapes, Psi(2,6), Psi(3,4) and Psi(4,3), and two sheared free algebras
+    whose equations are cleared by D > 1."""
+    from malcev.freenil import psi_group
+    from test_hull import LADDER_SHAPES, _moved_generators
+    for name, h in _oracle_hulls():
+        yield name, h, None
+    for name in LADDER_SHAPES:
+        alg, gens, _ = _moved_generators(name, random.Random(1))
+        yield "moved " + name, lattice_hull(GenGroup(alg, gens)), \
+            tuple(map(int, name[4:-1].split(",")))
+    for n, c in ((2, 6), (3, 4), (4, 3)):
+        yield f"Psi({n},{c})", psi_group(n, c).hull, (n, c)
+    yield "sheared free(2,3)", _sheared_adapted_hull(2, 3, 4), None
+    yield "sheared free(2,4)", _sheared_adapted_hull(2, 4, 1), None
+
+
+def test_ia_star_strata_match_the_fraction_build():
+    """The integer IA* equations equal their Fraction build stratum by
+    stratum (linear parts, remainders, Smith data) with the same free_rank,
+    saturated and raw; on a Psi(n, c) hull a set free_rank is n(k - n)."""
+    for name, h, psi in _ia_star_oracle_hulls():
+        for saturate in (True, False):
+            eq = IAStarEquations(h, saturate=saturate)
+            got = [(s.depth, s.vars, s.rows, s.snf) for s in eq.strata]
+            assert (got, eq.free_rank) == _ref_ia_star_rows(h, saturate), \
+                (name, saturate)
+            if psi is not None and saturate:
+                n, k = psi[0], h.algebra.dim
+                assert eq.free_rank in (None, n * (k - n)), name
+
+
+def test_ia_star_build_and_normality_test_make_no_fraction(monkeypatch):
+    """On a moved Psi(2,4), neither ``compiled``, ``autos`` nor ``hull``
+    makes a Fraction while IAStarEquations is built; nor while
+    LatticeQuotient(h, s) runs at s = 1..12 once the hull's tables are
+    built, on that hull and on Z^5 in Psi(2,3), which rejects scales."""
+    from malcev import compiled, hull as hull_module
+    from malcev.errors import SublatticeError
+    from malcev.freenil import free_algebra
+    from malcev.hull import LatticeQuotient
+    from malcev.lattices import hnf_lattice
+    from test_hull import _hull_on, _moved_generators
+    alg, gens, _ = _moved_generators("Psi(2,4)", random.Random(1))
+    h = lattice_hull(GenGroup(alg, gens))
+    h.adapted_algebra.bch_compiled()
+    made = [0]
+    for module in (compiled, autos, hull_module):
+        def counted(*args, _make=module.Fraction):
+            made[0] += 1
+            return _make(*args)
+        monkeypatch.setattr(module, "Fraction", counted)
+    eq = IAStarEquations(h)
+    assert eq.free_rank == 12 and made[0] == 0
+    z5 = _hull_on(free_algebra(2, 3), hnf_lattice(
+        [[int(i == j) for j in range(5)] for i in range(5)], 5))
+    verdicts = []
+    for q in (h, z5):
+        q._bch_binomial_table, q._conjugates_integral
+        made[0] = 0
+        for s in range(1, 13):
+            try:
+                LatticeQuotient(q, s)
+                verdicts.append("accepted")
+            except SublatticeError as exc:
+                verdicts.append(str(exc))
+        assert made[0] == 0
+    assert verdicts[:12] == ["accepted"] * 12
+    assert set(verdicts[12:]) == {"sublattice is not BCH-closed",
+                                  "sublattice is not normal in the hull"}
+
+
+def _commutator_product(gens, rng, factors=3):
+    """A seeded product of powers of commutators [a, b] = a b a^-1 b^-1 of
+    the group elements gens and their pairwise products: an element of
+    gamma_2."""
+    letters = list(gens) + [a * b for a, b in itertools.combinations(gens, 2)]
+    out = gens[0] ** 0
+    for _ in range(factors):
+        a, b = rng.sample(letters, 2)
+        comm = a * b * a.inverse() * b.inverse()
+        out = out * comm ** rng.choice((-2, -1, 1, 2))
+    return out
+
+
+@pytest.mark.parametrize("n,c", [(2, 4), (2, 5), (3, 3)])
+def test_free_nilpotent_automorphisms_solve_the_ia_star_equations(n, c):
+    """An independent oracle for the equations: on the free nilpotent group
+    Psi(n, c), x_i -> x_i g_i with g_i in gamma_2 is an automorphism (onto
+    mod [Psi, Psi], and Psi is Hopfian) that fixes the hull, so its matrix
+    (``endo_matrix``) is an IA* point; so is each product of two.  On the
+    hull of seed-1 Nielsen-moved generators each passes is_ia_star and
+    check_assignment, and free_rank is n(k - n), the dimension of
+    gamma_2^n."""
+    from malcev.freenil import FreeNilpotent, endo_matrix, hall_basis
+    from malcev.liealg import GroupElement
+    from test_hull import _moved_generators
+    alg, gens, _ = _moved_generators(f"Psi({n},{c})", random.Random(1))
+    h = lattice_hull(GenGroup(alg, gens))
+    psi = FreeNilpotent(n, c, alg, *hall_basis(n, c), h)
+    eq = IAStarEquations(h)
+    assert eq.free_rank == n * (alg.dim - n)
+    moved = [GroupElement(alg, g) for g in gens]
+    rng = random.Random(c)
+    auts = []
+    for _ in range(3):
+        images = [(x * _commutator_product(moved, rng)).log
+                  for x in psi.generators()]
+        aut = LieAutomorphism(alg, endo_matrix(psi, images))
+        assert is_ia_star(aut, h)
+        auts.append(LieAutomorphism(alg, hull=h,
+                                    adapted=adapted_matrix(h, aut)))
+    for aut in auts + [a.compose(b) for a, b in itertools.permutations(auts, 2)]:
+        assert is_ia_star(aut, h)
+        assert eq.check_assignment(aut.adapted_entries)
+    assert len({a.adapted_entries for a in auts}) == len(auts)

@@ -236,6 +236,57 @@ def _scaled_adapted(alg):
     return adapted
 
 
+# Fraction-coefficient polynomials (monomial -> Fraction), the reference
+# arithmetic that the integer core of ``compiled`` replaced.
+
+def _ref_poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        v = out.get(m, 0) + c
+        if v:
+            out[m] = v
+        elif m in out:
+            del out[m]
+    return out
+
+
+def _ref_poly_scale(q, a: dict) -> dict:
+    q = F(q)
+    if not q:
+        return {}
+    return {m: q * c for m, c in a.items()}
+
+
+def _ref_poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2))
+            v = out.get(m, 0) + c1 * c2
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+    return out
+
+
+def _ref_poly_sub(a: dict, b: dict) -> dict:
+    return _ref_poly_add(a, _ref_poly_scale(-1, b))
+
+
+def _ref_sym_bracket(alg, x, y):
+    """Bracket of two symbolic (poly-coefficient) vectors."""
+    out = [dict() for _ in range(alg.dim)]
+    for (i, j), w in alg.brackets.items():
+        c = _ref_poly_sub(_ref_poly_mul(x[i], y[j]), _ref_poly_mul(x[j], y[i]))
+        if not c:
+            continue
+        for l, coeff in enumerate(w):
+            if coeff:
+                out[l] = _ref_poly_add(out[l], _ref_poly_scale(coeff, c))
+    return out
+
+
 def _ref_bch_symbolic(alg, basis=None):
     """The Fraction symbolic BCH that ``compiled.bch_symbolic`` replaced:
     every letter, bracket and bch_terms coefficient is a Fraction
@@ -254,8 +305,7 @@ def _ref_bch_symbolic(alg, basis=None):
             if len(word) == 1:
                 v = letters[word[0]]
             else:
-                v = compiled._sym_bracket(alg, value(word[:-1]),
-                                          letters[word[-1]])
+                v = _ref_sym_bracket(alg, value(word[:-1]), letters[word[-1]])
             memo[word] = v
         return v
 
@@ -263,7 +313,7 @@ def _ref_bch_symbolic(alg, basis=None):
     for word, coeff in bch.bch_terms(alg.nilpotency_class):
         for l, p in enumerate(value(word)):
             if p:
-                out[l] = compiled.poly_add(out[l], compiled.poly_scale(coeff, p))
+                out[l] = _ref_poly_add(out[l], _ref_poly_scale(coeff, p))
     return out
 
 
