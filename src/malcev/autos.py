@@ -325,58 +325,53 @@ class IAStarEquations:
 
     # -- mod-m solving --------------------------------------------------------
 
-    def solutions_mod(self, m: int, cap: int | None = None):
-        """All solutions mod m, as tuples over the variables (values in [0, m))."""
-        if m < 1:
-            raise ValueError("modulus must be >= 1")
-        out = []
+    def _search(self, stratum_values):
+        """Depth-first search over the strata: ``stratum_values(s, values)``
+        yields stratum s's value tuples over the earlier strata's values."""
         values = [0] * self.nvars
 
         def rec(idx):
             if idx == len(self.strata):
-                out.append(tuple(values))
-                if cap is not None and len(out) > cap:
-                    raise CapExceeded(f"more than {cap} mod-{m} points")
+                yield tuple(values)
                 return
             s = self.strata[idx]
-            u = len(s.vars)
-            if not s.rows:
-                for combo in itertools.product(range(m), repeat=u):
-                    for v, val in zip(s.vars, combo):
-                        values[v] = val
-                    rec(idx + 1)
-                return
-            b = [(-self._rem_value(rem, values)) for _, rem in s.rows]
+            for combo in stratum_values(s, values):
+                for v, val in zip(s.vars, combo):
+                    values[v] = val
+                yield from rec(idx + 1)
+
+        return rec(0)
+
+    def solutions_mod(self, m: int, cap: int | None = None):
+        """All solutions mod m, as tuples over the variables (values in [0, m));
+        CapExceeded past ``cap`` points.  Each stratum is solved through the
+        Smith form D = U C V of its linear part; one with no rows has
+        ([], [], I), so all its values are free."""
+        if m < 1:
+            raise ValueError("modulus must be >= 1")
+
+        def stratum_values(s, values):
+            b = [-self._rem_value(rem, values) for _, rem in s.rows]
             diag, U, V = s.snf
-            c = [sum(U[i][j] * b[j] for j in range(len(b))) for i in range(len(b))]
-            rank = len(diag)
-            if any(c[i] % m for i in range(rank, len(c))):
+            c = [sum(x * y for x, y in zip(row, b)) for row in U]
+            if any(x % m for x in c[len(diag):]):
                 return
             options = []
-            ok = True
-            for i in range(u):
-                if i < rank:
-                    d = diag[i]
-                    g = gcd(d, m)
-                    if c[i] % g:
-                        ok = False
-                        break
-                    mg = m // g
-                    if mg == 1:
-                        y0 = 0
-                    else:
-                        y0 = ((c[i] // g) * pow(d // g, -1, mg)) % mg
-                    options.append([(y0 + t * mg) % m for t in range(g)])
-                else:
-                    options.append(list(range(m)))
-            if not ok:
-                return
+            for d, x in zip(diag, c):
+                g = gcd(d, m)
+                if x % g:
+                    return
+                mg = m // g
+                options.append(range(x // g * pow(d // g, -1, mg) % mg, m, mg))
+            options += [range(m)] * (len(s.vars) - len(diag))
             for y in itertools.product(*options):
-                for t in range(u):
-                    values[s.vars[t]] = sum(V[t][j] * y[j] for j in range(u)) % m
-                rec(idx + 1)
+                yield [sum(a * b for a, b in zip(row, y)) % m for row in V]
 
-        rec(0)
+        out = []
+        for point in self._search(stratum_values):
+            out.append(point)
+            if cap is not None and len(out) > cap:
+                raise CapExceeded(f"more than {cap} mod-{m} points")
         return out
 
     def count_mod(self, m: int, cap: int | None = None) -> int:
@@ -433,36 +428,23 @@ class IAStarEquations:
         return tuple(exact)
 
     def enumerate_integral(self, bound: int, cap: int = 10 ** 6):
-        """All exact integer solutions with every variable in [-bound, bound]."""
-        out = []
-        values = [0] * self.nvars
-        counter = [0]
+        """All exact integer solutions with every variable in [-bound, bound];
+        CapExceeded once the stratum boxes visited exceed ``cap`` points."""
+        box = range(-bound, bound + 1)
+        visited = 0
 
-        def rec(idx):
-            if idx == len(self.strata):
-                out.append(tuple(values))
-                return
-            s = self.strata[idx]
-            width = 2 * bound + 1
-            counter[0] += width ** len(s.vars)
-            if counter[0] > cap:
+        def stratum_values(s, values):
+            nonlocal visited
+            visited += len(box) ** len(s.vars)
+            if visited > cap:
                 raise CapExceeded("integral enumeration box exceeds cap")
-            for combo in itertools.product(range(-bound, bound + 1),
-                                           repeat=len(s.vars)):
-                ok = True
-                for lin, rem in s.rows:
-                    t = self._rem_value(rem, values) + \
-                        sum(c * x for c, x in zip(lin, combo))
-                    if t:
-                        ok = False
-                        break
-                if ok:
-                    for v, val in zip(s.vars, combo):
-                        values[v] = val
-                    rec(idx + 1)
+            rems = [(lin, self._rem_value(rem, values)) for lin, rem in s.rows]
+            for combo in itertools.product(box, repeat=len(s.vars)):
+                if not any(t + sum(c * x for c, x in zip(lin, combo))
+                           for lin, t in rems):
+                    yield combo
 
-        rec(0)
-        return out
+        return list(self._search(stratum_values))
 
     def random_point(self, rng: random.Random, spread: int = 3,
                      multiple: int = 1):

@@ -11,9 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .fiber import FiberGroup, HullSide, fiber_product_finite
 from .finite import FiniteGroup
+from .freenil import psi_group
 from .hull import GenGroup, HullResult, lattice_hull
 from .liealg import NilpotentLieAlgebra
+from .unitriangular import tr0_algebra
 
 
 @dataclass(frozen=True)
@@ -75,13 +78,11 @@ def build_group(entry: CatalogEntry) -> GenGroup:
         gens = [tuple(Fraction(int(i == t)) for t in range(n)) for i in range(n)]
         return GenGroup(alg, tuple(gens), filtered=True)
     if parts[0] == "heisenberg":
-        from .unitriangular import tr0_algebra
         alg, _ = tr0_algebra(3)
         return GenGroup(alg, ((Fraction(1), Fraction(0), Fraction(0)),
                               (Fraction(0), Fraction(1), Fraction(0)),
                               (Fraction(0), Fraction(0), Fraction(1))))
     if parts[0] == "free":
-        from .freenil import psi_group
         psi = psi_group(int(parts[1]), int(parts[2]))
         return psi.group()
     if parts[0] == "hull":
@@ -103,9 +104,7 @@ TORSION_NAMES = ("z2z4", "zz3", "z3z9", "z2z2z4", "heis3")
 
 def build_fiber(name: str):
     """Named fiber-product groups used by the torsion suites."""
-    from .fiber import FiberGroup, HullSide
-    ab1 = NilpotentLieAlgebra.abelian(1)
-    line = lattice_hull(GenGroup(ab1, ((Fraction(1),),), filtered=True))
+    line = build_hull(entry_by_name("abelian1"))  # the hull of Z
     if name == "z2z4":
         q = FiniteGroup.cyclic(2)
         side = HullSide(line, 2, (0, 1), q)
@@ -127,13 +126,8 @@ def build_fiber(name: str):
         # element a*4+b  ->  b mod 2
         return FiberGroup(side, p2, tuple((idx % 4) % 2 for idx in range(8)))
     if name == "heis3":
-        from .unitriangular import tr0_algebra
-        alg, _ = tr0_algebra(3)
-        h = lattice_hull(GenGroup(alg, ((Fraction(1), Fraction(0), Fraction(0)),
-                                        (Fraction(0), Fraction(1), Fraction(0)),
-                                        (Fraction(0), Fraction(0), Fraction(1)))))
         q = FiniteGroup.trivial()
-        side = HullSide(h, 1, (0,), q)
+        side = HullSide(build_hull(entry_by_name("heisenberg")), 1, (0,), q)
         return FiberGroup(side, FiniteGroup.cyclic(3), (0, 0, 0))
     raise KeyError(f"no fiber entry named {name!r}")
 
@@ -143,16 +137,13 @@ EXPECTED_T = {"z2z4": 2, "zz3": 3, "z3z9": 3, "z2z2z4": 2, "heis3": 3}
 
 def build_zz2():
     """Z x Z/2 (trivial gluing), the smallest K-tilde example."""
-    from .fiber import FiberGroup, HullSide
-    ab1 = NilpotentLieAlgebra.abelian(1)
-    line = lattice_hull(GenGroup(ab1, ((Fraction(1),),), filtered=True))
+    line = build_hull(entry_by_name("abelian1"))
     side = HullSide(line, 1, (0,), FiniteGroup.trivial())
     return FiberGroup(side, FiniteGroup.cyclic(2), (0, 0))
 
 
 def finite_fiber_example():
     """Z/4 x_{Z/2} Z/4: materialized finite fiber product."""
-    from .fiber import fiber_product_finite
     z4 = FiniteGroup.cyclic(4)
     q = FiniteGroup.cyclic(2)
     pi = tuple(a % 2 for a in range(4))

@@ -21,11 +21,12 @@ from .errors import CapExceeded
 
 
 class FiniteGroup:
-    """Immutable finite group given by its Cayley table."""
+    """Immutable finite group given by its Cayley table, which the constructor
+    checks with ``validate`` (ValueError if it is not a group)."""
 
     __slots__ = ("order", "cayley", "inverse")
 
-    def __init__(self, cayley, check: bool = True):
+    def __init__(self, cayley):
         self.order = len(cayley)
         self.cayley = tuple(tuple(row) for row in cayley)
         inv = []
@@ -35,17 +36,16 @@ class FiniteGroup:
             except ValueError:  # no inverse: validate() reports it
                 inv.append(None)
         self.inverse = tuple(inv)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError(f"not a group: {problems[0]}")
+        problems = self.validate()
+        if problems:
+            raise ValueError(f"not a group: {problems[0]}")
 
     # -- construction --------------------------------------------------------
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
         return FiniteGroup(tuple(tuple((a + b) % n for b in range(n))
-                                 for a in range(n)), check=False)
+                                 for a in range(n)))
 
     @staticmethod
     def trivial() -> "FiniteGroup":
@@ -58,7 +58,7 @@ class FiniteGroup:
         for a, b in itertools.product(range(n), range(m)):
             for c, d in itertools.product(range(n), range(m)):
                 table[a * m + b][c * m + d] = g.cayley[a][c] * m + h.cayley[b][d]
-        return FiniteGroup(table, check=False)
+        return FiniteGroup(table)
 
     # -- structure -------------------------------------------------------------
 
@@ -139,7 +139,7 @@ class FiniteGroup:
             raise ValueError("subgroup must contain the identity 0")
         pos = {e: i for i, e in enumerate(elems)}
         table = [[pos[self.cayley[a][b]] for b in elems] for a in elems]
-        return FiniteGroup(table, check=False), elems
+        return FiniteGroup(table), elems
 
     # -- homomorphisms -----------------------------------------------------------
 

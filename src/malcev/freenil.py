@@ -175,15 +175,20 @@ class FreeNilpotent:
         return GenGroup(self.algebra, tuple(self.generator_logs()))
 
 
-def psi_group(n: int, c: int, cap: int = 200) -> FreeNilpotent:
-    """Psi_{n,c} = <exp x_1, ..., exp x_n> with its lattice hull."""
+def psi_algebra_only(n: int, c: int, cap: int = 200) -> FreeNilpotent:
+    """FreeNilpotent without the hull (enough for word/endomorphism work)."""
     alg = free_algebra(n, c, cap)
     trees, weights = hall_basis(n, c, cap)
-    gens = [tuple(Fraction(int(i == t)) for t in range(alg.dim)) for i in range(n)]
-    hull = lattice_hull(GenGroup(alg, tuple(gens)))
-    if hull.embedding is not None:
+    return FreeNilpotent(n, c, alg, trees, weights, None)
+
+
+def psi_group(n: int, c: int, cap: int = 200) -> FreeNilpotent:
+    """Psi_{n,c} = <exp x_1, ..., exp x_n> with its lattice hull."""
+    psi = psi_algebra_only(n, c, cap)
+    psi.hull = lattice_hull(psi.group())
+    if psi.hull.embedding is not None:
         raise RuntimeError("free generators must span the free algebra")
-    return FreeNilpotent(n, c, alg, trees, weights, hull)
+    return psi
 
 
 def center(psi: FreeNilpotent):
@@ -380,10 +385,3 @@ class CentralTupleIso:
 def central_tuple_iso(psi: FreeNilpotent) -> CentralTupleIso:
     z_rows, _, group_center = center(psi)
     return CentralTupleIso(psi, z_rows, group_center)
-
-
-def psi_algebra_only(n: int, c: int, cap: int = 200) -> FreeNilpotent:
-    """FreeNilpotent without the hull (enough for word/endomorphism work)."""
-    alg = free_algebra(n, c, cap)
-    trees, weights = hall_basis(n, c, cap)
-    return FreeNilpotent(n, c, alg, trees, weights, None)

@@ -21,7 +21,7 @@ from . import compiled, linalg
 from .errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from .finite import FiniteGroup
 from .lattices import (Coordinates, Lattice, hnf_lattice, integer_rows,
-                       intersect_subspace, lattice_sum)
+                       intersect_subspace, lattice_index, lattice_sum)
 from .liealg import GroupElement, NilpotentLieAlgebra, vec
 
 _ZERO = Fraction(0)
@@ -383,8 +383,7 @@ def group_index_in_hull(group: GenGroup, hull: HullResult) -> int:
 
     Exact subgroup indices for arbitrary generator sets would need polycyclic
     collection, which is out of scope; for a filtered (Mal'cev) sequence the
-    index is |det| of the generator log coordinates in the hull lattice
-    basis: the product of the pivots of their HNF.
+    index is the lattice index of the logs' Z-span in the hull lattice.
     """
     if not group.filtered:
         raise UnsupportedInputForm("index computation needs a filtered sequence")
@@ -395,13 +394,7 @@ def group_index_in_hull(group: GenGroup, hull: HullResult) -> int:
     if len(logs) != k:
         raise UnsupportedInputForm("filtered sequence must have one generator"
                                    " per dimension")
-    rows = []
-    for g in logs:
-        c = hull.lattice.coords(vec(g))
-        if c is None:
-            raise SublatticeError("generator log outside the hull lattice")
-        rows.append(c)
-    H = linalg.hnf(rows)
-    if len(H) < k:
+    span = hnf_lattice(logs, k)
+    if span.rank < k:
         raise UnsupportedInputForm("generator logs are linearly dependent")
-    return math.prod(row[i] for i, row in enumerate(H))
+    return lattice_index(hull.lattice, span)

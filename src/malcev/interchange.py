@@ -14,6 +14,7 @@ import json
 import re
 from fractions import Fraction
 
+from .fiber import FiberGroup, HullSide
 from .finite import FiniteGroup
 from .hull import GenGroup, lattice_hull
 from .lattices import Lattice
@@ -202,7 +203,6 @@ def fiber_to_doc(u) -> dict:
 
 
 def fiber_from_doc(doc, where: str = "fiber"):
-    from .fiber import FiberGroup, HullSide
     group = group_from_doc(expect_object(doc, where).get("hull_group", {}),
                            where + ".hull_group")
     hull = lattice_hull(group)

@@ -77,10 +77,6 @@ def matrix_log(unitriangular):
     return out
 
 
-def commutator(a, b):
-    return mat_add(mat_mul(a, b), mat_scale(-1, mat_mul(b, a)))
-
-
 def tr0_pairs(n):
     """Basis index order for Tr_0(n): pairs (i, j), i<j, graded by j - i."""
     return [(i, i + w) for w in range(1, n) for i in range(n - w)]

@@ -3,7 +3,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from types import SimpleNamespace
 
 import pytest
@@ -870,6 +870,49 @@ def test_integral_solutions_reduce_into_mod_m_sets():
             assert tuple(v % m for v in point) in sols
 
 
+def _ref_row_values(eq, point):
+    """The value of every IA* row of ``eq`` at an integer point."""
+    return [sum(c * prod(point[v] for v in mono) for mono, c in rem)
+            + sum(c * point[v] for c, v in zip(lin, s.vars))
+            for s in eq.strata for lin, rem in s.rows]
+
+
+def _ref_solutions_mod(eq, m):
+    """Every point of range(m)^nvars at which every row is 0 mod m."""
+    return [p for p in itertools.product(range(m), repeat=eq.nvars)
+            if all(t % m == 0 for t in _ref_row_values(eq, p))]
+
+
+def _ref_enumerate_integral(eq, bound):
+    """Every point of [-bound, bound]^nvars that passes check_assignment."""
+    return [p for p in itertools.product(range(-bound, bound + 1),
+                                         repeat=eq.nvars)
+            if eq.check_assignment(p)]
+
+
+def test_strata_search_matches_brute_force():
+    """solutions_mod and enumerate_integral list exactly the points of the
+    whole box that solve the rows (mod m, or over Z), each once, on catalog
+    systems saturated and raw, on the raw filiform system, whose middle
+    stratum has a remainder term in a depth-1 unknown, and on 2y + x = 0,
+    which has no solution mod 2 at an odd x."""
+    systems = [(name, saturate,
+                IAStarEquations(build_hull(entry_by_name(name)), saturate))
+               for name in ("heisenberg", "psi22", "psi32", "abelian2", "psi23")
+               for saturate in (True, False)]
+    systems.append(("filiform", False,
+                    IAStarEquations(filiform_hull(), saturate=False)))
+    systems.append(("parity", False, _parity_equations()))
+    for name, saturate, eq in systems:
+        assert 3 ** eq.nvars < 20000, name
+        for m in (1, 2, 3):
+            got = eq.solutions_mod(m)
+            assert len(set(got)) == len(got), (name, saturate, m)
+            assert sorted(got) == _ref_solutions_mod(eq, m), (name, saturate, m)
+        assert sorted(eq.enumerate_integral(1)) == \
+            _ref_enumerate_integral(eq, 1), (name, saturate)
+
+
 def test_make_ia_star_rejects_shallow_positions():
     h = heis_hull()
     with pytest.raises(ValueError):
@@ -1510,15 +1553,19 @@ def _commutator_product(gens, rng, factors=3):
     return out
 
 
-@pytest.mark.parametrize("n,c", [(2, 4), (2, 5), (3, 3)])
+@pytest.mark.parametrize("n,c", [(2, 3), (3, 2), (4, 2), (5, 2), (6, 2),
+                                 (2, 4), (2, 5), (3, 3), (2, 6)])
 def test_free_nilpotent_automorphisms_solve_the_ia_star_equations(n, c):
     """An independent oracle for the equations: on the free nilpotent group
     Psi(n, c), x_i -> x_i g_i with g_i in gamma_2 is an automorphism (onto
     mod [Psi, Psi], and Psi is Hopfian) that fixes the hull, so its matrix
-    (``endo_matrix``) is an IA* point; so is each product of two.  On the
-    hull of seed-1 Nielsen-moved generators each passes is_ia_star and
-    check_assignment, and free_rank is n(k - n), the dimension of
-    gamma_2^n."""
+    (``endo_matrix``) is an IA* point; so is each product of two, and each
+    inverse (the integer inverse of its adapted matrix, which composes with
+    it to the identity).  On the hull of seed-1 Nielsen-moved generators each
+    passes is_ia_star and check_assignment, and free_rank is n(k - n), the
+    dimension of gamma_2^n, or None (uncertified).  Where m^free_rank <=
+    5,000, each map reduced mod m is a point of solutions_mod(m), and lift
+    takes that point to an exact solution congruent to it."""
     from malcev.freenil import FreeNilpotent, endo_matrix, hall_basis
     from malcev.liealg import GroupElement
     from test_hull import _moved_generators
@@ -1526,7 +1573,8 @@ def test_free_nilpotent_automorphisms_solve_the_ia_star_equations(n, c):
     h = lattice_hull(GenGroup(alg, gens))
     psi = FreeNilpotent(n, c, alg, *hall_basis(n, c), h)
     eq = IAStarEquations(h)
-    assert eq.free_rank == n * (alg.dim - n)
+    f = eq.free_rank
+    assert f == n * (alg.dim - n) or (n, c) == (2, 6) and f is None
     moved = [GroupElement(alg, g) for g in gens]
     rng = random.Random(c)
     auts = []
@@ -1537,7 +1585,26 @@ def test_free_nilpotent_automorphisms_solve_the_ia_star_equations(n, c):
         assert is_ia_star(aut, h)
         auts.append(LieAutomorphism(alg, hull=h,
                                     adapted=adapted_matrix(h, aut)))
-    for aut in auts + [a.compose(b) for a, b in itertools.permutations(auts, 2)]:
+    one = tuple(tuple(int(i == j) for j in range(alg.dim))
+                for i in range(alg.dim))
+    inverses = []
+    for aut in auts:
+        inv = LieAutomorphism(alg, hull=h, adapted=tuple(
+            map(tuple, linalg.unimodular_inverse(aut.adapted))))
+        assert tuple(map(tuple, aut.compose(inv).adapted)) == one
+        inverses.append(inv)
+    maps = auts + inverses + [a.compose(b)
+                              for a, b in itertools.permutations(auts, 2)]
+    for aut in maps:
         assert is_ia_star(aut, h)
         assert eq.check_assignment(aut.adapted_entries)
     assert len({a.adapted_entries for a in auts}) == len(auts)
+    for m in itertools.takewhile(lambda m: f and m ** f <= 5000,
+                                 itertools.count(2)):
+        points = set(eq.solutions_mod(m))
+        for aut in maps:
+            point = tuple(x % m for x in aut.adapted_entries)
+            assert point in points
+            exact = eq.lift(point, m)
+            assert eq.check_assignment(exact)
+            assert tuple(x % m for x in exact) == point

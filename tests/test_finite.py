@@ -26,7 +26,7 @@ def _ref_quotient(g, normal_set):
     m = len(reps)
     table = [[coset_of[g.cayley[reps[i]][reps[j]]] for j in range(m)]
              for i in range(m)]
-    return FiniteGroup(table, check=False), coset_of
+    return FiniteGroup(table), coset_of
 
 
 def test_cyclic_and_product():

@@ -251,6 +251,16 @@ def test_group_index():
     unflagged = _ref_from_elements(alg, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(UnsupportedInputForm):
         group_index_in_hull(unflagged, h)
+    # a log outside the hull lattice, and dependent logs, which are
+    # reported first
+    doubled = lattice_hull(_ref_from_elements(
+        alg, [(2, 0, 0), (0, 2, 0), (0, 0, 8)], filtered=True))
+    with pytest.raises(SublatticeError, match="not a sublattice"):
+        group_index_in_hull(g, doubled)
+    dependent = _ref_from_elements(alg, [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+                                   filtered=True)
+    with pytest.raises(UnsupportedInputForm, match="linearly dependent"):
+        group_index_in_hull(dependent, doubled)
 
 
 def test_degenerate_trivial_algebra():
@@ -302,7 +312,8 @@ SHAPES = {"Psi(2,3)": (lambda: free_algebra(2, 3), 2, None),
           "Psi(6,2)": (lambda: free_algebra(6, 2), 6, None),
           "Psi(3,4)": (lambda: free_algebra(3, 4), 3, None),
           "Psi(4,3)": (lambda: free_algebra(4, 3), 4, None),
-          "UT(6)": (lambda: ut.tr0_algebra(6)[0], 5, 6)}
+          "UT(6)": (lambda: ut.tr0_algebra(6)[0], 5, 6),
+          "Psi(2,6)": (lambda: free_algebra(2, 6), 2, None)}
 # The shapes of the hull-ladder and hull-defects benchmark workloads.
 LADDER_SHAPES = ("Psi(2,3)", "Psi(3,2)", "Psi(4,2)", "Psi(2,4)", "Psi(5,2)",
                  "Psi(6,2)")

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -34,15 +35,40 @@ def _relative_modules(node):
     return {alias.name for alias in node.names}
 
 
+@cache
+def _top_level_imports():
+    """Module name -> the sibling modules its top-level statements import."""
+    return {path.stem: set().union(*map(_relative_modules, ast.parse(
+        path.read_text(), filename=str(path)).body)) for path in SRC}
+
+
+def _reaches(graph, start, goal):
+    """Whether ``goal`` is reachable from ``start`` along ``graph``."""
+    seen, stack = set(), [start]
+    while stack:
+        name = stack.pop()
+        if name == goal:
+            return True
+        if name not in seen:
+            seen.add(name)
+            stack.extend(graph.get(name, ()))
+    return False
+
+
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_redundant_local_imports(path):
     """A function-local relative import is only there to break an import
-    cycle; one from a module the file already imports at the top is noise."""
+    cycle: the module it imports must reach this one through top-level
+    relative imports, and this one must not already import it at the top."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    top = set().union(*map(_relative_modules, tree.body))
+    graph = _top_level_imports()
+    top = graph[path.stem]
     lines = [node.lineno for node in ast.walk(tree)
-             if node not in tree.body and _relative_modules(node) & top]
-    assert not lines, f"{path.name}: redundant local import at lines {lines}"
+             if node not in tree.body and any(
+                 name in top or not _reaches(graph, name, path.stem)
+                 for name in _relative_modules(node))]
+    assert not lines, \
+        f"{path.name}: local imports that break no cycle at lines {sorted(lines)}"
 
 
 def _traced_names():
