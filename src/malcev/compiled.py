@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 from . import bch
 from .lattices import integer_rows
@@ -97,28 +98,27 @@ def compile_polys(polys, den: int = 1) -> CompiledPolyMap:
     return CompiledPolyMap(coords)
 
 
-def _bracket_den(alg) -> int:
-    """D, the lcm of the denominators of the structure constants."""
-    return math.lcm(*(x.denominator for w in alg.brackets.values() for x in w))
-
-
 def bch_denominator(alg, den: int) -> int:
     """T, the common denominator of ``bch_integer(alg, den, rows)``: the lcm
     over the words w of ``bch.bch_terms`` of den^|w| * D^(|w|-1) times the
-    denominator of w's coefficient, D as in ``_bracket_den``."""
-    D = _bracket_den(alg)
+    denominator of w's coefficient, D as in ``_int_structure``.  The words
+    of length 1 put den itself in the lcm, so den divides T."""
+    D = _int_structure(alg)[0]
     return math.lcm(*(coeff.denominator * den ** len(w) * D ** (len(w) - 1)
                       for w, coeff in bch.bch_terms(alg.nilpotency_class)))
 
 
 def _int_structure(alg):
-    """(D, brackets): D as in ``_bracket_den`` and the list of
-    (i, j, [(l, D * c_ij^l), ...]) over the nonzero constants that
-    ``_int_bracket`` reads."""
-    D = _bracket_den(alg)
-    return D, [(i, j, [(l, x.numerator * (D // x.denominator))
-                       for l, x in enumerate(w) if x])
-               for (i, j), w in alg.brackets.items()]
+    """(D, brackets): D the lcm of the denominators of the structure
+    constants and the list of (i, j, [(l, D * c_ij^l), ...]) over the
+    nonzero constants that ``_int_bracket`` reads.  It depends only on the
+    algebra, so it is built once and cached on it."""
+    if alg._int_structure is None:
+        D = math.lcm(*(x.denominator for w in alg.brackets.values() for x in w))
+        alg._int_structure = D, [(i, j, [(l, x.numerator * (D // x.denominator))
+                                         for l, x in enumerate(w) if x])
+                                 for (i, j), w in alg.brackets.items()]
+    return alg._int_structure
 
 
 def _int_bracket(brackets, x, y):
@@ -189,8 +189,10 @@ def bch_symbolic(alg, basis=None):
     return [{m: Fraction(v, T) for m, v in p.items()} for p in polys]
 
 
+@cache
 def _surjections(e, j):
-    """S(e, j) j!, the number of surjections of e things onto j things."""
+    """S(e, j) j!, the number of surjections of e things onto j things; e is
+    at most the class, so the table is small and built once."""
     return sum((-1) ** (j - i) * math.comb(j, i) * i ** e for i in range(j + 1))
 
 

@@ -21,7 +21,7 @@ from . import compiled, linalg
 from .errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from .finite import FiniteGroup
 from .lattices import (Coordinates, Lattice, hnf_lattice, integer_rows,
-                       intersect_subspace, lattice_index, lattice_sum)
+                       intersect_subspace, lattice_index)
 from .liealg import GroupElement, NilpotentLieAlgebra, vec
 
 _ZERO = Fraction(0)
@@ -149,10 +149,17 @@ def _closure_candidates(alg, lat):
 
 
 def _closure_round(alg, lat) -> Lattice:
-    """lat plus the span of its closure candidates, read on their integer
-    rows: no Fraction is made between the lattice and the HNF."""
-    return lattice_sum(lat, hnf_lattice(_closure_candidates(alg, lat), alg.dim,
-                                        compiled.bch_denominator(alg, lat.den)))
+    """lat plus the span of its closure candidates, in one HNF over
+    T = ``compiled.bch_denominator(alg, lat.den)``: the lattice rows, scaled
+    to T, go first, so the elimination pivots on them before it reaches the
+    large candidate entries.  A Lattice is canonical, so this is the sum of
+    lat and the candidates' own HNF.  No Fraction is made on the way."""
+    T = compiled.bch_denominator(alg, lat.den)
+    q, r = divmod(T, lat.den)
+    if r:
+        raise RuntimeError("BCH denominator is not a multiple of the lattice's")
+    return hnf_lattice([tuple(q * x for x in row) for row in lat.rows]
+                       + _closure_candidates(alg, lat), alg.dim, T)
 
 
 def lattice_hull(group: GenGroup, max_rounds: int = 64) -> HullResult:
@@ -202,17 +209,16 @@ def adapted_basis(lat: Lattice, alg: NilpotentLieAlgebra):
     vectors form a Z-basis of lat ordered by non-decreasing layer.
 
     When every g_j is spanned by the last dim g_j unit vectors (a coordinate
-    flag, as on Hall bases and Tr_0(n)), the HNF rows of lat are already
-    adapted: row i has its pivot at column i, and in echelon form the rows
-    with pivot >= k - dim g_j span lat & g_j.  Otherwise the lattice chain
-    lat & g_j is walked down, one intersection and one :func:`_layer_basis`
-    per layer.
+    flag, as on Hall bases and Tr_0(n); the algebra records this once, with
+    its lower central series), the HNF rows of lat are already adapted: row i
+    has its pivot at column i, and in echelon form the rows with pivot
+    >= k - dim g_j span lat & g_j.  Otherwise the lattice chain lat & g_j is
+    walked down, one intersection and one :func:`_layer_basis` per layer.
     """
     if lat.rank != alg.dim:
         raise SublatticeError("adapted basis needs a full-rank lattice")
-    k = alg.dim
     gammas = alg.lcs()  # gamma_1 (the identity rows) .. gamma_{c+1} = empty
-    if all(tuple(g) == gammas[0][k - len(g):] for g in gammas):
+    if alg._on_flag:
         den = lat.den
         return (tuple(tuple(Fraction(x, den) if x else _ZERO for x in row)
                       for row in lat.rows),

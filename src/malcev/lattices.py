@@ -151,10 +151,11 @@ def hnf_lattice(vectors, dim: int | None = None, den: int | None = None) -> Latt
 class Coordinates:
     """Exact coordinates in ``rows``, a Z-basis of ``lattice``.
 
-    The rows' lattice coordinates form a unimodular matrix; the columns of
-    its integer inverse turn lattice coordinates into row coordinates (an
-    identity inverse, when the rows are the HNF basis, is not stored).  For
-    v in the Q-span, N * v is in the lattice when N is the lcm of v's
+    Rows equal to the HNF basis, entry for entry and in order, are told on
+    ints before any back-substitution: their coordinates need no inverse.
+    Other rows' lattice coordinates must form a unimodular matrix, whose
+    inverse's columns turn lattice coordinates into row coordinates.  For v
+    in the Q-span, N * v is in the lattice when N is the lcm of v's
     denominators times the product of the HNF pivots (Cramer on the pivot
     columns), so one :meth:`Lattice.coords` of N * v answers every query;
     the only Fractions it makes are the returned coordinates.
@@ -165,13 +166,18 @@ class Coordinates:
     def __init__(self, lattice: Lattice, rows):
         if len(rows) != lattice.rank:
             raise ValueError("basis rows are linearly dependent")
-        A = [lattice.coords(r) for r in rows]
-        inv = None if None in A else linalg.unimodular_inverse(A)
-        if inv is None:
-            raise ValueError("rows are not a Z-basis of the lattice")
+        den = lattice.den
+        if all(len(r) == len(h) and all(y * x.denominator == x.numerator * den
+                                        for x, y in zip(r, h))
+               for r, h in zip(rows, lattice.rows)):
+            self._columns = None
+        else:
+            A = [lattice.coords(r) for r in rows]
+            inv = None if None in A else linalg.unimodular_inverse(A)
+            if inv is None:
+                raise ValueError("rows are not a Z-basis of the lattice")
+            self._columns = tuple(zip(*inv))
         self.lattice = lattice
-        self._columns = (None if tuple(inv) == linalg.mat_identity(len(inv))
-                         else tuple(zip(*inv)))
         self._pivots = prod(next(x for x in row if x) for row in lattice.rows)
 
     @staticmethod

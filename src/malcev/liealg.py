@@ -60,8 +60,9 @@ class NilpotentLieAlgebra:
             if any(v):
                 table[(i, j)] = v
         self.brackets = table
-        self._lcs = None
+        self._lcs = self._on_flag = None  # both set by lcs()
         self._compiled_bch = None
+        self._int_structure = None  # built by compiled._int_structure
         computed = len(self.lcs()) - 1  # raises if not nilpotent
         if nilpotency_class is None:
             nilpotency_class = computed
@@ -105,7 +106,9 @@ class NilpotentLieAlgebra:
 
         The last entry is always the empty basis.  gamma_{j+1} is spanned by
         the [u, e_b] = sum_i u_i [e_i, e_b] over the rows u of gamma_j, read
-        from the nonzero ad columns [e_i, e_b] of the bracket table.
+        from the nonzero ad columns [e_i, e_b] of the bracket table.  Beside
+        the series, ``_on_flag`` records once whether every gamma_j is spanned
+        by the last dim gamma_j unit vectors (a coordinate flag).
         """
         if self._lcs is None:
             k = self.dim
@@ -134,6 +137,7 @@ class NilpotentLieAlgebra:
                     raise ValueError("structure constants are not nilpotent")
                 chain.append(nxt)
             self._lcs = chain
+            self._on_flag = all(tuple(g) == chain[0][k - len(g):] for g in chain)
         return self._lcs
 
     def derived_subspace(self):

@@ -1453,7 +1453,7 @@ def _sheared_adapted_hull(n, c, seed):
     """A HullResult on Z^k in a seeded rational shear of the free algebra
     (``test_liealg._sheared_adapted``): its adapted structure constants are
     not integers, so each equation is cleared by a D > 1."""
-    from malcev.compiled import _bracket_den
+    from malcev.compiled import _int_structure
     from malcev.freenil import free_algebra
     from malcev.lattices import hnf_lattice
     from test_hull import _hull_on
@@ -1462,7 +1462,7 @@ def _sheared_adapted_hull(n, c, seed):
     k = alg.dim
     h = _hull_on(alg, hnf_lattice(
         [[int(i == j) for j in range(k)] for i in range(k)], k))
-    assert _bracket_den(h.adapted_algebra) > 1
+    assert _int_structure(h.adapted_algebra)[0] > 1
     return h
 
 

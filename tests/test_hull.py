@@ -459,7 +459,8 @@ def _hull_fields(h):
 
 
 @pytest.mark.parametrize("name", ["Psi(2,3)", "Psi(3,2)", "Psi(2,4)",
-                                  "Psi(3,3)", "Psi(2,5)", "UT(4)", "UT(5)"])
+                                  "Psi(3,3)", "Psi(2,5)", "UT(4)", "UT(5)",
+                                  "Psi(4,2)", "Psi(5,2)", "Psi(6,2)", "UT(6)"])
 def test_hulls_match_the_fraction_closure(name):
     """Nielsen-moved generators at seeds 1-3: the hull built on the integer
     symbolic BCH is the one the Fraction closure builds, field for field,
@@ -470,6 +471,34 @@ def test_hulls_match_the_fraction_closure(name):
         h = lattice_hull(group)
         assert _hull_fields(h) == _hull_fields(_ref_lattice_hull(group)), seed
         assert closure_certificate(h), seed
+
+
+def _ref_closure_round(alg, lat):
+    """The closure round as two HNFs on integer rows: the candidates' own
+    HNF over T, then its sum with lat."""
+    return lattice_sum(lat, hnf_lattice(
+        hull_module._closure_candidates(alg, lat), alg.dim,
+        compiled.bch_denominator(alg, lat.den)))
+
+
+def test_single_hnf_rounds_match_the_two_step_rounds_on_psi26(monkeypatch):
+    """Seed-1 moved Psi(2,6): every closure round, one HNF with the lattice
+    rows first, is the two-step round's lattice, and the hull is the one
+    the Fraction closure builds."""
+    alg, gens, _ = _moved_generators("Psi(2,6)", random.Random(1))
+    one_hnf, rounds = hull_module._closure_round, []
+
+    def checked(alg, lat):
+        rounds.append(one_hnf(alg, lat))
+        assert rounds[-1] == _ref_closure_round(alg, lat), len(rounds)
+        return rounds[-1]
+
+    monkeypatch.setattr(hull_module, "_closure_round", checked)
+    group = GenGroup(alg, gens)
+    h = lattice_hull(group)
+    assert len(rounds) > 2 and rounds[-1] == h.lattice
+    monkeypatch.undo()
+    assert _hull_fields(h) == _hull_fields(_ref_lattice_hull(group))
 
 
 def test_catalog_hulls_match_the_fraction_closure():
@@ -1018,6 +1047,57 @@ def test_adapted_basis_reads_the_hnf_on_a_coordinate_flag(monkeypatch):
             calls.clear()
             assert adapted_basis(h.lattice, h.algebra) == (h.basis, h.layers)
             assert set(calls) == expected
+
+
+def _flag_groups():
+    """(on-flag groups, twisted copies): the seed-1 moved hull-ladder and
+    hull-defects shapes and the catalog groups; the hull-ladder shapes and
+    the catalog groups in seeded rational shears of their coordinates."""
+    moved = [GenGroup(*_moved_generators(name, random.Random(1))[:2])
+             for name in LADDER_SHAPES + DEFECT_SHAPES]
+    catalog = [build_group(entry) for entry in CATALOG]
+    rng = random.Random(4)
+    return moved + catalog, [_twisted(g, rng)
+                             for g in moved[:len(LADDER_SHAPES)] + catalog
+                             if g.algebra.dim > 1]
+
+
+def test_flag_verdict_is_cached_with_the_lower_central_series():
+    """The algebra's coordinate-flag verdict, set once with its lower
+    central series, is the uncached comparison of the series with the
+    trailing unit rows, and the reference series' verdict."""
+    on_flag, twisted = _flag_groups()
+    verdicts = []
+    for g in on_flag + twisted:
+        alg, k = g.algebra, g.algebra.dim
+        gammas = alg.lcs()
+        uncached = all(tuple(t) == gammas[0][k - len(t):] for t in gammas)
+        assert alg._on_flag is uncached is _on_coordinate_flag(alg)
+        assert alg.lcs() is gammas
+        verdicts.append(uncached)
+    assert all(verdicts[:len(on_flag)])
+    assert sum(not v for v in verdicts[len(on_flag):]) >= 8
+
+
+def test_hulls_on_warm_algebras_match_fresh_copies():
+    """The tables cached on an algebra (the cleared structure constants, the
+    lower central series and its flag verdict, the compiled BCH) depend on
+    the algebra alone: after the hull of fewer generators, its IA* equations
+    and the compiled BCH have filled them, a hull has the fields of the
+    same hull on a freshly constructed copy of the algebra."""
+    from malcev.autos import IAStarEquations
+    on_flag, twisted = _flag_groups()
+    for g in on_flag + twisted:
+        alg = g.algebra
+        other = lattice_hull(GenGroup(alg, g.gen_logs[1:] or g.gen_logs))
+        if other.embedding is None:
+            IAStarEquations(other)
+        alg.bch_compiled()
+        assert alg._int_structure is not None
+        fresh = NilpotentLieAlgebra(alg.dim, alg.brackets)
+        assert fresh._int_structure is None
+        assert _hull_fields(lattice_hull(g)) == \
+            _hull_fields(lattice_hull(GenGroup(fresh, g.gen_logs)))
 
 
 def test_adapted_bases_pass_the_basis_oracle():

@@ -227,24 +227,48 @@ def _check_coordinates(coords, rows, rng):
 
 def test_coordinates_of_the_hnf_basis_store_no_inverse():
     """The catalog hull's adapted basis is the HNF basis of its lattice, so
-    the unimodular inverse is the identity and is not stored."""
+    no unimodular inverse is computed or stored."""
     h = build_hull(entry_by_name("psi23"))
     coords = Coordinates(h.lattice, h.basis)
     assert coords._columns is None
     _check_coordinates(coords, h.basis, random.Random(1))
 
 
-def test_coordinates_of_a_sheared_permuted_basis():
-    """Another Z-basis of the same lattice: the stored inverse is applied,
-    and the coordinates agree with an rref solve."""
+def test_coordinates_of_a_sheared_permuted_basis(monkeypatch):
+    """Another Z-basis of the same lattice, or the HNF rows in another
+    order: each goes through ``unimodular_inverse``, the stored inverse is
+    applied, and the coordinates agree with an rref solve."""
+    calls, inverse = [], linalg.unimodular_inverse
+    monkeypatch.setattr(linalg, "unimodular_inverse",
+                        lambda rows: calls.append(rows) or inverse(rows))
     h = build_hull(entry_by_name("psi23"))
     B = list(h.basis)
     k = len(B)
     sheared = [tuple(x + 2 * y for x, y in zip(B[0], B[k - 1]))] + B[1:]
     permuted = sheared[1:] + sheared[:1]
-    for rows in (sheared, permuted):
+    for rows in (sheared, permuted, B[::-1], B[1:] + B[:1]):
+        before = len(calls)
         coords = Coordinates(h.lattice, rows)
-        assert coords._columns is not None
+        assert len(calls) == before + 1 and coords._columns is not None
         _check_coordinates(coords, rows, random.Random(2))
     with pytest.raises(ValueError):
         Coordinates(h.lattice, [tuple(2 * x for x in B[0])] + B[1:])
+
+
+def test_hnf_rows_are_told_before_any_back_substitution(monkeypatch):
+    """Rows equal to the HNF basis over den need no inverse: with
+    ``linalg.unimodular_inverse`` made to raise, the seed-1 hull-ladder hulls
+    (their adapted bases are the HNF rows) build, and store none."""
+    from test_hull import LADDER_SHAPES, _moved_generators
+    from malcev.hull import GenGroup, lattice_hull
+    groups = [GenGroup(*_moved_generators(name, random.Random(1))[:2])
+              for name in LADDER_SHAPES]
+
+    def refuse(rows):
+        raise AssertionError("unimodular_inverse called")
+
+    monkeypatch.setattr(linalg, "unimodular_inverse", refuse)
+    for name, group in zip(LADDER_SHAPES, groups):
+        h = lattice_hull(group)
+        assert h._coordinates._columns is None, name
+        _check_coordinates(h._coordinates, h.basis, random.Random(3))

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -488,3 +490,43 @@ def test_eval_mod_raises_where_the_heisenberg_bch_has_a_half():
     args = (1, 0, 0, 0, 2, 0)
     assert comp.eval_int(args) == (1, 2, 1)
     assert comp.eval_mod(args, 2) == (1, 0, 1)
+
+
+def _ref_int_structure(alg):
+    """(D, brackets) built afresh: D the lcm of the denominators of the
+    structure constants and (i, j, [(l, D * c_ij^l), ...]) per bracket."""
+    D = math.lcm(*(x.denominator for w in alg.brackets.values() for x in w))
+    return D, [(i, j, [(l, x.numerator * (D // x.denominator))
+                       for l, x in enumerate(w) if x])
+               for (i, j), w in alg.brackets.items()]
+
+
+def test_int_structure_is_built_once_per_algebra():
+    """On every catalog algebra, Tr_0(n) for n <= 6, Psi(2,5) and a sheared
+    free(2,3) with D > 1, the cleared structure constants are built on the
+    first call and the same object comes back after it, equal to a fresh
+    build; T over den is a multiple of den, as the closure round needs."""
+    from malcev.catalog import CATALOG, build_group
+    algs = [build_group(e).algebra for e in CATALOG]
+    algs += [ut.tr0_algebra(n)[0] for n in range(1, 7)] + [free_algebra(2, 5)]
+    algs.append(_sheared_adapted(free_algebra(2, 3), random.Random(3)))
+    assert _ref_int_structure(algs[-1])[0] > 1
+    for alg in algs:
+        first = compiled._int_structure(alg)
+        assert compiled._int_structure(alg) is first, alg
+        assert first == _ref_int_structure(alg), alg
+        if alg.nilpotency_class:
+            for den in (1, 2, 6, 35):
+                assert compiled.bch_denominator(alg, den) % den == 0, (alg, den)
+        fresh = NilpotentLieAlgebra(alg.dim, alg.brackets)
+        assert fresh._int_structure is None
+        assert compiled._int_structure(fresh) == first, alg
+
+
+def test_surjections_count_the_onto_maps():
+    """S(e, j) j! against the maps of e things onto j things, counted."""
+    for e in range(1, 7):
+        for j in range(1, e + 1):
+            onto = sum(len(set(f)) == j
+                       for f in itertools.product(range(j), repeat=e))
+            assert compiled._surjections(e, j) == onto, (e, j)
