@@ -114,19 +114,11 @@ def _nonzero_rows(rows):
 
 
 def matrix_from_adapted(hull: HullResult, adapted) -> tuple:
-    """Convert an adapted-coordinates matrix back to working coordinates.
-
-    Column j is the working vector with adapted coordinates A u, where u
-    holds the adapted coordinates of the j-th unit vector; only nonzero
-    entries of A and of the basis are read.
-    """
-    rows = _nonzero_rows(adapted)
-    cols = []
-    for e in linalg.mat_identity(hull.algebra.dim, Fraction(1)):
-        u = hull.to_adapted(e)
-        cols.append(hull.to_working([sum(x * u[c] for c, x in row)
-                                     for row in rows]))
-    return tuple(zip(*cols))
+    """Convert an adapted-coordinates matrix A back to working coordinates:
+    B^T A (B^T)^-1, with B the adapted basis as rows."""
+    inv = tuple(zip(*map(hull.to_adapted,
+                         linalg.mat_identity(hull.algebra.dim))))
+    return linalg.mat_mul(linalg.mat_mul(tuple(zip(*hull.basis)), adapted), inv)
 
 
 def aut_star_image(aut: LieAutomorphism, hull: HullResult):

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-# words are tuples over the alphabet {0, 1}; series are dicts word -> Fraction
+# words are tuples of letters (0 and 1 in BCH); series map word -> coefficient
 
 def _mul(a: dict, b: dict, cap: int) -> dict:
     out: dict = {}
@@ -32,17 +33,8 @@ def _mul(a: dict, b: dict, cap: int) -> dict:
 
 
 def _exp_letter(letter: int, cap: int) -> dict:
-    out = {(): Fraction(1)}
-    term = {(): Fraction(1)}
-    x = {(letter,): Fraction(1)}
-    for i in range(1, cap + 1):
-        term = _mul(term, x, cap)
-        f = Fraction(1, 1)
-        for j in range(1, i + 1):
-            f /= j
-        for w, c in term.items():
-            out[w] = out.get(w, 0) + c * f
-    return out
+    """exp of one letter: the word of i copies weighs 1/i!."""
+    return {(letter,) * i: Fraction(1, factorial(i)) for i in range(cap + 1)}
 
 
 def _log(series: dict, cap: int) -> dict:

@@ -96,8 +96,10 @@ class FiniteGroup:
         products of the ones it kept, so they generate the table as a magma
         and the test is complete whether or not the table is a group.
         """
-        problems = []
         n = self.order
+        if not n:
+            return ["empty Cayley table: a group has an identity"]
+        problems = []
         for a in range(n):
             if self.cayley[0][a] != a or self.cayley[a][0] != a:
                 problems.append(f"identity law fails at {a}")
@@ -127,10 +129,6 @@ class FiniteGroup:
     def subgroup_closure(self, elements):
         """The subgroup generated by the given elements, as a set."""
         return subgroup(0, elements, self.mul)[0]
-
-    def verbal_power_subgroup(self, t: int):
-        """Subgroup generated by all t-th powers (normal by construction)."""
-        return self.subgroup_closure({self.power(a, t) for a in range(self.order)})
 
     def subgroup_as_group(self, subgroup_set):
         """(group on the subgroup, element list) for a subgroup set."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
+from .bch import _mul
 from .errors import CapExceeded
 from .hull import GenGroup, HullResult, lattice_hull
 from .lattices import (Coordinates, Lattice, hnf_lattice, integer_rows,
@@ -80,21 +81,20 @@ def hall_basis(n: int, c: int, cap: int = 200):
     return trees, weight
 
 
-def _commutator(a, b):
-    """ab - ba of two associative-word expansions (dict word -> int)."""
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            for w, s in ((w1 + w2, 1), (w2 + w1, -1)):
-                v = out.get(w, 0) + s * c1 * c2
-                if v:
-                    out[w] = v
-                elif w in out:
-                    del out[w]
+def _commutator(a, b, cap):
+    """ab - ba of two associative-word expansions (dict word -> int), with
+    the words longer than cap dropped."""
+    out = _mul(a, b, cap)
+    for w, x in _mul(b, a, cap).items():
+        v = out.get(w, 0) - x
+        if v:
+            out[w] = v
+        else:
+            del out[w]
     return out
 
 
-def _expand(trees, idx, cache):
+def _expand(trees, idx, cache, cap):
     """Associative-word expansion (dict word -> int) of a Hall tree."""
     if idx in cache:
         return cache[idx]
@@ -102,8 +102,8 @@ def _expand(trees, idx, cache):
     if isinstance(t, int):
         out = {(t,): 1}
     else:
-        out = _commutator(_expand(trees, t[0], cache),
-                          _expand(trees, t[1], cache))
+        out = _commutator(_expand(trees, t[0], cache, cap),
+                          _expand(trees, t[1], cache, cap), cap)
     cache[idx] = out
     return out
 
@@ -113,7 +113,7 @@ def free_algebra(n: int, c: int, cap: int = 200) -> NilpotentLieAlgebra:
     trees, weight = hall_basis(n, c, cap)
     k = len(trees)
     cache: dict = {}
-    expansions = [_expand(trees, i, cache) for i in range(k)]
+    expansions = [_expand(trees, i, cache, c) for i in range(k)]
 
     # per weight: express a Lie element (as word dict) in Hall coordinates,
     # with one set of coordinates in the weight's word matrix
@@ -146,7 +146,7 @@ def free_algebra(n: int, c: int, cap: int = 200) -> NilpotentLieAlgebra:
             w = weight[i] + weight[j]
             if w > c:
                 continue
-            prod = _commutator(expansions[i], expansions[j])
+            prod = _commutator(expansions[i], expansions[j], c)
             if prod:
                 table[(i, j)] = to_hall(prod, w)
     alg = NilpotentLieAlgebra(k, table, c)

@@ -22,7 +22,7 @@ from .errors import CapExceeded, SublatticeError, UnsupportedInputForm
 from .finite import FiniteGroup
 from .lattices import (Coordinates, Lattice, hnf_lattice, integer_rows,
                        intersect_subspace, lattice_index)
-from .liealg import GroupElement, NilpotentLieAlgebra, vec
+from .liealg import NilpotentLieAlgebra, vec
 
 _ZERO = Fraction(0)
 
@@ -34,9 +34,6 @@ class GenGroup:
     algebra: NilpotentLieAlgebra
     gen_logs: tuple
     filtered: bool = False
-
-    def generators(self):
-        return tuple(GroupElement(self.algebra, vec(g)) for g in self.gen_logs)
 
 
 @dataclass
@@ -122,17 +119,6 @@ class HullResult:
     def to_adapted(self, v):
         """Adapted coordinates of a working vector."""
         return self._coordinates(v)
-
-    def to_working(self, u):
-        """The working vector with adapted coordinates u, summed over the
-        nonzero coordinates and basis entries only."""
-        out = [_ZERO] * self.algebra.dim
-        for x, b in zip(u, self.basis):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[j] += x * y
-        return tuple(out)
 
     def to_adapted_int(self, v):
         """Integer adapted coordinates of v, or None when v is outside the

@@ -126,14 +126,6 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(dim={self.dim}, den={self.den}, rows={self.rows})"
 
-    def scale(self, s) -> "Lattice":
-        """The lattice s * self for a nonzero rational s."""
-        s = Fraction(s)
-        num, d = abs(s.numerator), s.denominator
-        return Lattice.from_den_rows(
-            self.dim, self.den * d,
-            [tuple(x * num for x in row) for row in self.rows])
-
 
 def hnf_lattice(vectors, dim: int | None = None, den: int | None = None) -> Lattice:
     """Z-span of the given rational row vectors, in canonical form; with
@@ -256,20 +248,8 @@ def smith_quotient(outer: Lattice, inner: Lattice):
 
 
 def intersect_subspace(lat: Lattice, subspace_rows) -> Lattice:
-    """The sublattice of lat lying in the Q-span of subspace_rows."""
-    if not lat.rows:
-        return lat
-    # integer conditions cutting out the subspace: c with S * c == 0
-    S = [row for row in integer_rows(subspace_rows)[1] if any(row)]
-    if not S:
-        return hnf_lattice([], lat.dim)
-    cond = linalg.right_kernel(S, lat.dim)
-    if not cond:
-        return lat
-    # the integer combinations of the HNF rows on which every condition vanishes
-    M = [[sum(a * b for a, b in zip(row, c)) for c in cond] for row in lat.rows]
-    combos = linalg.left_kernel(M)
-    return Lattice.from_den_rows(
-        lat.dim, lat.den,
-        [tuple(sum(cb[i] * row[j] for i, row in enumerate(lat.rows))
-               for j in range(lat.dim)) for cb in combos])
+    """The sublattice of lat lying in the Q-span of subspace_rows: lat meets
+    the span's points in (1/den) Z^k, its saturation over lat's den."""
+    rows = integer_rows(subspace_rows, lat.dim)[1]
+    return lattice_intersect(lat, hnf_lattice(
+        linalg.saturate_rows(rows, lat.dim), lat.dim, lat.den))

@@ -318,6 +318,16 @@ def test_fiber_values_outside_q_are_input_errors(capsys, name):
     assert "Traceback" not in err
 
 
+def test_fiber_with_an_empty_p2_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_Z2Z4_FIBER,
+                                "p2": {"order": 0, "cayley": []}}))
+    code, out, err = run(capsys, "fiber", "build", "--fiber", str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err and "empty Cayley table" in err
+    assert "Traceback" not in err
+
+
 def test_verify_hull_suite(capsys):
     code, out, _ = run(capsys, "--format", "json", "verify", "hull")
     assert code == 0

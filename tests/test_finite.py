@@ -55,6 +55,13 @@ def test_validation_catches_bad_tables():
         FiniteGroup(swapped_cyclic_table())
 
 
+def test_empty_table_is_not_a_group():
+    """A table of order 0 has no identity, so validate reports it."""
+    for make in (lambda: FiniteGroup([]), lambda: FiniteGroup.cyclic(0)):
+        with pytest.raises(ValueError, match="empty Cayley table"):
+            make()
+
+
 def test_light_associativity_complete():
     # a latin square with identity that is NOT associative
     # (rows/cols 0 are identity; 1*1=0, 1*2=3, ... a non-group quasigroup)
@@ -69,12 +76,17 @@ def test_light_associativity_complete():
         FiniteGroup(table)
 
 
+def _verbal_power_subgroup(g, t):
+    """The subgroup generated by all t-th powers (normal by construction)."""
+    return g.subgroup_closure({g.power(a, t) for a in range(g.order)})
+
+
 def test_power_and_verbal():
     z12 = FiniteGroup.cyclic(12)
     assert z12.power(5, 0) == 0
     assert z12.power(5, 7) == (5 * 7) % 12
     assert z12.power(5, -1) == z12.inverse[5]
-    sq = z12.verbal_power_subgroup(2)
+    sq = _verbal_power_subgroup(z12, 2)
     assert sq == {0, 2, 4, 6, 8, 10}
     assert _ref_is_normal(z12, sq)
     quo, proj = _ref_quotient(z12, sq)

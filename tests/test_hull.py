@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from malcev import compiled, hull as hull_module, lattices, linalg, \
+from malcev import compiled, freenil, hull as hull_module, lattices, linalg, \
     unitriangular as ut
 from malcev.catalog import (CATALOG, TORSION_NAMES, build_fiber, build_group,
                             build_hull, entry_by_name)
@@ -23,6 +24,7 @@ from malcev.lattices import (Coordinates, Lattice, _coordinate_matrix,
 from malcev.liealg import GroupElement, NilpotentLieAlgebra, vec
 from malcev.linalg import hnf
 from test_cli_outputs import sheared_group
+from test_lattices import _scaled
 from test_liealg import _ref_bch_symbolic, _ref_root
 
 
@@ -124,8 +126,8 @@ def test_congruence_sublattice():
     assert congruence_scale(h, 3) == 3
     heis = lattice_hull(heis_group())
     assert congruence_scale(heis, 2) == 2
-    sub = heis.lattice.scale(congruence_scale(heis, 2))
-    assert sub == heis.lattice.scale(2)
+    sub = _scaled(heis.lattice, congruence_scale(heis, 2))
+    assert sub == _scaled(heis.lattice, 2)
     from malcev.freenil import psi_group
     psi23 = psi_group(2, 3)
     s = congruence_scale(psi23.hull, 1)
@@ -142,7 +144,7 @@ def _check_congruence_quotients(h, scales, name):
     for m, want in enumerate(scales, 1):
         s, q = congruence_quotient(h, m)
         assert s == want == congruence_scale(h, m), name
-        assert q.order == lattice_index(h.lattice, h.lattice.scale(s)), name
+        assert q.order == lattice_index(h.lattice, _scaled(h.lattice, s)), name
 
 
 def test_congruence_scale_catalog_values():
@@ -195,7 +197,7 @@ def test_quotient_reduce_roundtrip():
 def reference_reduce(hull, s, vectors):
     """The general sublattice reduction: row-reduce each vector by the HNF
     of s*lat written in adapted coordinates."""
-    H = hnf([hull.to_adapted_int(b) for b in hull.lattice.scale(s).basis()])
+    H = hnf([hull.to_adapted_int(b) for b in _scaled(hull.lattice, s).basis()])
     out = []
     for v in vectors:
         w = list(v)
@@ -682,7 +684,7 @@ def _lattice_queries(lat, rng):
     calls = [("coords", lat, v) for v in _probe_vectors(lat, rng)]
     combos = [[rng.randint(-2, 2) for _ in range(lat.rank)]
               for _ in range(lat.rank)]
-    inners = [lat.scale(2), lat.scale(F(1, 2)), hnf_lattice(lat.basis()[1:], k),
+    inners = [_scaled(lat, 2), _scaled(lat, F(1, 2)), hnf_lattice(lat.basis()[1:], k),
               hnf_lattice([tuple(sum(c * b[j] for c, b in zip(row, lat.basis()))
                                  for j in range(k)) for row in combos], k)]
     calls += [(name, lat, inner) for inner in inners
@@ -753,18 +755,68 @@ def test_integer_lattice_queries_match_fraction_references(monkeypatch):
         assert g == w, name
 
 
+def _ref_word_commutator(a, b):
+    """ab - ba of two associative-word expansions (dict word -> int), one
+    pair of words at a time: free_algebra's own loop before it read the
+    word-series product ``bch._mul``."""
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            for w, s in ((w1 + w2, 1), (w2 + w1, -1)):
+                v = out.get(w, 0) + s * c1 * c2
+                if v:
+                    out[w] = v
+                elif w in out:
+                    del out[w]
+    return out
+
+
+def _ref_expansions(trees):
+    """The associative-word expansion of every Hall tree, by
+    _ref_word_commutator (a tree's subtrees come before it)."""
+    out = []
+    for t in trees:
+        out.append({(t,): 1} if isinstance(t, int)
+                   else _ref_word_commutator(out[t[0]], out[t[1]]))
+    return out
+
+
+# The hull-ladder shapes, and Psi(2,6).
+HALL_SHAPES = ((2, 3), (3, 2), (4, 2), (2, 4), (5, 2), (6, 2), (2, 6))
+
+
+@pytest.mark.parametrize("n,c", HALL_SHAPES)
+def test_hall_expansions_and_brackets_match_the_pairwise_commutator(
+        n, c, monkeypatch):
+    """_commutator, ab - ba of two bch._mul products truncated at c, equals
+    the pairwise loop on every Hall pair of weight <= c (so the truncation
+    cuts no word), and free_algebra's brackets are the same with the loop
+    swapped in."""
+    trees, weight = hall_basis(n, c)
+    want = _ref_expansions(trees)
+    cache = {}
+    assert [_expand(trees, i, cache, c) for i in range(len(trees))] == want
+    for i, j in itertools.combinations(range(len(trees)), 2):
+        if weight[i] + weight[j] <= c:
+            assert _commutator(want[i], want[j], c) == \
+                _ref_word_commutator(want[i], want[j]), (i, j)
+    brackets = free_algebra(n, c).brackets
+    monkeypatch.setattr(freenil, "_commutator",
+                        lambda a, b, cap: _ref_word_commutator(a, b))
+    assert free_algebra(n, c).brackets == brackets
+
+
 def _ref_hall_table(n, c):
     """free_algebra's structure constants by one Fraction solve per bracket
     pair, as free_algebra used to compute them."""
     trees, weight = hall_basis(n, c)
     k = len(trees)
-    cache = {}
-    expansions = [_expand(trees, i, cache) for i in range(k)]
+    expansions = _ref_expansions(trees)
     table = {}
     for i in range(k):
         for j in range(i + 1, k):
             w = weight[i] + weight[j]
-            prod = _commutator(expansions[i], expansions[j]) if w <= c else {}
+            prod = _ref_word_commutator(expansions[i], expansions[j]) if w <= c else {}
             if not prod:
                 continue
             idxs = [t for t in range(k) if weight[t] == w]

@@ -86,6 +86,11 @@ def test_fiber_roundtrip():
     assert again.hull.lattice == u.hull.lattice
 
 
+def test_empty_finite_group_is_a_format_error():
+    with pytest.raises(io.FormatError, match="empty Cayley table"):
+        io.finite_group_from_doc({"order": 0, "cayley": []})
+
+
 def test_load_reports_location():
     with pytest.raises(io.FormatError) as err:
         io.load("{bad json", "file.json")

@@ -5,8 +5,17 @@ from fractions import Fraction as F
 import pytest
 
 from malcev.errors import DimensionMismatch, SublatticeError
-from malcev.lattices import (hnf_lattice, intersect_subspace, lattice_index,
-                             lattice_intersect, lattice_sum, smith_quotient)
+from malcev.lattices import (Lattice, hnf_lattice, intersect_subspace,
+                             lattice_index, lattice_intersect, lattice_sum,
+                             smith_quotient)
+
+
+def _scaled(lat, s):
+    """The lattice s * lat for a nonzero rational s."""
+    s = F(s)
+    return Lattice.from_den_rows(
+        lat.dim, lat.den * s.denominator,
+        [tuple(x * abs(s.numerator) for x in row) for row in lat.rows])
 
 
 def Z(n):
@@ -73,8 +82,8 @@ def test_member_bruteforce_oracle():
 
 
 def test_index_and_smith():
-    assert lattice_index(Z(2), Z(2).scale(2)) == 4
-    assert smith_quotient(Z(2), Z(2).scale(2)) == [2, 2]
+    assert lattice_index(Z(2), _scaled(Z(2), 2)) == 4
+    assert smith_quotient(Z(2), _scaled(Z(2), 2)) == [2, 2]
     assert smith_quotient(Z(2), hnf_lattice([(2, 0), (0, 1)])) == [2]
     assert lattice_index(Z(2), Z(2)) == 1
     heis_hull = hnf_lattice([(1, 0, 0), (0, 1, 0), (0, 0, F(1, 2))])
@@ -103,7 +112,7 @@ def test_smith_product_equals_index():
 
 def test_index_errors():
     with pytest.raises(SublatticeError):
-        lattice_index(Z(2).scale(2), Z(2))  # not a sublattice
+        lattice_index(_scaled(Z(2), 2), Z(2))  # not a sublattice
     with pytest.raises(SublatticeError):
         lattice_index(hnf_lattice([(1, 0)], 2), hnf_lattice([(0, 1)], 2))
     with pytest.raises(DimensionMismatch):
@@ -111,8 +120,8 @@ def test_index_errors():
 
 
 def test_sum_intersect_examples():
-    assert lattice_sum(Z(2).scale(2), Z(2).scale(3)) == Z(2)
-    assert lattice_intersect(Z(2).scale(2), Z(2).scale(3)) == Z(2).scale(6)
+    assert lattice_sum(_scaled(Z(2), 2), _scaled(Z(2), 3)) == Z(2)
+    assert lattice_intersect(_scaled(Z(2), 2), _scaled(Z(2), 3)) == _scaled(Z(2), 6)
     lat = hnf_lattice([(1, 2), (0, 5)])
     assert lattice_sum(lat, lat) == lat
     assert lattice_intersect(lat, lat) == lat
@@ -139,3 +148,9 @@ def test_intersect_subspace():
     assert line.basis() == ((F(0), F(0), F(1, 2)),)
     nothing = intersect_subspace(heis_hull, [])
     assert nothing.rank == 0
+    # rows of the wrong length are refused like every other constructor's
+    for rows in ([(0, 1)], [(0, 0, 1), (1, 0, 0, 0)]):
+        with pytest.raises(DimensionMismatch):
+            intersect_subspace(heis_hull, rows)
+    with pytest.raises(DimensionMismatch):
+        intersect_subspace(hnf_lattice([], 3), [(1, 2)])

@@ -51,6 +51,33 @@ def reference_bch(alg, x, y):
     return total
 
 
+def _ref_exp_letter(letter, cap):
+    """exp of one letter as a word series, by cap - 1 series products and a
+    factorial loop (the former ``bch._exp_letter``)."""
+    out = {(): F(1)}
+    term = {(): F(1)}
+    x = {(letter,): F(1)}
+    for i in range(1, cap + 1):
+        term = bch._mul(term, x, cap)
+        f = F(1, 1)
+        for j in range(1, i + 1):
+            f /= j
+        for w, c in term.items():
+            out[w] = out.get(w, 0) + c * f
+    return out
+
+
+@pytest.mark.parametrize("c", range(8))
+def test_bch_terms_match_the_series_product_exponential(c, monkeypatch):
+    """The closed form {(l,)^i: 1/i!} is the old series-product exp, and
+    bch_terms(c) for c <= 7 is bit-identical with the old one swapped in."""
+    for letter in (0, 1):
+        assert bch._exp_letter(letter, c) == _ref_exp_letter(letter, c)
+    terms = bch.bch_terms(c)
+    monkeypatch.setattr(bch, "_exp_letter", _ref_exp_letter)
+    assert bch.bch_terms.__wrapped__(c) == terms
+
+
 def heisenberg():
     return NilpotentLieAlgebra(3, {(0, 1): (0, 0, 1)})
 

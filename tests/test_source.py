@@ -81,26 +81,65 @@ def _traced_names():
     return {part for _, attr, _ in traced for part in attr.split(".")}
 
 
+def _stored_names(tree):
+    """Names assigned as data: attribute targets (``self.x = ...``) and the
+    fields a class body declares or assigns."""
+    out = {node.attr for node in ast.walk(tree)
+           if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            out |= {t.id for stmt in cls.body
+                    if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    for t in (stmt.targets if isinstance(stmt, ast.Assign)
+                              else [stmt.target])
+                    if isinstance(t, ast.Name)}
+    return out
+
+
+def _plain_methods(tree):
+    """The methods of the classes in tree that are not properties."""
+    return {node.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not any(getattr(d, "id", getattr(d, "attr", None))
+                        in ("property", "cached_property")
+                        for d in node.decorator_list)}
+
+
 def test_every_definition_is_used():
     """Each function, class and method of the library is referenced in the
     code of the library or the benchmark: by a name, an attribute or an
     import, or by a dotted name in ``spans.TRACED``.  Words in docstrings and
-    comments do not count.  A definition that only tests call belongs in the
-    tests, as a reference oracle."""
+    comments do not count.  A method that is not a property, named like a
+    data attribute assigned somewhere (``HullSide.scale``), counts only
+    through a call ``.name(...)``, an import or ``spans.TRACED``: reading
+    the data attribute, or a local variable of that name, is no use of the
+    method.  A definition that only tests call belongs in the tests, as a
+    reference oracle."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defined, used = set(), _traced_names()
+    traced = _traced_names()
+    defined, used, attrs, called = set(), set(traced), set(), set(traced)
+    methods, stored = set(), set()
     for path in SRC + BENCH:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        stored |= _stored_names(tree)
+        if path in SRC:
+            methods |= _plain_methods(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name.split(".")[-1])
+                called.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
             elif isinstance(node, kinds) and path in SRC and not (
                     node.name.startswith("__") and node.name.endswith("__")):
                 defined.add(node.name)
-    unused = sorted(defined - used)
+    hidden = (defined & methods & stored) - called
+    unused = sorted((defined - used - attrs) | hidden)
     assert not unused, f"defined but never used: {unused}"
 
 
